@@ -16,7 +16,7 @@ import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
     ElementSet,
@@ -279,6 +279,44 @@ def _counts_delta(
     )
 
 
+def _split_and_grow(
+    f: SetFunction,
+    matroid: Matroid,
+    algorithm: str,
+    x: float,
+    p: float | None,
+    seed: int | None,
+    grow: Callable[[SetFunction, Matroid, ElementSet, int], ElementSet],
+) -> RunReport:
+    """Split; grow each half h as grow(f(. | h), M / h, other half, side 0 or 1); keep the better."""
+    started = time.perf_counter()
+    v0, i0 = f.counts.value_queries, matroid.counts.independence_queries
+    params = parameters(x)
+    use_p = params.p if p is None else p
+    if matroid.rank < 2:
+        raise ValueError("split-and-grow needs rank >= 2; use solve() for rank-1 problems")
+    half = split(f, matroid, use_p)
+    grown_a = grow(marginal_function(f, half.a), contract(matroid, half.a), half.b, 0)
+    grown_b = grow(marginal_function(f, half.b), contract(matroid, half.b), half.a, 1)
+    first = canonical(half.a + grown_a)
+    second = canonical(half.b + grown_b)
+    value_first = f(first)
+    value_second = f(second)
+    if value_first >= value_second:
+        solution, value = first, value_first
+    else:
+        solution, value = second, value_second
+    return RunReport(
+        algorithm=algorithm,
+        solution=solution,
+        value=value,
+        counts=_counts_delta(f, matroid, v0, i0),
+        parameters=params,
+        seed=seed,
+        elapsed=time.perf_counter() - started,
+    )
+
+
 def split_and_grow(
     f: SetFunction,
     matroid: Matroid,
@@ -292,32 +330,8 @@ def split_and_grow(
     Rank-1 problems should go through :func:`solve`, which answers them by
     exhaustive search.
     """
-    started = time.perf_counter()
-    v0, i0 = f.counts.value_queries, matroid.counts.independence_queries
-    params = parameters(x)
-    use_p = params.p if p is None else p
-    if matroid.rank < 2:
-        raise ValueError("split-and-grow needs rank >= 2; use solve() for rank-1 problems")
-    half = split(f, matroid, use_p)
-    grown_a = rr_greedy(marginal_function(f, half.a), contract(matroid, half.a), rng_seed)
-    grown_b = rr_greedy(marginal_function(f, half.b), contract(matroid, half.b), rng_seed + 1)
-    first = canonical(half.a + grown_a)
-    second = canonical(half.b + grown_b)
-    value_first = f(first)
-    value_second = f(second)
-    if value_first >= value_second:
-        solution, value = first, value_first
-    else:
-        solution, value = second, value_second
-    return RunReport(
-        algorithm="msg",
-        solution=solution,
-        value=value,
-        counts=_counts_delta(f, matroid, v0, i0),
-        parameters=params,
-        seed=rng_seed,
-        elapsed=time.perf_counter() - started,
-    )
+    return _split_and_grow(f, matroid, "msg", x, p, rng_seed,
+                           lambda g, contracted, _other, side: rr_greedy(g, contracted, rng_seed + side))
 
 
 def split_and_grow_deterministic(
@@ -332,31 +346,8 @@ def split_and_grow_deterministic(
     as the residue base, so the whole run is deterministic and the output
     is a base.
     """
-    started = time.perf_counter()
-    v0, i0 = f.counts.value_queries, matroid.counts.independence_queries
-    params = parameters(x)
-    use_p = params.p if p is None else p
-    if matroid.rank < 2:
-        raise ValueError("split-and-grow needs rank >= 2; use solve() for rank-1 problems")
-    half = split(f, matroid, use_p)
-    grown_a = rp_greedy(marginal_function(f, half.a), contract(matroid, half.a), half.b)
-    grown_b = rp_greedy(marginal_function(f, half.b), contract(matroid, half.b), half.a)
-    first = canonical(half.a + grown_a)
-    second = canonical(half.b + grown_b)
-    value_first = f(first)
-    value_second = f(second)
-    if value_first >= value_second:
-        solution, value = first, value_first
-    else:
-        solution, value = second, value_second
-    return RunReport(
-        algorithm="msg-det",
-        solution=solution,
-        value=value,
-        counts=_counts_delta(f, matroid, v0, i0),
-        parameters=params,
-        elapsed=time.perf_counter() - started,
-    )
+    return _split_and_grow(f, matroid, "msg-det", x, p, None,
+                           lambda g, contracted, other, _side: rp_greedy(g, contracted, other))
 
 
 def _best_singleton(f: SetFunction, matroid: Matroid) -> ElementSet:

@@ -9,6 +9,7 @@ through a shared counter so query complexity can be measured exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable
 
 ElementSet = tuple[int, ...]
@@ -37,9 +38,6 @@ class OracleCounts:
     value_queries: int = 0
     independence_queries: int = 0
 
-    def snapshot(self) -> "OracleCounts":
-        return OracleCounts(self.value_queries, self.independence_queries)
-
     def since(self, earlier: "OracleCounts") -> "OracleCounts":
         return OracleCounts(
             self.value_queries - earlier.value_queries,
@@ -58,8 +56,10 @@ class SetFunction:
 
     Calling the oracle with any iterable of element ids canonicalizes the
     set, bumps the shared counter by exactly one, and evaluates.  The
-    object is immutable apart from the counter, so a single function may
-    be shared by concurrent runs that own separate counters.
+    object is immutable apart from the counter and a view's cached offset,
+    so a single function may be shared by concurrent runs that own
+    separate counters.  ``root`` owns the evaluator (``root is self`` on a
+    root); ``anchored`` is the set a derived view is relative to.
     """
 
     def __init__(
@@ -73,15 +73,21 @@ class SetFunction:
         self.n = n
         self._evaluate = evaluate
         self.counts = counts if counts is not None else OracleCounts()
+        self.root = self
+        self.anchored: ElementSet = ()
+        self._offset: float | None = 0  # a root reports f(S) itself, not f(S) - f(())
 
     @property
     def queries(self) -> int:
         return self.counts.value_queries
 
     def __call__(self, elements: Iterable[int]) -> float:
-        members = canonical(elements, self.n)
+        members = canonical(chain(self.anchored, elements), self.n)
         self.counts.value_queries += 1
-        return self._evaluate(members)
+        if self._offset is None:
+            self.counts.value_queries += 1
+            self._offset = self.root._evaluate(self.anchored)
+        return self.root._evaluate(members) - self._offset
 
 
 class Matroid:
@@ -90,6 +96,7 @@ class Matroid:
     ``n`` is the size of the original index space; contractions shrink
     ``ground`` but keep ``n`` so element ids stay globally meaningful.
     Rank 0 is legal for contractions; concrete instance families reject it.
+    ``root`` and ``anchored`` are as on :class:`SetFunction`.
     """
 
     def __init__(
@@ -108,57 +115,53 @@ class Matroid:
         self.counts = counts if counts is not None else OracleCounts()
         self.ground = canonical(range(n) if ground is None else ground, n)
         self._ground_set = frozenset(self.ground)
+        self.root = self
+        self.anchored: ElementSet = ()
 
     @property
     def queries(self) -> int:
         return self.counts.independence_queries
 
     def is_independent(self, elements: Iterable[int]) -> bool:
-        members = canonical(elements, self.n)
-        for u in members:
-            if u not in self._ground_set:
-                raise ValueError(f"element {u} is not in the matroid ground set")
+        members = set(elements)
+        if not members <= self._ground_set:
+            canonical(members, self.n)  # ids outside [0, n) raise here first
+            raise ValueError(f"element {min(members - self._ground_set)} is not in the matroid ground set")
         self.counts.independence_queries += 1
-        return bool(self._is_independent(members))
+        return bool(self.root._is_independent(canonical(members.union(self.anchored))))
 
 
 def marginal_function(f: SetFunction, base_set: Iterable[int]) -> SetFunction:
     """The function S -> f(S | base_set), counted on f's counter.
 
-    f(base_set) is evaluated lazily on the first call and cached, so each
-    later evaluation costs exactly one fresh oracle query.
+    A flat view on ``f.root`` anchored at ``f.anchored + base_set``: a call
+    costs one root evaluation however deep the derivation.  root(anchored)
+    is evaluated lazily on the first call and cached, so each later
+    evaluation costs exactly one fresh oracle query.
     """
-    anchored = canonical(base_set, f.n)
-    anchored_set = set(anchored)
-    cache: list[float] = []
-
-    def shifted(members: ElementSet) -> float:
-        if not cache:
-            f.counts.value_queries += 1
-            cache.append(f._evaluate(anchored))
-        merged = canonical(anchored_set.union(members))
-        return f._evaluate(merged) - cache[0]
-
-    return SetFunction(f.n, shifted, counts=f.counts)
+    view = object.__new__(SetFunction)
+    view.n, view.counts, view.root = f.n, f.counts, f.root
+    view.anchored = canonical(chain(f.anchored, base_set), f.n)
+    view._offset = None
+    return view
 
 
 def contract(matroid: Matroid, independent_set: Iterable[int]) -> Matroid:
-    """The matroid on ground \\ A where S is independent iff S + A was."""
+    """The matroid on ground \\ A where S is independent iff S + A was.
+
+    A flat view on ``matroid.root`` anchored at ``matroid.anchored + A``.
+    """
     contracted = canonical(independent_set, matroid.n)
     if not matroid.is_independent(contracted):
         raise ValueError("cannot contract a dependent set")
     away = frozenset(contracted)
-
-    def shifted(members: ElementSet) -> bool:
-        return matroid._is_independent(canonical(away.union(members)))
-
-    return Matroid(
-        matroid.n,
-        shifted,
-        matroid.rank - len(contracted),
-        counts=matroid.counts,
-        ground=tuple(u for u in matroid.ground if u not in away),
-    )
+    view = object.__new__(Matroid)
+    view.n, view.counts, view.root = matroid.n, matroid.counts, matroid.root
+    view.anchored = canonical(away.union(matroid.anchored))
+    view.rank = matroid.rank - len(contracted)
+    view.ground = tuple(u for u in matroid.ground if u not in away)
+    view._ground_set = frozenset(view.ground)
+    return view
 
 
 def is_base(matroid: Matroid, elements: Iterable[int]) -> bool:

@@ -8,8 +8,10 @@ possible so different algorithms can be compared exactly.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator
 
 from .core import Matroid, OracleCounts, SetFunction
@@ -20,6 +22,21 @@ FUNCTION_KINDS = ("modular", "coverage", "weighted_coverage", "concave_of_modula
 
 class InstanceFormatError(ValueError):
     """Raised when an instance document is malformed or inconsistent."""
+
+
+# Exact type tests: Python counts bools as ints, but an instance file may not.
+def _is_int(value) -> bool:
+    return type(value) is int
+
+
+def _is_real(value) -> bool:
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+def _check_each(values, is_valid, requirement: str) -> None:
+    for value in values:
+        if not is_valid(value):
+            raise InstanceFormatError(f"{requirement}, got {value!r}")
 
 
 class _UnionFind:
@@ -54,8 +71,8 @@ class MatroidSpec:
 
     def validate(self, n: int) -> None:
         if self.kind == "uniform":
-            if self.k is None or not 1 <= self.k <= n:
-                raise InstanceFormatError(f"matroid.k must lie in [1, {n}], got {self.k}")
+            if not _is_int(self.k) or not 1 <= self.k <= n:
+                raise InstanceFormatError(f"matroid.k must be an integer in [1, {n}], got {self.k!r}")
         elif self.kind == "partition":
             if self.parts is None or self.capacities is None:
                 raise InstanceFormatError("partition matroid needs matroid.parts and matroid.capacities")
@@ -63,6 +80,8 @@ class MatroidSpec:
                 raise InstanceFormatError(
                     f"matroid.capacities has {len(self.capacities)} entries for {len(self.parts)} parts"
                 )
+            _check_each(self.capacities, _is_int, "matroid.capacities must hold integers")
+            _check_each(chain.from_iterable(self.parts), _is_int, "matroid.parts must hold integers")
             seen: set[int] = set()
             for i, part in enumerate(self.parts):
                 if not part:
@@ -81,11 +100,12 @@ class MatroidSpec:
             if sum(self.capacities) < 1:
                 raise InstanceFormatError("partition matroid rank must be at least 1")
         elif self.kind == "graphic":
-            if self.num_vertices is None or self.num_vertices < 1:
+            if not _is_int(self.num_vertices) or self.num_vertices < 1:
                 raise InstanceFormatError("matroid.num_vertices must be a positive integer")
             if self.edges is None or len(self.edges) != n:
                 got = None if self.edges is None else len(self.edges)
                 raise InstanceFormatError(f"matroid.edges must list {n} edges, got {got}")
+            _check_each(chain.from_iterable(self.edges), _is_int, "matroid.edges must hold integers")
             for i, edge in enumerate(self.edges):
                 if len(edge) != 2 or not all(0 <= v < self.num_vertices for v in edge):
                     raise InstanceFormatError(f"matroid.edges[{i}]={edge} is not a valid vertex pair")
@@ -120,20 +140,25 @@ class FunctionSpec:
             if self.weights is None or len(self.weights) != n:
                 got = None if self.weights is None else len(self.weights)
                 raise InstanceFormatError(f"function.weights must list {n} values, got {got}")
+            _check_each(self.weights, _is_real, "function.weights must hold finite real numbers")
             if any(w < 0 for w in self.weights):
                 raise InstanceFormatError("function.weights must be non-negative")
             if self.kind == "concave_of_modular":
-                if self.exponent is None or not 0 < self.exponent <= 1:
+                if not _is_real(self.exponent) or not 0 < self.exponent <= 1:
                     raise InstanceFormatError(f"function.exponent must lie in (0, 1], got {self.exponent}")
         elif self.kind in ("coverage", "weighted_coverage"):
             if self.universe_weights is None:
                 raise InstanceFormatError("function.universe_weights is required for coverage functions")
+            _check_each(
+                self.universe_weights, _is_real, "function.universe_weights must hold finite real numbers"
+            )
             if any(w < 0 for w in self.universe_weights):
                 raise InstanceFormatError("function.universe_weights must be non-negative")
             if self.covers is None or len(self.covers) != n:
                 got = None if self.covers is None else len(self.covers)
                 raise InstanceFormatError(f"function.covers must list {n} subsets, got {got}")
             m = len(self.universe_weights)
+            _check_each(chain.from_iterable(self.covers), _is_int, "function.covers must hold integers")
             for i, cover in enumerate(self.covers):
                 for item in cover:
                     if not 0 <= item < m:
@@ -150,8 +175,8 @@ class Instance:
     label: str = ""
 
     def validate(self) -> None:
-        if self.n < 1:
-            raise InstanceFormatError("n must be a positive integer")
+        if not _is_int(self.n) or self.n < 1:
+            raise InstanceFormatError(f"n must be a positive integer, got {self.n!r}")
         self.matroid.validate(self.n)
         self.function.validate(self.n)
 
@@ -267,17 +292,23 @@ def _spec_to_dict(instance: Instance) -> dict:
 
 
 def _require(doc: dict, field: str, context: str):
+    if not isinstance(doc, dict):
+        raise InstanceFormatError(f"{context or 'instance document'} must be a JSON object")
     if field not in doc:
         raise InstanceFormatError(f"missing field {context}.{field}" if context else f"missing field {field}")
     return doc[field]
 
 
+def _require_list(doc: dict, field: str, context: str, nested: bool = False) -> tuple:
+    """A JSON list field as a tuple; with ``nested``, a list of lists as a tuple of tuples."""
+    value = _require(doc, field, context)
+    if not isinstance(value, list) or (nested and not all(isinstance(row, list) for row in value)):
+        raise InstanceFormatError(f"{context}.{field} must be a list{' of lists' if nested else ''}")
+    return tuple(tuple(row) for row in value) if nested else tuple(value)
+
+
 def _spec_from_dict(doc: dict) -> Instance:
-    if not isinstance(doc, dict):
-        raise InstanceFormatError("instance document must be a JSON object")
     n = _require(doc, "n", "")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InstanceFormatError(f"n must be an integer, got {n!r}")
     mdoc = _require(doc, "matroid", "")
     fdoc = _require(doc, "function", "")
     mkind = _require(mdoc, "kind", "matroid")
@@ -286,14 +317,14 @@ def _spec_from_dict(doc: dict) -> Instance:
     elif mkind == "partition":
         mspec = MatroidSpec(
             kind="partition",
-            parts=tuple(tuple(p) for p in _require(mdoc, "parts", "matroid")),
-            capacities=tuple(_require(mdoc, "capacities", "matroid")),
+            parts=_require_list(mdoc, "parts", "matroid", nested=True),
+            capacities=_require_list(mdoc, "capacities", "matroid"),
         )
     elif mkind == "graphic":
         mspec = MatroidSpec(
             kind="graphic",
             num_vertices=_require(mdoc, "num_vertices", "matroid"),
-            edges=tuple(tuple(e) for e in _require(mdoc, "edges", "matroid")),
+            edges=_require_list(mdoc, "edges", "matroid", nested=True),
         )
     else:
         raise InstanceFormatError(f"unknown matroid kind {mkind!r}")
@@ -301,14 +332,14 @@ def _spec_from_dict(doc: dict) -> Instance:
     if fkind in ("modular", "concave_of_modular"):
         fspec = FunctionSpec(
             kind=fkind,
-            weights=tuple(_require(fdoc, "weights", "function")),
+            weights=_require_list(fdoc, "weights", "function"),
             exponent=_require(fdoc, "exponent", "function") if fkind == "concave_of_modular" else None,
         )
     elif fkind in ("coverage", "weighted_coverage"):
         fspec = FunctionSpec(
             kind=fkind,
-            universe_weights=tuple(_require(fdoc, "universe_weights", "function")),
-            covers=tuple(tuple(c) for c in _require(fdoc, "covers", "function")),
+            universe_weights=_require_list(fdoc, "universe_weights", "function"),
+            covers=_require_list(fdoc, "covers", "function", nested=True),
         )
     else:
         raise InstanceFormatError(f"unknown function kind {fkind!r}")

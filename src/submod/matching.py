@@ -64,12 +64,6 @@ class Matching:
     pairs: tuple[tuple[int, int, int, float], ...]  # (right, left, payload, weight)
     total_weight: float
 
-    def pair_for(self, right: int) -> tuple[int, int, float]:
-        for r, left, payload, weight in self.pairs:
-            if r == right:
-                return left, payload, weight
-        raise KeyError(right)
-
 
 def max_weight_perfect_matching(graph: WeightedBipartiteGraph) -> Matching:
     """Maximum-weight perfect matching of a square bipartite graph.

@@ -89,18 +89,6 @@ def brute_force_opt(
 
 
 @dataclass(frozen=True)
-class ExpectationNode:
-    """One state of the randomized greedy: the set held after ``depth`` picks."""
-
-    depth: int
-    members: ElementSet
-    value: float
-    probability: float
-    candidates: ElementSet
-    children: tuple["ExpectationNode", ...]
-
-
-@dataclass(frozen=True)
 class ExpectationLeaf:
     """A possible final set with its value and total probability."""
 
@@ -111,14 +99,13 @@ class ExpectationLeaf:
 
 @dataclass(frozen=True)
 class ExpectationTree:
-    """Full branching record of the randomized greedy on one instance.
+    """Outcome of branching over every draw of the randomized greedy.
 
     ``leaves`` aggregates the reachable final sets: distinct paths ending
     in the same set are merged and their path probabilities summed.
     """
 
     rank: int
-    root: ExpectationNode
     leaves: tuple[ExpectationLeaf, ...]
     level_expectations: tuple[float, ...]
 
@@ -142,28 +129,26 @@ def rr_greedy_exact_expectation(
     outcomes: dict[ElementSet, tuple[float, float]] = {}  # members -> (value, probability)
     levels = [0.0] * (k + 1)
 
-    def expand(members: ElementSet, depth: int, probability: float) -> ExpectationNode:
+    def expand(members: ElementSet, depth: int, probability: float) -> None:
         value = f(members)
         levels[depth] += probability * value
         if depth == k:
             seen = outcomes.get(members)
             outcomes[members] = (value, probability if seen is None else seen[1] + probability)
-            return ExpectationNode(depth, members, value, probability, (), ())
+            return
         residual = contract(matroid, members)
         gains = marginal_table(f, members, residual.ground)
         candidates = max_weight_base(residual, gains)
         share = probability / len(candidates)
-        children = tuple(
-            expand(canonical(members + (u,)), depth + 1, share) for u in candidates
-        )
-        return ExpectationNode(depth, members, value, probability, candidates, children)
+        for u in candidates:
+            expand(canonical(members + (u,)), depth + 1, share)
 
-    root = expand((), 0, 1.0)
+    expand((), 0, 1.0)
     leaves = tuple(
         ExpectationLeaf(members, value, probability)
         for members, (value, probability) in sorted(outcomes.items())
     )
-    tree = ExpectationTree(k, root, leaves, tuple(levels))
+    tree = ExpectationTree(k, leaves, tuple(levels))
     return tree.expected_value, tree
 
 

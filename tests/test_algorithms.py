@@ -14,6 +14,7 @@ from submod import (
     gain_curve,
     max_weight_base,
     parameters,
+    random_instance,
     rp_greedy,
     rr_greedy,
     rr_greedy_exact_expectation,
@@ -273,6 +274,25 @@ class TestSplitAndGrowDeterministic:
                 assert split_and_grow_deterministic(scaled, m).solution == reference
                 assert classical_greedy(scaled, m) == greedy_reference
                 assert split(scaled, m, 0.425822) == split_reference
+
+    # Exact reports pinned from an earlier version of the solver: a refactor
+    # must reproduce them, query counts included.
+    @pytest.mark.parametrize(
+        "cell, solution, value, value_queries, independence_queries",
+        [
+            ((3, 12, "partition", "coverage", 3), (0, 1, 8), 6.0, 162, 109),
+            ((5, 12, "graphic", "modular", 4), (0, 3, 4, 11), 31.0, 267, 172),
+            ((11, 10, "uniform", "concave_of_modular", 3), (1, 4, 5), 5.291502622129181, 114, 50),
+        ],
+    )
+    def test_pinned_reports(self, cell, solution, value, value_queries, independence_queries):
+        seed, n, matroid_kind, function_kind, rank = cell
+        f, m = build(random_instance(seed, n, matroid_kind, function_kind, rank=rank))
+        report = solve(f, m, "msg-det")
+        assert report.solution == solution
+        assert report.value == value
+        assert report.counts.value_queries == value_queries
+        assert report.counts.independence_queries == independence_queries
 
 
 class TestSolve:

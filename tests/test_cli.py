@@ -55,8 +55,17 @@ class TestRun:
 
     def test_malformed_file_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert main(["run", "--instance", str(path)]) == 2
+        for text in (
+            "{not json",
+            '{"n":2,"matroid":{"kind":"uniform","k":1.5},"function":{"kind":"modular","weights":[1,2]}}',
+            '{"n":3,"matroid":{"kind":"uniform","k":2},"function":{"kind":"modular","weights":[1,NaN,2]}}',
+            '{"n":2,"matroid":{"kind":"uniform","k":1},"function":{"kind":"modular","weights":[1,"a"]}}',
+        ):
+            path.write_text(text)
+            assert main(["run", "--instance", str(path), "--algorithm", "msg-det"]) == 2, text
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
 
     def test_opt_budget_exceeded(self, triangle_path, capsys):
         assert main(["run", "--instance", triangle_path, "--opt", "--max-bases", "1"]) == 3

@@ -31,6 +31,28 @@ def modular_instance(weights, k=None):
     )
 
 
+def counting_coverage(n=8):
+    """A root coverage oracle (element u covers items u and u+1) that logs its evaluator calls."""
+    calls = []
+
+    def evaluate(members):
+        calls.append(members)
+        return float(len({item for u in members for item in (u, u + 1)}))
+
+    return SetFunction(n, evaluate), calls
+
+
+def counting_uniform(n=10, k=7):
+    """A root uniform-matroid oracle that logs its evaluator calls."""
+    calls = []
+
+    def independent(members):
+        calls.append(members)
+        return len(members) <= k
+
+    return Matroid(n, independent, k), calls
+
+
 def coverage_instance(covers, k, universe_weights=None):
     n = len(covers)
     m = 1 + max((item for cover in covers for item in cover), default=0)
@@ -134,6 +156,25 @@ class TestMarginalFunction:
             for s in itertools.combinations((2, 3), r):
                 assert nested(s) == pytest.approx(direct(s), abs=1e-12)
 
+    def test_deep_chain_stays_flat(self):
+        f, calls = counting_coverage()
+        deepest = f
+        for u in range(5):
+            deepest = marginal_function(deepest, (u,))
+        assert deepest.root is f
+        assert deepest.anchored == (0, 1, 2, 3, 4)
+        start_queries, start_calls = f.queries, len(calls)
+        deepest((5,))
+        assert f.queries == start_queries + 2  # the cached offset plus the call itself
+        deepest((6,))
+        assert f.queries == start_queries + 3
+        assert len(calls) - start_calls == f.queries - start_queries
+        assert calls[-1] == (0, 1, 2, 3, 4, 6)
+        direct = marginal_function(f, (0, 1, 2, 3, 4))
+        for r in range(4):
+            for s in itertools.combinations((5, 6, 7), r):
+                assert deepest(s) == direct(s)
+
 
 class TestContract:
     def test_uniform_contraction(self):
@@ -191,6 +232,24 @@ class TestContract:
         for r in range(3):
             for s in itertools.combinations(direct.ground, r):
                 assert nested.is_independent(s) == direct.is_independent(s)
+
+    def test_deep_chain_stays_flat(self):
+        m, calls = counting_uniform()
+        deepest = m
+        for u in range(5):
+            deepest = contract(deepest, (u,))
+        assert deepest.root is m
+        assert deepest.anchored == (0, 1, 2, 3, 4)
+        direct = contract(m, (0, 1, 2, 3, 4))
+        assert (deepest.rank, deepest.ground) == (direct.rank, direct.ground) == (2, (5, 6, 7, 8, 9))
+        start_queries, start_calls = m.queries, len(calls)
+        assert deepest.is_independent((5, 9))
+        assert m.queries == start_queries + 1
+        assert calls[-1] == (0, 1, 2, 3, 4, 5, 9)
+        for r in range(4):
+            for s in itertools.combinations(direct.ground, r):
+                assert deepest.is_independent(s) == direct.is_independent(s)
+        assert len(calls) - start_calls == m.queries - start_queries
 
 
 class TestIsBase:

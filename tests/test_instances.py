@@ -27,6 +27,9 @@ TRIANGLE = Instance(
     label="tri",
 )
 
+UNIFORM2 = '{"kind":"uniform","k":2}'
+MODULAR2 = '{"kind":"modular","weights":[1,2]}'
+
 
 class TestBuild:
     def test_uniform_modular(self):
@@ -183,6 +186,69 @@ class TestSerialization:
         path = tmp_path / "missing.json"
         path.write_text('{"n":2,"matroid":{"kind":"uniform"},"function":{"kind":"modular","weights":[1,1]}}')
         with pytest.raises(InstanceFormatError, match="matroid.k"):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "matroid, function, field",
+        [
+            pytest.param('{"kind":"uniform","k":1.5}', MODULAR2, "matroid.k", id="float-k"),
+            pytest.param('{"kind":"uniform","k":true}', MODULAR2, "matroid.k", id="bool-k"),
+            pytest.param(UNIFORM2, '{"kind":"modular","weights":[1,NaN]}', "function.weights", id="nan-weight"),
+            pytest.param(UNIFORM2, '{"kind":"modular","weights":[1,"a"]}', "function.weights", id="str-weight"),
+            pytest.param(UNIFORM2, '{"kind":"modular","weights":[1,false]}', "function.weights", id="bool-weight"),
+            pytest.param(UNIFORM2, '{"kind":"modular","weights":5}', "function.weights", id="scalar-weights"),
+            pytest.param(
+                UNIFORM2,
+                '{"kind":"concave_of_modular","weights":[1,2],"exponent":"0.5"}',
+                "function.exponent",
+                id="str-exponent",
+            ),
+            pytest.param(
+                '{"kind":"partition","parts":[[0],[1]],"capacities":[1.0,1]}',
+                MODULAR2,
+                "matroid.capacities",
+                id="float-capacity",
+            ),
+            pytest.param(
+                '{"kind":"partition","parts":[[0],[1.0]],"capacities":[1,1]}',
+                MODULAR2,
+                "matroid.parts",
+                id="float-part-element",
+            ),
+            pytest.param(
+                '{"kind":"partition","parts":[0,1],"capacities":[1,1]}', MODULAR2, "matroid.parts", id="flat-parts"
+            ),
+            pytest.param(
+                '{"kind":"graphic","num_vertices":"3","edges":[[0,1],[1,2]]}',
+                MODULAR2,
+                "matroid.num_vertices",
+                id="str-num-vertices",
+            ),
+            pytest.param(
+                '{"kind":"graphic","num_vertices":3,"edges":[[0,true],[1,2]]}',
+                MODULAR2,
+                "matroid.edges",
+                id="bool-vertex",
+            ),
+            pytest.param(
+                UNIFORM2,
+                '{"kind":"coverage","universe_weights":[1,Infinity],"covers":[[0],[1]]}',
+                "function.universe_weights",
+                id="inf-universe-weight",
+            ),
+            pytest.param(
+                UNIFORM2,
+                '{"kind":"coverage","universe_weights":[1,1],"covers":[[0],[0.0]]}',
+                "function.covers",
+                id="float-cover-item",
+            ),
+            pytest.param("[]", MODULAR2, "matroid must be a JSON object", id="list-matroid"),
+        ],
+    )
+    def test_wrongly_typed_field_rejected(self, tmp_path, matroid, function, field):
+        path = tmp_path / "typed.json"
+        path.write_text(f'{{"n":2,"matroid":{matroid},"function":{function}}}')
+        with pytest.raises(InstanceFormatError, match=field):
             load(path)
 
 

@@ -44,8 +44,7 @@ class TestSmallCases:
         g = graph_from_edges(2, [(0, 0, 7.0), (1, 1, 9.0)])
         result = max_weight_perfect_matching(g)
         assert result.total_weight == 16.0
-        assert result.pair_for(0)[0] == 0
-        assert result.pair_for(1)[0] == 1
+        assert [(right, left) for right, left, _payload, _weight in result.pairs] == [(0, 0), (1, 1)]
 
     def test_missing_edge_infeasible(self):
         g = graph_from_edges(2, [(0, 0, 7.0)])
