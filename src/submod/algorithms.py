@@ -245,9 +245,10 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
         for j in range(k):
             gains = tables[j]
             grown = set(solutions[j])
+            residue_order = sorted(residues[j])
             for u in candidates[j]:
                 gain_u = gains[u]
-                for v in sorted(residues[j]):
+                for v in residue_order:
                     if gain_u >= gains[v] and is_base(matroid, (grown | {u}) | (residues[j] - {v})):
                         graph.add_edge(left_of[v], j, gain_u, payload=u)
         try:

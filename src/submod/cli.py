@@ -1,7 +1,7 @@
 """Command line front end: solve instances, verify, measure query scaling.
 
 Exit codes: 0 success, 1 suite violations, 2 usage or input error,
-3 enumeration budget exceeded.
+3 enumeration budget exceeded, 4 inconsistent oracles.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .algorithms import (
     solve,
     split,
 )
-from .core import is_base
+from .core import InternalInvariantError, is_base
 from .instances import (
     Instance,
     InstanceFormatError,
@@ -326,6 +326,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     except ValueError as exc:
         _err(str(exc))
         return 2
+    except InternalInvariantError as exc:
+        _err(str(exc))
+        return 4
     payload = report.to_dict()
     payload["instance"] = {"path": args.instance, "label": instance.label, "n": instance.n, "k": matroid.rank}
     if args.opt:
@@ -334,6 +337,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         except BudgetExceededError as exc:
             _err(str(exc))
             return 3
+        except InternalInvariantError as exc:
+            _err(str(exc))
+            return 4
         payload["opt"] = opt_value
         payload["opt_witness"] = list(opt_base)
         payload["ratio"] = _ratio(report.value, opt_value)

@@ -215,18 +215,28 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
             sum(1 << item for item in set(cover)) for cover in fspec.covers
         )
 
-        def evaluate(members):
-            covered = 0
-            for u in members:
-                covered |= masks[u]
-            total = 0.0
-            item = 0
-            while covered:
-                if covered & 1:
-                    total += universe[item]
-                covered >>= 1
-                item += 1
-            return total
+        if all(w == 1 for w in universe):
+            # Adding 1 per covered item in ascending order is exact, so the
+            # count is the same float.
+            def evaluate(members):
+                covered = 0
+                for u in members:
+                    covered |= masks[u]
+                return float(covered.bit_count())
+
+        else:
+            # Visit only the set bits, lowest item first: a fixed ascending
+            # order keeps sums of fractional weights reproducible.
+            def evaluate(members):
+                covered = 0
+                for u in members:
+                    covered |= masks[u]
+                total = 0.0
+                while covered:
+                    low = covered & -covered
+                    total += universe[low.bit_length() - 1]
+                    covered ^= low
+                return total
 
     f = SetFunction(n, evaluate, counts=counts)
 

@@ -283,6 +283,7 @@ class TestSplitAndGrowDeterministic:
             ((3, 12, "partition", "coverage", 3), (0, 1, 8), 6.0, 162, 109),
             ((5, 12, "graphic", "modular", 4), (0, 3, 4, 11), 31.0, 267, 172),
             ((11, 10, "uniform", "concave_of_modular", 3), (1, 4, 5), 5.291502622129181, 114, 50),
+            ((13, 14, "partition", "weighted_coverage", 4), (0, 1, 2, 11), 44.0, 193, 156),
         ],
     )
     def test_pinned_reports(self, cell, solution, value, value_queries, independence_queries):

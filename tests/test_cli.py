@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from submod import FunctionSpec, Instance, MatroidSpec, save
+from submod import FunctionSpec, Instance, InternalInvariantError, MatroidSpec, save
 from submod.cli import main
 
 TRIANGLE = Instance(
@@ -66,6 +66,17 @@ class TestRun:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+    @pytest.mark.parametrize("target, flags", [("solve", []), ("brute_force_opt", ["--opt"])])
+    def test_inconsistent_oracle_exits_4(self, triangle_path, capsys, monkeypatch, target, flags):
+        def lying(*args, **kwargs):
+            raise InternalInvariantError("the oracles are inconsistent")
+
+        monkeypatch.setattr(f"submod.cli.{target}", lying)
+        assert main(["run", "--instance", triangle_path, *flags]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
 
     def test_opt_budget_exceeded(self, triangle_path, capsys):
         assert main(["run", "--instance", triangle_path, "--opt", "--max-bases", "1"]) == 3

@@ -135,6 +135,84 @@ class TestBuild:
         assert max(len(b) for b in iter_bases(m)) == m.rank
 
 
+def coverage_reference(universe_weights, covers, members):
+    """Add the weight of every covered item, lowest item first."""
+    total = 0.0
+    for item in sorted(set().union(*(covers[u] for u in members))):
+        total += universe_weights[item]
+    return total
+
+
+class TestCoverageEvaluator:
+    """The coverage oracle must give the bitwise-same float as the reference."""
+
+    @staticmethod
+    def check_every_subset(universe_weights, covers):
+        n = len(covers)
+        f, _ = build(
+            Instance(
+                n=n,
+                matroid=MatroidSpec(kind="uniform", k=n),
+                function=FunctionSpec(
+                    kind="weighted_coverage", universe_weights=universe_weights, covers=covers
+                ),
+            )
+        )
+        for size in range(n + 1):
+            for members in itertools.combinations(range(n), size):
+                value = f(members)
+                assert type(value) is float
+                assert value == coverage_reference(universe_weights, covers, members), members
+        return f
+
+    COVERS = ((0, 1), (1, 2), (2, 3, 4), (4,), ())
+
+    @pytest.mark.parametrize(
+        "universe_weights",
+        [
+            (1, 1, 1, 1, 1),
+            (1.0, 1.0, 1.0, 1.0, 1.0),
+            (1, 1.0, 1, 1.0, 1),
+            (5, 3, 0, 7, 2),
+            (2, 2, 2, 2, 2),
+            (0.1, 0.2, 0.3, 0.7, 1e-17),
+        ],
+        ids=["unit-int", "unit-float", "unit-mixed", "integer", "constant-2", "fractional"],
+    )
+    def test_matches_reference(self, universe_weights):
+        self.check_every_subset(universe_weights, self.COVERS)
+
+    def test_fractional_sum_keeps_ascending_order(self):
+        f = self.check_every_subset((0.1, 0.2, 0.3), ((2,), (0,), (1,)))
+        assert 0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1
+        assert f((0, 1, 2)) == 0.1 + 0.2 + 0.3
+
+    def test_constant_weight_other_than_one_is_summed(self):
+        # Ten additions of 0.1 are not 10 * 0.1, so the count shortcut
+        # must be reserved for weights equal to 1.
+        f = self.check_every_subset((0.1,) * 10, (tuple(range(5)), tuple(range(5, 10))))
+        assert f((0, 1)) == sum([0.1] * 10) != 10 * 0.1
+
+    @pytest.mark.parametrize(
+        "universe_weights",
+        [(1,) * 140, tuple(0.1 * (1 + item % 7) for item in range(140))],
+        ids=["unit", "fractional"],
+    )
+    def test_items_above_bit_63(self, universe_weights):
+        covers = ((0, 63, 64), (64, 65, 129), (130, 139), (1, 127, 128, 139), (70,), ())
+        self.check_every_subset(universe_weights, covers)
+
+    @pytest.mark.parametrize("universe_weights", [(1, 1, 1), (0.25, 3, 0.1)])
+    def test_repeated_id_in_a_cover_counts_once(self, universe_weights):
+        self.check_every_subset(universe_weights, ((0, 0, 2, 0), (2, 1, 1)))
+
+    @pytest.mark.parametrize("universe_weights", [(1, 1), (1.5, 2)])
+    def test_empty_set_is_float_zero(self, universe_weights):
+        f = self.check_every_subset(universe_weights, ((0,), (0, 1)))
+        value = f(())
+        assert value == 0.0 and type(value) is float
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "tri.json"
