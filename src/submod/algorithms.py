@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
@@ -55,16 +55,6 @@ class Parameters:
     w_beta: float
     bound: float
 
-    def to_dict(self) -> dict[str, float]:
-        return {
-            "x": self.x,
-            "g_x": self.g_x,
-            "beta": self.beta,
-            "p": self.p,
-            "w_beta": self.w_beta,
-            "bound": self.bound,
-        }
-
 
 def parameters(x: float) -> Parameters:
     """Compute the closed-form parameter chain for a mixing point x in [0, 1).
@@ -103,15 +93,7 @@ class RunReport:
     elapsed: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "solution": list(self.solution),
-            "value": self.value,
-            "counts": self.counts.to_dict(),
-            "parameters": None if self.parameters is None else self.parameters.to_dict(),
-            "seed": self.seed,
-            "elapsed": self.elapsed,
-        }
+        return asdict(self)
 
 
 def marginal_table(

@@ -25,6 +25,8 @@ from .algorithms import (
 )
 from .core import InternalInvariantError, is_base
 from .instances import (
+    FUNCTION_KINDS,
+    MATROID_KINDS,
     Instance,
     InstanceFormatError,
     build,
@@ -298,7 +300,10 @@ def measure_complexity(
 
 def _parse_grid(text: str) -> list[int]:
     items = [piece.strip() for piece in text.split(",") if piece.strip()]
-    return [int(piece) for piece in items]
+    try:
+        return [int(piece) for piece in items]
+    except ValueError:
+        raise ValueError(f"a grid must list comma-separated integers, got {text!r}") from None
 
 
 def _parse_p(text: str) -> float | None:
@@ -380,8 +385,13 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_complexity(args: argparse.Namespace) -> int:
-    n_grid = _parse_grid(args.n_grid)
-    k_grid = _parse_grid(args.k_grid)
+    try:
+        n_grid = _parse_grid(args.n_grid)
+        k_grid = _parse_grid(args.k_grid)
+        parameters(args.x)
+    except ValueError as exc:
+        _err(str(exc))
+        return 2
     if not n_grid or not k_grid or args.seeds < 1:
         _err("complexity needs non-empty n and k grids and at least one seed")
         return 2
@@ -451,9 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     complexity_parser.add_argument("--k-grid", default="4,8")
     complexity_parser.add_argument("--seeds", type=int, default=3)
     complexity_parser.add_argument("--matroid", default="partition",
-                                   choices=("uniform", "partition", "graphic"))
+                                   choices=MATROID_KINDS)
     complexity_parser.add_argument("--function", default="modular",
-                                   choices=("modular", "coverage", "weighted_coverage", "concave_of_modular"))
+                                   choices=FUNCTION_KINDS)
     complexity_parser.add_argument("--x", type=float, default=DEFAULT_X)
     complexity_parser.add_argument("--out", default=None)
     complexity_parser.set_defaults(handler=cmd_complexity)

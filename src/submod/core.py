@@ -44,12 +44,6 @@ class OracleCounts:
             self.independence_queries - earlier.independence_queries,
         )
 
-    def to_dict(self) -> dict[str, int]:
-        return {
-            "value_queries": self.value_queries,
-            "independence_queries": self.independence_queries,
-        }
-
 
 class SetFunction:
     """Value oracle for a set function on ground set {0..n-1}.
@@ -105,7 +99,6 @@ class Matroid:
         is_independent: Callable[[ElementSet], bool],
         rank: int,
         counts: OracleCounts | None = None,
-        ground: Iterable[int] | None = None,
     ):
         if rank < 0:
             raise ValueError("rank must be non-negative")
@@ -113,7 +106,7 @@ class Matroid:
         self._is_independent = is_independent
         self.rank = rank
         self.counts = counts if counts is not None else OracleCounts()
-        self.ground = canonical(range(n) if ground is None else ground, n)
+        self.ground = tuple(range(n))
         self._ground_set = frozenset(self.ground)
         self.root = self
         self.anchored: ElementSet = ()

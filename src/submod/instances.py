@@ -16,8 +16,23 @@ from typing import Iterator
 
 from .core import Matroid, OracleCounts, SetFunction
 
-MATROID_KINDS = ("uniform", "partition", "graphic")
-FUNCTION_KINDS = ("modular", "coverage", "weighted_coverage", "concave_of_modular")
+# The one definition of the instance document: each kind's fields and
+# their JSON shapes, in the order the loader reads them.  Load and save
+# both follow these tables.
+SCALAR, LIST, ROWS = "scalar", "list", "list of lists"
+MATROID_FIELDS = {
+    "uniform": {"k": SCALAR},
+    "partition": {"parts": ROWS, "capacities": LIST},
+    "graphic": {"num_vertices": SCALAR, "edges": ROWS},
+}
+FUNCTION_FIELDS = {
+    "modular": {"weights": LIST},
+    "coverage": {"universe_weights": LIST, "covers": ROWS},
+    "weighted_coverage": {"universe_weights": LIST, "covers": ROWS},
+    "concave_of_modular": {"weights": LIST, "exponent": SCALAR},
+}
+MATROID_KINDS = tuple(MATROID_FIELDS)
+FUNCTION_KINDS = tuple(FUNCTION_FIELDS)
 
 
 class InstanceFormatError(ValueError):
@@ -280,25 +295,18 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
     return f, matroid
 
 
+def _spec_doc(spec, table: dict) -> dict:
+    # json writes the spec's tuples as the same lists the loader reads
+    return {"kind": spec.kind, **{field: getattr(spec, field) for field in table[spec.kind]}}
+
+
 def _spec_to_dict(instance: Instance) -> dict:
-    m: dict = {"kind": instance.matroid.kind}
-    if instance.matroid.kind == "uniform":
-        m["k"] = instance.matroid.k
-    elif instance.matroid.kind == "partition":
-        m["parts"] = [list(p) for p in instance.matroid.parts]
-        m["capacities"] = list(instance.matroid.capacities)
-    else:
-        m["num_vertices"] = instance.matroid.num_vertices
-        m["edges"] = [list(e) for e in instance.matroid.edges]
-    fdoc: dict = {"kind": instance.function.kind}
-    if instance.function.kind in ("modular", "concave_of_modular"):
-        fdoc["weights"] = list(instance.function.weights)
-        if instance.function.kind == "concave_of_modular":
-            fdoc["exponent"] = instance.function.exponent
-    else:
-        fdoc["universe_weights"] = list(instance.function.universe_weights)
-        fdoc["covers"] = [list(c) for c in instance.function.covers]
-    return {"n": instance.n, "label": instance.label, "matroid": m, "function": fdoc}
+    return {
+        "n": instance.n,
+        "label": instance.label,
+        "matroid": _spec_doc(instance.matroid, MATROID_FIELDS),
+        "function": _spec_doc(instance.function, FUNCTION_FIELDS),
+    }
 
 
 def _require(doc: dict, field: str, context: str):
@@ -309,51 +317,34 @@ def _require(doc: dict, field: str, context: str):
     return doc[field]
 
 
-def _require_list(doc: dict, field: str, context: str, nested: bool = False) -> tuple:
-    """A JSON list field as a tuple; with ``nested``, a list of lists as a tuple of tuples."""
+def _read_field(doc: dict, field: str, context: str, shape: str):
+    """A field of the given shape; a list becomes a tuple, a list of lists a tuple of tuples."""
     value = _require(doc, field, context)
-    if not isinstance(value, list) or (nested and not all(isinstance(row, list) for row in value)):
-        raise InstanceFormatError(f"{context}.{field} must be a list{' of lists' if nested else ''}")
-    return tuple(tuple(row) for row in value) if nested else tuple(value)
+    if shape == SCALAR:
+        return value
+    if not isinstance(value, list) or (shape == ROWS and not all(isinstance(row, list) for row in value)):
+        raise InstanceFormatError(f"{context}.{field} must be a {shape}")
+    return tuple(tuple(row) for row in value) if shape == ROWS else tuple(value)
+
+
+def _read_spec(doc: dict, context: str, table: dict, spec_type: type):
+    kind = _require(doc, "kind", context)
+    if not isinstance(kind, str) or kind not in table:
+        raise InstanceFormatError(f"unknown {context} kind {kind!r}")
+    fields = {field: _read_field(doc, field, context, shape) for field, shape in table[kind].items()}
+    return spec_type(kind=kind, **fields)
 
 
 def _spec_from_dict(doc: dict) -> Instance:
     n = _require(doc, "n", "")
     mdoc = _require(doc, "matroid", "")
     fdoc = _require(doc, "function", "")
-    mkind = _require(mdoc, "kind", "matroid")
-    if mkind == "uniform":
-        mspec = MatroidSpec(kind="uniform", k=_require(mdoc, "k", "matroid"))
-    elif mkind == "partition":
-        mspec = MatroidSpec(
-            kind="partition",
-            parts=_require_list(mdoc, "parts", "matroid", nested=True),
-            capacities=_require_list(mdoc, "capacities", "matroid"),
-        )
-    elif mkind == "graphic":
-        mspec = MatroidSpec(
-            kind="graphic",
-            num_vertices=_require(mdoc, "num_vertices", "matroid"),
-            edges=_require_list(mdoc, "edges", "matroid", nested=True),
-        )
-    else:
-        raise InstanceFormatError(f"unknown matroid kind {mkind!r}")
-    fkind = _require(fdoc, "kind", "function")
-    if fkind in ("modular", "concave_of_modular"):
-        fspec = FunctionSpec(
-            kind=fkind,
-            weights=_require_list(fdoc, "weights", "function"),
-            exponent=_require(fdoc, "exponent", "function") if fkind == "concave_of_modular" else None,
-        )
-    elif fkind in ("coverage", "weighted_coverage"):
-        fspec = FunctionSpec(
-            kind=fkind,
-            universe_weights=_require_list(fdoc, "universe_weights", "function"),
-            covers=_require_list(fdoc, "covers", "function", nested=True),
-        )
-    else:
-        raise InstanceFormatError(f"unknown function kind {fkind!r}")
-    instance = Instance(n=n, matroid=mspec, function=fspec, label=doc.get("label", ""))
+    instance = Instance(
+        n=n,
+        matroid=_read_spec(mdoc, "matroid", MATROID_FIELDS, MatroidSpec),
+        function=_read_spec(fdoc, "function", FUNCTION_FIELDS, FunctionSpec),
+        label=doc.get("label", ""),
+    )
     instance.validate()
     return instance
 
@@ -369,6 +360,8 @@ def load(path) -> Instance:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             doc = json.load(handle)
+        except UnicodeDecodeError as exc:
+            raise InstanceFormatError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
         except json.JSONDecodeError as exc:
             raise InstanceFormatError(
                 f"invalid JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"

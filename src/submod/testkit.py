@@ -28,6 +28,7 @@ from .algorithms import marginal_table, max_weight_base
 from .matching import InfeasibleMatchingError, Matching, WeightedBipartiteGraph
 
 TOLERANCE = 1e-9
+MAX_VIOLATIONS = 20  # validators stop recording after this many
 
 
 class BudgetExceededError(RuntimeError):
@@ -105,7 +106,6 @@ class ExpectationTree:
     in the same set are merged and their path probabilities summed.
     """
 
-    rank: int
     leaves: tuple[ExpectationLeaf, ...]
     level_expectations: tuple[float, ...]
 
@@ -148,7 +148,7 @@ def rr_greedy_exact_expectation(
         ExpectationLeaf(members, value, probability)
         for members, (value, probability) in sorted(outcomes.items())
     )
-    tree = ExpectationTree(k, leaves, tuple(levels))
+    tree = ExpectationTree(leaves, tuple(levels))
     return tree.expected_value, tree
 
 
@@ -241,7 +241,6 @@ def split_partition_witness(
     t: Iterable[int],
     f: SetFunction,
     matroid: Matroid,
-    tolerance: float = TOLERANCE,
 ) -> tuple[ElementSet, ElementSet]:
     """Partition base ``t`` into halves that complete ``a`` and ``b`` to bases.
 
@@ -271,8 +270,8 @@ def split_partition_witness(
             if not is_base(matroid, grown_a) or not is_base(matroid, grown_b):
                 continue
             if (
-                value_a + f(grown_a) >= value_t - tolerance
-                and value_b + f(grown_b) >= value_t - tolerance
+                value_a + f(grown_a) >= value_t - TOLERANCE
+                and value_b + f(grown_b) >= value_t - TOLERANCE
             ):
                 return canonical(picked), canonical(t_b)
     raise InternalInvariantError("no completion partition found; the oracles are inconsistent")
@@ -296,18 +295,13 @@ def _mask_members(mask: int) -> tuple[int, ...]:
     return tuple(members)
 
 
-def validate_monotone_submodular(
-    f: SetFunction,
-    n: int | None = None,
-    tolerance: float = TOLERANCE,
-    max_violations: int = 20,
-) -> ValidationReport:
+def validate_monotone_submodular(f: SetFunction) -> ValidationReport:
     """Exhaustively check monotonicity and diminishing marginals.
 
     Checks f(S) <= f(T) and f(u|S) >= f(u|T) for every S subset of T and
     every u outside T.  Violations are reported, not raised.
     """
-    size = f.n if n is None else n
+    size = f.n
     if size > 10:
         raise ValueError("exhaustive validation is limited to n <= 10")
     values = [f(_mask_members(mask)) for mask in range(1 << size)]
@@ -318,7 +312,7 @@ def validate_monotone_submodular(
         sub = t_mask
         while True:
             checked += 1
-            if values[sub] > values[t_mask] + tolerance and len(violations) < max_violations:
+            if values[sub] > values[t_mask] + TOLERANCE and len(violations) < MAX_VIOLATIONS:
                 violations.append(
                     f"monotonicity: f({_mask_members(sub)}) > f({_mask_members(t_mask)})"
                 )
@@ -326,7 +320,7 @@ def validate_monotone_submodular(
                 bit = 1 << u
                 small_gain = values[sub | bit] - values[sub]
                 large_gain = values[t_mask | bit] - values[t_mask]
-                if small_gain < large_gain - tolerance and len(violations) < max_violations:
+                if small_gain < large_gain - TOLERANCE and len(violations) < MAX_VIOLATIONS:
                     violations.append(
                         f"submodularity: marginal of {u} grows from {_mask_members(sub)} "
                         f"to {_mask_members(t_mask)}"
@@ -337,11 +331,7 @@ def validate_monotone_submodular(
     return ValidationReport(ok=not violations, checked=checked, violations=tuple(violations))
 
 
-def validate_matroid_axioms(
-    matroid: Matroid,
-    n: int | None = None,
-    max_violations: int = 20,
-) -> ValidationReport:
+def validate_matroid_axioms(matroid: Matroid) -> ValidationReport:
     """Exhaustively check non-emptiness, downward closure and exchange."""
     ground = matroid.ground
     size = len(ground)
@@ -374,7 +364,7 @@ def validate_matroid_axioms(
             bit = 1 << i
             if mask & bit:
                 checked += 1
-                if not independent[mask ^ bit] and len(violations) < max_violations:
+                if not independent[mask ^ bit] and len(violations) < MAX_VIOLATIONS:
                     violations.append(
                         f"downward closure: {_mask_members(mask ^ bit)} dependent inside "
                         f"independent {_mask_members(mask)}"
@@ -391,7 +381,7 @@ def validate_matroid_axioms(
                 ext = extenders[s_mask]
                 for t_mask in large_masks:
                     checked += 1
-                    if not (t_mask & ~s_mask) & ext and len(violations) < max_violations:
+                    if not (t_mask & ~s_mask) & ext and len(violations) < MAX_VIOLATIONS:
                         violations.append(
                             f"exchange: {_mask_members(s_mask)} cannot grow into "
                             f"{_mask_members(t_mask)}"

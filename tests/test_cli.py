@@ -60,8 +60,9 @@ class TestRun:
             '{"n":2,"matroid":{"kind":"uniform","k":1.5},"function":{"kind":"modular","weights":[1,2]}}',
             '{"n":3,"matroid":{"kind":"uniform","k":2},"function":{"kind":"modular","weights":[1,NaN,2]}}',
             '{"n":2,"matroid":{"kind":"uniform","k":1},"function":{"kind":"modular","weights":[1,"a"]}}',
+            b"\xff\xfe{}",  # not UTF-8
         ):
-            path.write_text(text)
+            path.write_bytes(text if isinstance(text, bytes) else text.encode())
             assert main(["run", "--instance", str(path), "--algorithm", "msg-det"]) == 2, text
             captured = capsys.readouterr()
             assert captured.out == ""
@@ -151,7 +152,17 @@ class TestComplexity:
         assert "value_fit" in header
 
     def test_empty_grid_is_usage_error(self, capsys):
-        assert main(["complexity", "--n-grid", "", "--k-grid", "4"]) == 2
+        for flags in (
+            ["--n-grid", "", "--k-grid", "4"],
+            ["--n-grid", "20,x"],
+            ["--k-grid", "4,2.5"],
+            ["--x", "1.0"],
+            ["--x", "nan"],
+        ):
+            assert main(["complexity", *flags]) == 2, flags
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
 
     def test_doubling_n_roughly_doubles_value_queries(self, capsys):
         from submod.cli import measure_complexity

@@ -1,9 +1,10 @@
 """Instance family tests: builders, serialization, generators, validators."""
 
 import itertools
+import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from submod import (
     FunctionSpec,
@@ -328,6 +329,238 @@ class TestSerialization:
         path.write_text(f'{{"n":2,"matroid":{matroid},"function":{function}}}')
         with pytest.raises(InstanceFormatError, match=field):
             load(path)
+
+
+MATROID_KIND_NAMES = ("uniform", "partition", "graphic")
+FUNCTION_KIND_NAMES = ("modular", "coverage", "weighted_coverage", "concave_of_modular")
+
+DOCUMENT_SETTINGS = settings(
+    max_examples=15,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+WEIGHTS = st.one_of(
+    st.integers(0, 10), st.floats(0, 10, allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def valid_instances(draw, matroid_kind, function_kind):
+    n = draw(st.integers(1, 5))
+    if matroid_kind == "uniform":
+        matroid = MatroidSpec(kind="uniform", k=draw(st.integers(1, n)))
+    elif matroid_kind == "partition":
+        group_of = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        parts = tuple(
+            tuple(u for u in range(n) if group_of[u] == g) for g in sorted(set(group_of))
+        )
+        # the first part has positive capacity, so the rank is at least 1
+        capacities = tuple(
+            draw(st.integers(1 if i == 0 else 0, len(part))) for i, part in enumerate(parts)
+        )
+        matroid = MatroidSpec(kind="partition", parts=parts, capacities=capacities)
+    else:
+        num_vertices = draw(st.integers(2, 4))
+        vertex = st.integers(0, num_vertices - 1)
+        first = draw(st.tuples(vertex, vertex).filter(lambda edge: edge[0] != edge[1]))
+        rest = draw(st.lists(st.tuples(vertex, vertex), min_size=n - 1, max_size=n - 1))
+        matroid = MatroidSpec(kind="graphic", num_vertices=num_vertices, edges=(first, *rest))
+    if function_kind in ("modular", "concave_of_modular"):
+        weights = tuple(draw(st.lists(WEIGHTS, min_size=n, max_size=n)))
+        exponent = None
+        if function_kind == "concave_of_modular":
+            exponent = draw(st.one_of(st.just(1), st.floats(0, 1, exclude_min=True)))
+        function = FunctionSpec(kind=function_kind, weights=weights, exponent=exponent)
+    else:
+        m = draw(st.integers(0, 4))
+        cover = st.lists(st.integers(0, m - 1), max_size=3) if m else st.just([])
+        function = FunctionSpec(
+            kind=function_kind,
+            universe_weights=tuple(draw(st.lists(WEIGHTS, min_size=m, max_size=m))),
+            covers=tuple(tuple(draw(cover)) for _ in range(n)),
+        )
+    instance = Instance(n=n, matroid=matroid, function=function, label=draw(st.text(max_size=6)))
+    instance.validate()
+    return instance
+
+
+# The type a valid document holds at each position, by field name.
+LEAF_TYPE = {
+    "k": "int",
+    "num_vertices": "int",
+    "capacities": "int",
+    "parts": "int",
+    "edges": "int",
+    "covers": "int",
+    "weights": "real",
+    "universe_weights": "real",
+    "exponent": "real",
+}
+MISSING = object()
+WRONG_VALUES = {
+    "int": [MISSING, None, True, "1", 1.5, float("nan"), float("inf"), {}, []],
+    "real": [MISSING, None, False, "1", float("nan"), float("inf"), float("-inf"), {}, []],
+    "list": [MISSING, None, True, "x", 1.5, 3, float("nan"), {}],
+    "object": [MISSING, None, True, "x", 1.5, []],
+    "kind": [MISSING, None, False, 3, [], {}, "laminar"],
+}
+
+
+def document_slots(doc):
+    """Every (container, key, expected type) position of a valid document but the label."""
+    yield doc, "n", "int"
+    for spec in ("matroid", "function"):
+        yield doc, spec, "object"
+        yield doc[spec], "kind", "kind"
+        for field, value in doc[spec].items():
+            if field == "kind":
+                continue
+            leaf = LEAF_TYPE[field]
+            if not isinstance(value, list):
+                yield doc[spec], field, leaf
+                continue
+            yield doc[spec], field, "list"
+            for i, entry in enumerate(value):
+                if isinstance(entry, list):
+                    yield value, i, "list"
+                    for j in range(len(entry)):
+                        yield entry, j, leaf
+                else:
+                    yield value, i, leaf
+
+
+@pytest.mark.parametrize("function_kind", FUNCTION_KIND_NAMES)
+@pytest.mark.parametrize("matroid_kind", MATROID_KIND_NAMES)
+class TestInstanceDocument:
+    """Properties of the instance file format over every matroid x function kind."""
+
+    @DOCUMENT_SETTINGS
+    @given(data=st.data())
+    def test_save_load_round_trip(self, tmp_path, matroid_kind, function_kind, data):
+        instance = data.draw(valid_instances(matroid_kind, function_kind))
+        path = tmp_path / "inst.json"
+        save(instance, path)
+        text = path.read_bytes()
+        loaded = load(path)
+        assert loaded == instance
+        save(loaded, path)
+        assert path.read_bytes() == text
+
+    @DOCUMENT_SETTINGS
+    @given(data=st.data())
+    def test_one_wrong_field_is_a_format_error(self, tmp_path, matroid_kind, function_kind, data):
+        path = tmp_path / "inst.json"
+        save(data.draw(valid_instances(matroid_kind, function_kind)), path)
+        doc = json.loads(path.read_text())
+        slots = list(document_slots(doc))
+        index = data.draw(st.integers(0, len(slots) - 1))
+        container, key, expected = slots[index]
+        wrong = [v for v in WRONG_VALUES[expected] if v is not MISSING or isinstance(container, dict)]
+        value = data.draw(st.sampled_from(wrong))
+        if value is MISSING:
+            del container[key]
+        else:
+            container[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(InstanceFormatError):
+            load(path)
+
+
+GOLDEN_DOCUMENTS = [
+    (
+        Instance(
+            n=3,
+            matroid=MatroidSpec(kind="partition", parts=((0, 2), (1,)), capacities=(1, 1)),
+            function=FunctionSpec(
+                kind="weighted_coverage", universe_weights=(5, 0.5), covers=((0, 1), (), (1,))
+            ),
+            label="golden-partition",
+        ),
+        """{
+  "function": {
+    "covers": [
+      [
+        0,
+        1
+      ],
+      [],
+      [
+        1
+      ]
+    ],
+    "kind": "weighted_coverage",
+    "universe_weights": [
+      5,
+      0.5
+    ]
+  },
+  "label": "golden-partition",
+  "matroid": {
+    "capacities": [
+      1,
+      1
+    ],
+    "kind": "partition",
+    "parts": [
+      [
+        0,
+        2
+      ],
+      [
+        1
+      ]
+    ]
+  },
+  "n": 3
+}
+""",
+    ),
+    (
+        Instance(
+            n=2,
+            matroid=MatroidSpec(kind="graphic", num_vertices=3, edges=((0, 1), (2, 2))),
+            function=FunctionSpec(kind="concave_of_modular", weights=(1, 2.5), exponent=0.5),
+            label="golden-graphic",
+        ),
+        """{
+  "function": {
+    "exponent": 0.5,
+    "kind": "concave_of_modular",
+    "weights": [
+      1,
+      2.5
+    ]
+  },
+  "label": "golden-graphic",
+  "matroid": {
+    "edges": [
+      [
+        0,
+        1
+      ],
+      [
+        2,
+        2
+      ]
+    ],
+    "kind": "graphic",
+    "num_vertices": 3
+  },
+  "n": 2
+}
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("instance, text", GOLDEN_DOCUMENTS, ids=["partition", "graphic"])
+def test_saved_text_is_golden(tmp_path, instance, text):
+    path = tmp_path / "golden.json"
+    save(instance, path)
+    assert path.read_text(encoding="utf-8") == text
 
 
 class TestEnumeration:

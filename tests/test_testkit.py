@@ -235,13 +235,13 @@ class TestValidators:
 
     def test_squared_cardinality_fails(self):
         f = SetFunction(4, lambda s: float(len(s)) ** 2)
-        report = validate_monotone_submodular(f, n=4)
+        report = validate_monotone_submodular(f)
         assert not report.ok
         assert any("submodularity" in v for v in report.violations)
 
     def test_non_monotone_detected(self):
         f = SetFunction(3, lambda s: float(len(s) % 2))
-        report = validate_monotone_submodular(f, n=3)
+        report = validate_monotone_submodular(f)
         assert any("monotonicity" in v for v in report.violations)
 
     def test_matroid_families_pass(self):
