@@ -56,6 +56,12 @@ class Parameters:
     bound: float
 
 
+def split_bias(beta: float) -> tuple[float, float]:
+    """The split bias p for weight beta, and w_beta, the weighted-average bound's factor."""
+    root = math.sqrt((1.0 - beta) * beta)
+    return beta / (beta + root), (2.0 / 3.0) * (1.0 - root)
+
+
 def parameters(x: float) -> Parameters:
     """Compute the closed-form parameter chain for a mixing point x in [0, 1).
 
@@ -67,9 +73,7 @@ def parameters(x: float) -> Parameters:
     beta = (2.0 - x - 2.0 * g_x) / (4.0 - 3.0 * x - 2.0 * g_x)
     if not 0.2 <= beta <= 0.8:
         raise ValueError(f"derived beta {beta} falls outside the admissible range [1/5, 4/5]")
-    root = math.sqrt((1.0 - beta) * beta)
-    p = beta / (beta + root)
-    w_beta = (2.0 / 3.0) * (1.0 - root)
+    p, w_beta = split_bias(beta)
     bound = (1.0 + g_x + (4.0 - 3.0 * x - 2.0 * g_x) * w_beta) / (5.0 - 2.0 * x)
     return Parameters(x=x, g_x=g_x, beta=beta, p=p, w_beta=w_beta, bound=bound)
 

@@ -22,6 +22,7 @@ from .algorithms import (
     rp_greedy,
     solve,
     split,
+    split_bias,
 )
 from .core import InternalInvariantError, is_base
 from .instances import (
@@ -154,18 +155,16 @@ def check_instance(instance: Instance) -> tuple[list[dict], list[dict]]:
 
     # weighted-average value guarantee of the split across the bias grid
     for beta in SPLIT_BETA_GRID:
-        root = ((1.0 - beta) * beta) ** 0.5
-        p = beta / (beta + root)
+        p, w_beta = split_bias(beta)
         half = split(f, matroid, p)
         lhs = beta * f(half.a) + (1.0 - beta) * f(half.b)
-        rhs = (2.0 / 3.0) * (1.0 - root) * opt_value
+        rhs = w_beta * opt_value
         if lhs < rhs - TOLERANCE:
             violate("split-weighted-average", f"beta={beta}: {lhs} < {rhs}")
 
     # exact expectation bounds for the randomized greedy
-    expectation_checked = False
+    expected = None
     if math.factorial(k) <= EXPECTATION_LEAF_LIMIT:
-        expectation_checked = True
         expected, tree = rr_greedy_exact_expectation(f, matroid)
         if abs(sum(leaf.probability for leaf in tree.leaves) - 1.0) > 1e-12:
             violate("expectation-probabilities", "leaf probabilities do not sum to 1")
@@ -182,21 +181,20 @@ def check_instance(instance: Instance) -> tuple[list[dict], list[dict]]:
 
     bases = bases_within(matroid, BASE_ENUM_LIMIT)
     if bases is not None:
-        if expectation_checked:
+        if expected is not None:
             # composite lower bound of the randomized greedy over all base pairs
             values = {base: f(base) for base in bases}
             for first in bases:
                 for second in bases:
                     joint = f(set(first) | set(second))
                     for x in (0.0, 0.25, 0.5, 0.75, 0.9, 1.0):
-                        lhs = 3.0 * expected
                         rhs = (1.0 + gain_curve(x)) * values[first] + (1.0 - x) * (
                             joint - values[first]
                         )
-                        if lhs < rhs - TOLERANCE:
+                        if 3.0 * expected < rhs - TOLERANCE:
                             violate(
                                 "expected-composite-bound",
-                                f"bases {first}/{second}, x={x}: {lhs} < {rhs}",
+                                f"bases {first}/{second}, x={x}: {3.0 * expected} < {rhs}",
                             )
         # deterministic parallel greedy bounds, one run per residue base
         for residue in bases:
@@ -310,10 +308,9 @@ def _parse_p(text: str) -> float | None:
     if text == "auto":
         return None
     try:
-        value = float(text)
+        return float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"p must be a real number or 'auto', got {text!r}") from exc
-    return value
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -321,9 +318,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         instance = load(args.instance)
     except (OSError, InstanceFormatError) as exc:
         _err(str(exc))
-        return 2
-    if args.p is not None and not 0.0 <= args.p <= 1.0:
-        _err(f"p must lie in [0, 1], got {args.p}")
         return 2
     f, matroid = build(instance)
     try:

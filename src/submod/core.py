@@ -38,12 +38,6 @@ class OracleCounts:
     value_queries: int = 0
     independence_queries: int = 0
 
-    def since(self, earlier: "OracleCounts") -> "OracleCounts":
-        return OracleCounts(
-            self.value_queries - earlier.value_queries,
-            self.independence_queries - earlier.independence_queries,
-        )
-
 
 class SetFunction:
     """Value oracle for a set function on ground set {0..n-1}.

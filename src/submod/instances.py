@@ -54,6 +54,14 @@ def _check_each(values, is_valid, requirement: str) -> None:
             raise InstanceFormatError(f"{requirement}, got {value!r}")
 
 
+def _touched_edges(edges) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Renumber the touched vertices 0, 1, ... (isolated ones change no test); return edges and count."""
+    index: dict[int, int] = {}
+    relabeled = tuple((index.setdefault(a, len(index)), index.setdefault(b, len(index))) for a, b in edges)
+    # build holds the edges as long as its oracle lives: keep the spec's own if unchanged
+    return (edges if relabeled == edges else relabeled), len(index)
+
+
 class _UnionFind:
     def __init__(self, size: int):
         self.parent = list(range(size))
@@ -134,12 +142,9 @@ class MatroidSpec:
             return int(self.k)  # type: ignore[arg-type]
         if self.kind == "partition":
             return sum(self.capacities)  # type: ignore[arg-type]
-        uf = _UnionFind(int(self.num_vertices))  # type: ignore[arg-type]
-        components = int(self.num_vertices)  # type: ignore[arg-type]
-        for a, b in self.edges:  # type: ignore[union-attr]
-            if a != b and uf.union(a, b):
-                components -= 1
-        return int(self.num_vertices) - components  # type: ignore[arg-type]
+        edges, num_touched = _touched_edges(self.edges)
+        uf = _UnionFind(num_touched)
+        return sum(uf.union(a, b) for a, b in edges)  # a self-loop merges nothing
 
 
 @dataclass(frozen=True)
@@ -194,6 +199,8 @@ class Instance:
             raise InstanceFormatError(f"n must be a positive integer, got {self.n!r}")
         self.matroid.validate(self.n)
         self.function.validate(self.n)
+        if not isinstance(self.label, str):
+            raise InstanceFormatError(f"label must be a string, got {self.label!r}")
 
     @property
     def rank(self) -> int:
@@ -280,11 +287,10 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
             return True
 
     else:
-        edges = mspec.edges
-        num_vertices = int(mspec.num_vertices)
+        edges, num_touched = _touched_edges(mspec.edges)
 
         def independent(members):
-            uf = _UnionFind(num_vertices)
+            uf = _UnionFind(num_touched)
             for u in members:
                 a, b = edges[u]
                 if a == b or not uf.union(a, b):

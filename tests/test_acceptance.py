@@ -1,62 +1,70 @@
 """Acceptance suite: every headline guarantee checked end to end.
 
-Each test covers one acceptance criterion at its stated tolerance and
-prints one pass line on success (visible with ``pytest -s`` or ``-rP``).
-The shared fixture enumerates the full small-instance corpus once and
-pairs every instance with its exact brute-force optimum.
+Each test covers one acceptance criterion and prints one pass line on
+success (visible with ``pytest -s`` or ``-rP``).  Criteria 2-6 and 9 are
+verdicts of ``submod.cli.check_instance``, the checks ``submod suite``
+runs: the shared fixture calls it once on every instance of the small
+corpus, and each of those criteria asserts that its checks report
+nothing.  The planted-fault tests show that every check can fire.
 """
 
+import dataclasses
+import inspect
 import math
 import random
+import re
 
 import pytest
 
 from submod import (
+    ExpectationTree,
     InfeasibleMatchingError,
+    SplitResult,
+    ValidationReport,
     WeightedBipartiteGraph,
     bases_within,
-    brute_force_opt,
     brute_force_perfect_matching,
     build,
     enumerate_small_instances,
     exchange_bijection,
-    gain_curve,
-    is_base,
     max_weight_base,
     max_weight_perfect_matching,
     parameters,
     random_instance,
-    rp_greedy,
     rr_greedy,
     rr_greedy_exact_expectation,
-    split,
-    split_and_grow_deterministic,
-    split_partition_witness,
     verify_exchange_bijection,
 )
+from submod import cli
 from submod.cli import measure_complexity
 
-TOL = 1e-9
-P_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
-BETA_GRID = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
-X_GRID = (0.0, 0.5, 0.9, 1.0)
-
-
-def beats_guarantee(value, opt):
-    """value >= 0.5008 * opt, exact integer arithmetic on integral inputs."""
-    if float(value).is_integer() and float(opt).is_integer():
-        return 10_000 * int(value) >= 5_008 * int(opt)
-    return value >= 0.5008 * opt
+# The check_instance checks behind each criterion.
+CRITERION_CHECKS = {
+    2: ("deterministic-guarantee",),
+    3: ("split-weighted-average",),
+    4: ("split-disjoint", "split-union-base"),
+    5: (
+        "expectation-probabilities",
+        "expected-value-half",
+        "expected-value-curve",
+        "expected-composite-bound",
+    ),
+    6: ("parallel-greedy-half", "parallel-greedy-composite"),
+    9: ("completion-partition",),
+}
 
 
 @pytest.fixture(scope="session")
-def corpus():
-    entries = []
-    for instance in enumerate_small_instances(8, 3):
-        f, matroid = build(instance)
-        opt, opt_base = brute_force_opt(f, matroid)
-        entries.append((instance, f, matroid, opt, opt_base))
-    return entries
+def verdicts():
+    """(instance, rows, violations) of check_instance on every corpus instance."""
+    return [(instance, *cli.check_instance(instance)) for instance in enumerate_small_instances(8, 3)]
+
+
+def assert_criterion_holds(verdicts, criterion, claim):
+    checks = CRITERION_CHECKS[criterion]
+    found = [v for _, _, violations in verdicts for v in violations if v["check"] in checks]
+    assert found == []
+    print(f"PASS criterion {criterion}: {claim} on all {len(verdicts)} instances ({', '.join(checks)})")
 
 
 def test_criterion_1_closed_form_parameters():
@@ -71,110 +79,56 @@ def test_criterion_1_closed_form_parameters():
     )
 
 
-def test_criterion_2_deterministic_guarantee_on_corpus(corpus):
-    assert len(corpus) >= 200  # several hundred instances
-    assert all(instance.rank >= 2 for instance, *_ in corpus)
-    for instance, f, matroid, opt, _ in corpus:
-        report = split_and_grow_deterministic(f, matroid, x=0.9)
-        assert beats_guarantee(report.value, opt), (
-            f"{instance.label}: {report.value} < 0.5008 * {opt}"
-        )
-    print(
-        f"PASS criterion 2: deterministic solver >= 0.5008 * OPT on all "
-        f"{len(corpus)} instances (exact arithmetic on integral values)"
+def test_criterion_2_deterministic_guarantee_on_corpus(verdicts):
+    assert len(verdicts) >= 200  # several hundred instances
+    assert all(instance.rank >= 2 for instance, _, _ in verdicts)
+    ratios = [row["ratio"] for _, rows, _ in verdicts for row in rows if row["algorithm"] == "msg-det"]
+    assert_criterion_holds(
+        verdicts, 2, f"msg-det >= 0.5008 * OPT (exact on integral values; min ratio {min(ratios):.6f})"
     )
 
 
-def test_criterion_3_split_weighted_average_bound(corpus):
-    checks = 0
-    for instance, f, matroid, opt, _ in corpus:
-        for beta in BETA_GRID:
-            root = math.sqrt((1.0 - beta) * beta)
-            bias = beta / (beta + root)
-            halves = split(f, matroid, bias)
-            lhs = beta * f(halves.a) + (1.0 - beta) * f(halves.b)
-            rhs = (2.0 / 3.0) * (1.0 - root) * opt
-            assert lhs >= rhs - TOL, f"{instance.label} beta={beta}: {lhs} < {rhs}"
-            checks += 1
-    print(f"PASS criterion 3: split weighted-average bound held in {checks} checks")
+def test_criterion_3_split_weighted_average_bound(verdicts):
+    assert_criterion_holds(verdicts, 3, f"split weighted-average bound over beta grid {cli.SPLIT_BETA_GRID}")
 
 
-def test_criterion_4_split_disjoint_union_base(corpus):
-    checks = 0
-    for instance, f, matroid, _, _ in corpus:
-        for bias in P_GRID:
-            halves = split(f, matroid, bias)
-            assert not set(halves.a) & set(halves.b), f"{instance.label} p={bias}"
-            assert is_base(matroid, set(halves.a) | set(halves.b)), f"{instance.label} p={bias}"
-            checks += 1
-    print(f"PASS criterion 4: split returned disjoint halves with base union in {checks} runs")
+def test_criterion_4_split_disjoint_union_base(verdicts):
+    assert_criterion_holds(
+        verdicts, 4, f"split halves disjoint with a base as union over p grid {cli.SPLIT_P_GRID}"
+    )
 
 
-def test_criterion_5_exact_expectation_bounds(corpus):
-    eligible = 0
+def test_criterion_5_exact_expectation_bounds(verdicts):
+    assert_criterion_holds(verdicts, 5, "exact expectation bounds of the randomized grower")
+    # deterministic pick of Monte-Carlo subjects: small, genuinely random trees
     sampled = []
-    for instance, f, matroid, opt, _ in corpus:
-        k = matroid.rank
-        if math.factorial(k) > 200:
+    for instance, _, _ in verdicts:
+        if instance.n > 5:
             continue
-        eligible += 1
+        f, matroid = build(instance)
         expected, tree = rr_greedy_exact_expectation(f, matroid)
-        assert abs(sum(leaf.probability for leaf in tree.leaves) - 1.0) <= 1e-12
-        assert expected >= opt / 2.0 - TOL, f"{instance.label}: E={expected} < opt/2"
-        for i in range(k + 1):
-            delta = 1.0 / (2.0 * k * k) if 0 < i < k else 0.0
-            bound = (gain_curve(i / k) + delta) * opt
-            assert tree.level_expectations[i] >= bound - TOL, (
-                f"{instance.label} iteration {i}: {tree.level_expectations[i]} < {bound}"
-            )
-        # deterministic pick of Monte-Carlo subjects: small, genuinely random trees
-        if (
-            len(sampled) < 10
-            and instance.n <= 5
-            and len(tree.leaves) >= 2
-            and max(l.value for l in tree.leaves) > min(l.value for l in tree.leaves)
-        ):
+        if max(l.value for l in tree.leaves) > min(l.value for l in tree.leaves):
             sampled.append((instance, f, matroid, expected))
-    assert eligible > 0 and len(sampled) == 10
+            if len(sampled) == 10:
+                break
+    assert len(sampled) == 10
 
     for instance, f, matroid, expected in sampled:
         samples = [f(rr_greedy(f, matroid, seed)) for seed in range(10_000)]
         mean = sum(samples) / len(samples)
         variance = sum((s - mean) ** 2 for s in samples) / (len(samples) - 1)
         stderr = math.sqrt(variance / len(samples))
-        assert abs(mean - expected) <= 5.0 * stderr + TOL, (
+        assert abs(mean - expected) <= 5.0 * stderr + 1e-9, (
             f"{instance.label}: mean {mean} vs exact {expected} (stderr {stderr})"
         )
     print(
-        f"PASS criterion 5: exact expectation bounds on {eligible} instances; "
-        f"Monte-Carlo mean within 5 standard errors on {len(sampled)} instances x 10^4 seeds"
+        f"PASS criterion 5: Monte-Carlo mean within 5 standard errors of the exact "
+        f"expectation on {len(sampled)} instances x 10^4 seeds"
     )
 
 
-def test_criterion_6_parallel_greedy_bounds(corpus):
-    eligible = 0
-    runs = 0
-    for instance, f, matroid, opt, opt_base in corpus:
-        bases = bases_within(matroid, 20)
-        if bases is None:
-            continue
-        eligible += 1
-        for residue in bases:
-            output = rp_greedy(f, matroid, residue)
-            value = f(output)
-            assert value >= opt / 2.0, f"{instance.label} residue {residue}: {value} < opt/2"
-            residue_gain = f(set(residue) | set(opt_base)) - opt
-            for x in X_GRID:
-                rhs = (1.0 + gain_curve(x)) * opt + (1.0 - x) * residue_gain
-                assert 3.0 * value >= rhs - TOL, (
-                    f"{instance.label} residue {residue} x={x}: {3.0 * value} < {rhs}"
-                )
-            runs += 1
-    assert eligible > 0
-    print(
-        f"PASS criterion 6: parallel greedy met both bounds on {eligible} instances "
-        f"({runs} residue bases, x grid {X_GRID})"
-    )
+def test_criterion_6_parallel_greedy_bounds(verdicts):
+    assert_criterion_holds(verdicts, 6, f"parallel greedy half and composite bounds (x grid {cli.RP_X_GRID})")
 
 
 def test_criterion_7_matching_equals_brute_force():
@@ -229,15 +183,8 @@ def test_criterion_8_exchange_mapping_witnesses():
     print("PASS criterion 8: exchange mapping built and verified on 100 random base pairs")
 
 
-def test_criterion_9_completion_partition_witnesses(corpus):
-    searches = 0
-    for instance, f, matroid, _, opt_base in corpus:
-        for bias in P_GRID:
-            halves = split(f, matroid, bias)
-            t_a, t_b = split_partition_witness(halves.a, halves.b, opt_base, f, matroid)
-            assert set(t_a) | set(t_b) == set(opt_base)
-            searches += 1
-    print(f"PASS criterion 9: completion partition witness found in all {searches} searches")
+def test_criterion_9_completion_partition_witnesses(verdicts):
+    assert_criterion_holds(verdicts, 9, "completion partition witness found for every split output")
 
 
 def test_criterion_10_query_scaling():
@@ -254,3 +201,56 @@ def test_criterion_10_query_scaling():
         f"PASS criterion 10: value queries / (n k^2) spread {spread:.3f}x "
         f"across the grid (cells: { {c: round(v, 3) for c, v in sorted(means.items())} })"
     )
+
+
+def test_corpus_has_zero_violations(verdicts):
+    assert [v for _, _, violations in verdicts for v in violations] == []
+
+
+def _report_with(**changes):
+    return lambda real: lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), **changes)
+
+
+def _returning(value):
+    return lambda real: lambda *args: value
+
+
+EMPTY_HALVES = ("split", _returning(SplitResult((), ())))
+ZERO_EXPECTATION = ("rr_greedy_exact_expectation", _returning((0.0, ExpectationTree((), (0.0,) * 3))))
+EMPTY_OUTPUT = ("rp_greedy", _returning(()))
+FAILED_VALIDATION = _returning(ValidationReport(False, 1, ("planted",)))
+
+# check name -> (the submod.cli binding to replace, plant made from the real binding),
+# each planted on a clean rank-2 instance
+PLANTS = {
+    "deterministic-guarantee": ("solve", _report_with(value=0.0)),
+    "split-weighted-average": EMPTY_HALVES,
+    "split-disjoint": ("split", _returning(SplitResult((0,), (0,)))),
+    "split-union-base": EMPTY_HALVES,
+    "expectation-probabilities": ZERO_EXPECTATION,
+    "expected-value-half": ZERO_EXPECTATION,
+    "expected-value-curve": ZERO_EXPECTATION,
+    "expected-composite-bound": ZERO_EXPECTATION,
+    "parallel-greedy-half": EMPTY_OUTPUT,
+    "parallel-greedy-composite": EMPTY_OUTPUT,
+    "completion-partition": EMPTY_HALVES,
+    "solution-is-base": ("solve", _report_with(solution=())),
+    "value-below-opt": ("solve", _report_with(value=math.inf)),
+    "monotone-submodular": ("validate_monotone_submodular", FAILED_VALIDATION),
+    "matroid-axioms": ("validate_matroid_axioms", FAILED_VALIDATION),
+}
+
+
+def test_every_check_has_a_plant():
+    emitted = set(re.findall(r'violate\(\s*"([a-z-]+)"', inspect.getsource(cli.check_instance)))
+    assert set(PLANTS) == emitted
+    assert {check for checks in CRITERION_CHECKS.values() for check in checks} <= emitted
+
+
+@pytest.mark.parametrize("check", PLANTS)
+def test_planted_fault_fires(check, monkeypatch):
+    binding, plant = PLANTS[check]
+    monkeypatch.setattr(cli, binding, plant(getattr(cli, binding)))
+    subject = next(i for i in enumerate_small_instances(4, 2) if i.label == "n4-unif2-covc")
+    _, violations = cli.check_instance(subject)
+    assert check in {v["check"] for v in violations}

@@ -10,7 +10,6 @@ from submod import (
     Instance,
     Matroid,
     MatroidSpec,
-    OracleCounts,
     SetFunction,
     build,
     canonical,
@@ -109,12 +108,6 @@ class TestCounters:
         assert f.counts is m.counts
         assert f.counts.value_queries == 1
         assert f.counts.independence_queries == 1
-
-    def test_snapshot_delta(self):
-        counts = OracleCounts(5, 7)
-        later = OracleCounts(9, 11)
-        delta = later.since(counts)
-        assert (delta.value_queries, delta.independence_queries) == (4, 4)
 
 
 class TestMarginalFunction:

@@ -6,6 +6,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from submod import instances
 from submod import (
     FunctionSpec,
     Instance,
@@ -17,6 +18,7 @@ from submod import (
     load,
     random_instance,
     save,
+    solve,
     validate_matroid_axioms,
     validate_monotone_submodular,
 )
@@ -134,6 +136,27 @@ class TestBuild:
         assert m.rank == 5 - 2
         # cross-check against the largest independent set found by enumeration
         assert max(len(b) for b in iter_bases(m)) == m.rank
+
+    def test_isolated_vertices_cost_nothing(self, monkeypatch):
+        sizes = []
+
+        class SizeSpy(instances._UnionFind):
+            def __init__(self, size):
+                sizes.append(size)
+                super().__init__(size)
+
+        monkeypatch.setattr(instances, "_UnionFind", SizeSpy)
+        function = FunctionSpec(kind="modular", weights=(3, 1, 2))
+        reports = []
+        for matroid in (
+            MatroidSpec(kind="graphic", num_vertices=1000, edges=((500, 999), (999, 7), (7, 500))),
+            MatroidSpec(kind="graphic", num_vertices=3, edges=((0, 1), (1, 2), (2, 0))),
+        ):
+            f, m = build(Instance(n=3, matroid=matroid, function=function))
+            report = solve(f, m, "msg-det")
+            reports.append((m.rank, report.solution, report.value, report.counts))
+        assert max(sizes) == 3  # union-finds span the touched vertices only
+        assert reports[0] == reports[1]
 
 
 def coverage_reference(universe_weights, covers, members):
@@ -406,12 +429,14 @@ WRONG_VALUES = {
     "list": [MISSING, None, True, "x", 1.5, 3, float("nan"), {}],
     "object": [MISSING, None, True, "x", 1.5, []],
     "kind": [MISSING, None, False, 3, [], {}, "laminar"],
+    "label": [None, True, 1.5, 3, [], {}],  # a missing label means ""
 }
 
 
 def document_slots(doc):
-    """Every (container, key, expected type) position of a valid document but the label."""
+    """Every (container, key, expected type) position of a valid document."""
     yield doc, "n", "int"
+    yield doc, "label", "label"
     for spec in ("matroid", "function"):
         yield doc, spec, "object"
         yield doc[spec], "kind", "kind"

@@ -17,7 +17,6 @@ from submod import (
     build,
     enumerate_small_instances,
     exchange_bijection,
-    gain_curve,
     iter_bases,
     max_weight_base,
     random_instance,
@@ -114,16 +113,6 @@ class TestExactExpectation:
             _, tree = rr_greedy_exact_expectation(f, m)
             assert sum(leaf.probability for leaf in tree.leaves) == pytest.approx(1.0, abs=1e-12)
             assert all(len(leaf.members) == m.rank for leaf in tree.leaves)
-
-    def test_per_iteration_curve_bound(self):
-        for inst in list(enumerate_small_instances(6, 3))[::5]:
-            f, m = build(inst)
-            k = m.rank
-            opt, _ = brute_force_opt(f, m)
-            _, tree = rr_greedy_exact_expectation(f, m)
-            for i in range(k + 1):
-                delta = 1.0 / (2.0 * k * k) if 0 < i < k else 0.0
-                assert tree.level_expectations[i] >= (gain_curve(i / k) + delta) * opt - 1e-9
 
     def test_budget_error(self):
         f, m = make(4, uniform(3), modular(1, 2, 3, 4))
