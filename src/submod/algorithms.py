@@ -104,8 +104,7 @@ def marginal_table(
     f: SetFunction, anchored: Iterable[int], candidates: Iterable[int]
 ) -> dict[int, float]:
     """Map each candidate u to f(u | anchored), one oracle query per entry."""
-    shifted = marginal_function(f, anchored)
-    return {u: shifted((u,)) for u in candidates}
+    return marginal_function(f, anchored).singleton_table(candidates)
 
 
 def _argmax_by_id(candidates: Iterable[int], gains: Mapping[int, float]) -> int:
@@ -207,6 +206,10 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
     does not decrease the marginal), and a maximum-weight perfect matching
     decides simultaneously which element each solution gains and which
     residue element it gives up.  Returns the best final solution.
+
+    A candidate u still in copy j's residue is tested only against v = u:
+    solution + residue is a base, so for any other v the swapped set is
+    solution + residue - {v}, one element short of the rank, and never a base.
     """
     base = canonical(residue, matroid.n)
     if not is_base(matroid, base):
@@ -234,7 +237,7 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
             residue_order = sorted(residues[j])
             for u in candidates[j]:
                 gain_u = gains[u]
-                for v in residue_order:
+                for v in (u,) if u in residues[j] else residue_order:
                     if gain_u >= gains[v] and is_base(matroid, (grown | {u}) | (residues[j] - {v})):
                         graph.add_edge(left_of[v], j, gain_u, payload=u)
         try:

@@ -8,6 +8,7 @@ through a shared counter so query complexity can be measured exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable
@@ -26,9 +27,12 @@ def canonical(elements: Iterable[int], n: int | None = None) -> ElementSet:
     """
     members = tuple(sorted(set(elements)))
     if n is not None and members and (members[0] < 0 or members[-1] >= n):
-        bad = members[0] if members[0] < 0 else members[-1]
-        raise ValueError(f"element {bad} out of range for ground set of size {n}")
+        raise _out_of_range(members[0] if members[0] < 0 else members[-1], n)
     return members
+
+
+def _out_of_range(bad: int, n: int) -> ValueError:
+    return ValueError(f"element {bad} out of range for ground set of size {n}")
 
 
 @dataclass
@@ -48,6 +52,12 @@ class SetFunction:
     so a single function may be shared by concurrent runs that own
     separate counters.  ``root`` owns the evaluator (``root is self`` on a
     root); ``anchored`` is the set a derived view is relative to.
+
+    One billed value query is one call of ``root._evaluate``, on every path
+    (``__call__`` and ``singleton_table``, on roots and on views).  A
+    reported query count is therefore the number of raw oracle evaluations
+    the paper's ``O(n k^2)`` bound counts, and wrapping the root's evaluator
+    is enough to observe all of them.
     """
 
     def __init__(
@@ -71,11 +81,39 @@ class SetFunction:
 
     def __call__(self, elements: Iterable[int]) -> float:
         members = canonical(chain(self.anchored, elements), self.n)
+        offset = self._bill()
+        return self.root._evaluate(members) - offset
+
+    def singleton_table(self, candidates: Iterable[int]) -> dict[int, float]:
+        """Map each id u to ``self((u,))``, billed and evaluated exactly as that call.
+
+        ``anchored`` is already canonical, so each entry's set is one
+        insertion into it (or ``anchored`` itself when u is in it), not a sort.
+        """
+        anchored, n = self.anchored, self.n
+        table: dict[int, float] = {}
+        for u in candidates:
+            if not 0 <= u < n:
+                raise _out_of_range(u, n)
+            at = bisect_left(anchored, u)
+            if at < len(anchored) and anchored[at] == u:
+                members = anchored
+            else:
+                members = anchored[:at] + (u,) + anchored[at:]
+            offset = self._bill()
+            table[u] = self.root._evaluate(members) - offset
+        return table
+
+    def _bill(self) -> float:
+        """Bill one query and return the offset root(anchored), billing it once more on first use.
+
+        The offset is lazy so that a view nobody evaluates costs nothing.
+        """
         self.counts.value_queries += 1
         if self._offset is None:
             self.counts.value_queries += 1
             self._offset = self.root._evaluate(self.anchored)
-        return self.root._evaluate(members) - self._offset
+        return self._offset
 
 
 class Matroid:

@@ -1,18 +1,31 @@
 """Solver tests: parameter chain, greedy variants, split, grow, dispatch."""
 
+import random
+from dataclasses import replace
+
 import pytest
 
+import submod.algorithms as algorithms
 from submod import (
+    ALGORITHMS,
+    FUNCTION_KINDS,
+    MATROID_KINDS,
     FunctionSpec,
     Instance,
     MatroidSpec,
     SetFunction,
+    WeightedBipartiteGraph,
     brute_force_opt,
     build,
+    canonical,
     classical_greedy,
+    contract,
     enumerate_small_instances,
     gain_curve,
+    is_base,
+    marginal_table,
     max_weight_base,
+    max_weight_perfect_matching,
     parameters,
     random_instance,
     rp_greedy,
@@ -265,6 +278,9 @@ class TestSplitAndGrowDeterministic:
             ((5, 12, "graphic", "modular", 4), (0, 3, 4, 11), 31.0, 267, 172),
             ((11, 10, "uniform", "concave_of_modular", 3), (1, 4, 5), 5.291502622129181, 114, 50),
             ((13, 14, "partition", "weighted_coverage", 4), (0, 1, 2, 11), 44.0, 193, 156),
+            ((17, 20, "uniform", "modular", 8), (0, 1, 6, 11, 12, 14, 16, 18), 64.0, 1411, 776),
+            ((19, 16, "uniform", "weighted_coverage", 5), (3, 4, 7, 8, 13), 61.0, 339, 148),
+            ((23, 14, "graphic", "concave_of_modular", 5), (3, 4, 6, 7, 12), 6.4031242374328485, 275, 125),
         ],
     )
     def test_pinned_reports(self, cell, solution, value, value_queries, independence_queries):
@@ -327,3 +343,106 @@ class TestSolve:
         assert report.solution  # still a base; the override routed everything to one half
         with pytest.raises(ValueError):
             solve(f, m, "split", p=1.5)
+
+
+def counted(calls, kind, evaluate):
+    def wrapper(members):
+        calls[kind] += 1
+        return evaluate(members)
+
+    return wrapper
+
+
+class TestAccounting:
+    """One counted query is one call of the root's evaluator, on every path."""
+
+    @pytest.mark.parametrize("function_kind", FUNCTION_KINDS)
+    @pytest.mark.parametrize("matroid_kind", MATROID_KINDS)
+    def test_counted_queries_are_root_calls(self, matroid_kind, function_kind):
+        for seed, n, rank in ((1, 9, 1), (2, 10, 3), (3, 12, 4)):
+            f, m = build(random_instance(seed, n, matroid_kind, function_kind, rank=rank))
+            calls = {"value": 0, "indep": 0}
+            f._evaluate = counted(calls, "value", f._evaluate)
+            m._is_independent = counted(calls, "indep", m._is_independent)
+            for algorithm in ALGORITHMS:
+                before = dict(calls)
+                report = solve(f, m, algorithm, seed=seed)
+                assert calls["value"] - before["value"] == report.counts.value_queries, algorithm
+                assert calls["indep"] - before["indep"] == report.counts.independence_queries, algorithm
+            assert (calls["value"], calls["indep"]) == (f.counts.value_queries, f.counts.independence_queries)
+
+
+FRACTIONS = (0.1, 0.2, 0.3)
+
+
+def fractional(instance, rng):
+    """The instance with every weight redrawn from FRACTIONS, so sums round and marginals tie."""
+    spec = instance.function
+    if spec.kind == "weighted_coverage":
+        spec = replace(spec, universe_weights=tuple(rng.choice(FRACTIONS) for _ in spec.universe_weights))
+    else:
+        spec = replace(spec, weights=tuple(rng.choice(FRACTIONS) for _ in spec.weights))
+    return replace(instance, function=spec)
+
+
+def full_scan_exchange_graphs(f, matroid, residue):
+    """rp_greedy's exchange graph of every round, built by testing every (u, v) pair.
+
+    Asserts on the way that a candidate still in its copy's residue gets no
+    edge but v = u, the case rp_greedy tests alone.
+    """
+    base = canonical(residue)
+    k = matroid.rank
+    left_of = {v: idx for idx, v in enumerate(base)}
+    solutions = [() for _ in range(k)]
+    residues = [set(base) for _ in range(k)]
+    rounds = []
+    for _ in range(k):
+        graph = WeightedBipartiteGraph(k, k)
+        for j in range(k):
+            gains = marginal_table(f, solutions[j], contract(matroid, solutions[j]).ground)
+            for u in max_weight_base(contract(matroid, solutions[j]), gains):
+                for v in sorted(residues[j]):
+                    swapped = set(solutions[j]) | {u} | (residues[j] - {v})
+                    if gains[u] >= gains[v] and is_base(matroid, swapped):
+                        assert u not in residues[j] or v == u, (j, u, v)
+                        graph.add_edge(left_of[v], j, gains[u], payload=u)
+        rounds.append(graph.edges)
+        for right, left, gained, _weight in max_weight_perfect_matching(graph).pairs:
+            solutions[right] = canonical(solutions[right] + (gained,))
+            residues[right].remove(base[left])
+    return rounds
+
+
+class TestFloatTies:
+    """Fractional weights make marginals round and tie; the exchange graph must not care."""
+
+    @pytest.mark.parametrize("function_kind", ["weighted_coverage", "modular", "concave_of_modular"])
+    @pytest.mark.parametrize("matroid_kind", ["uniform", "partition", "graphic"])
+    def test_exchange_graph_equals_full_scan(self, monkeypatch, matroid_kind, function_kind):
+        seen = []
+        grown = []
+
+        def recording_matcher(graph):
+            seen.append(graph.edges)
+            return max_weight_perfect_matching(graph)
+
+        def checked_rp_greedy(f, matroid, residue):
+            expected = full_scan_exchange_graphs(f, matroid, residue)
+            seen.clear()
+            result = rp_greedy(f, matroid, residue)
+            assert seen == expected
+            grown.append(result)
+            return result
+
+        monkeypatch.setattr(algorithms, "max_weight_perfect_matching", recording_matcher)
+        monkeypatch.setattr(algorithms, "rp_greedy", checked_rp_greedy)
+        rng = random.Random(f"{matroid_kind}-{function_kind}")
+        for seed in range(6):
+            instance = fractional(random_instance(seed, 12, matroid_kind, function_kind, rank=5), rng)
+            f, m = build(instance)
+            for algorithm in ("rpgreedy", "msg-det"):
+                report = solve(f, m, algorithm)
+                assert is_base(m, report.solution), (seed, algorithm)
+                assert report.value == f(report.solution)
+        assert len(grown) == 6 * 3  # one rp_greedy per rpgreedy run, two per msg-det run

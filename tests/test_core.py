@@ -169,6 +169,51 @@ class TestMarginalFunction:
                 assert deepest(s) == direct(s)
 
 
+class TestSingletonTable:
+    @pytest.mark.parametrize("anchor", [None, (), (3,), (0, 2, 5), (7,)])
+    def test_same_values_billing_and_calls_as_one_call_per_entry(self, anchor):
+        f, calls = counting_coverage()
+        twin, twin_calls = counting_coverage()
+        view = f if anchor is None else marginal_function(f, anchor)
+        twin_view = twin if anchor is None else marginal_function(twin, anchor)
+        candidates = (6, 0, 3, 7, 2, 3, 5)  # anchored ids and a repeat included
+        table = view.singleton_table(candidates)
+        assert table == {u: twin_view((u,)) for u in candidates}
+        assert f.queries == twin.queries == len(candidates) + (anchor is not None)
+        assert calls == twin_calls
+        assert len(calls) == f.queries
+
+    def test_empty_candidates_cost_nothing(self):
+        f, calls = counting_coverage()
+        view = marginal_function(f, (1, 4))
+        assert view.singleton_table(()) == {}
+        assert f.queries == 0 and calls == []
+        view.singleton_table((2,))
+        assert f.queries == 2  # the offset is still billed on the first entry
+
+    @pytest.mark.parametrize("bad", [-1, 8, 20])
+    def test_out_of_range_id_is_the_call_error(self, bad):
+        f, calls = counting_coverage()
+        view = marginal_function(f, (1,))
+        with pytest.raises(ValueError) as expected:
+            marginal_function(f, (1,))((bad,))
+        assert f.queries == 0
+        with pytest.raises(ValueError) as raised:
+            view.singleton_table((0, bad, 2))
+        assert str(raised.value) == str(expected.value)
+        assert f.queries == 2 and len(calls) == 2  # the entry before the bad id was billed
+
+    def test_evaluator_is_looked_up_at_call_time(self):
+        f, _ = counting_coverage()
+        view = marginal_function(f, (0,))
+        patched = []
+        inner = f._evaluate
+        f._evaluate = lambda members: patched.append(members) or inner(members)
+        view.singleton_table((1, 2))
+        assert patched == [(0,), (0, 1), (0, 2)]
+        assert len(patched) == f.queries
+
+
 class TestContract:
     def test_uniform_contraction(self):
         _, m = modular_instance([1, 1, 1], k=2)

@@ -474,24 +474,29 @@ class TestInstanceDocument:
         save(loaded, path)
         assert path.read_bytes() == text
 
-    @DOCUMENT_SETTINGS
-    @given(data=st.data())
-    def test_one_wrong_field_is_a_format_error(self, tmp_path, matroid_kind, function_kind, data):
+    def test_one_wrong_field_is_a_format_error(self, tmp_path, matroid_kind, function_kind):
         path = tmp_path / "inst.json"
-        save(data.draw(valid_instances(matroid_kind, function_kind)), path)
-        doc = json.loads(path.read_text())
-        slots = list(document_slots(doc))
-        index = data.draw(st.integers(0, len(slots) - 1))
-        container, key, expected = slots[index]
-        wrong = [v for v in WRONG_VALUES[expected] if v is not MISSING or isinstance(container, dict)]
-        value = data.draw(st.sampled_from(wrong))
-        if value is MISSING:
-            del container[key]
-        else:
-            container[key] = value
-        path.write_text(json.dumps(doc))
-        with pytest.raises(InstanceFormatError):
-            load(path)
+        accepted = []
+        for seed, n, rank in ((0, 3, 2), (1, 5, 3)):
+            save(random_instance(seed, n, matroid_kind, function_kind, rank=rank), path)
+            text = path.read_text()
+            for index, (container, key, expected) in enumerate(document_slots(json.loads(text))):
+                for value in WRONG_VALUES[expected]:
+                    if value is MISSING and not isinstance(container, dict):
+                        continue
+                    doc = json.loads(text)
+                    target = list(document_slots(doc))[index][0]  # the same slot in a fresh copy
+                    if value is MISSING:
+                        del target[key]
+                    else:
+                        target[key] = value
+                    path.write_text(json.dumps(doc))
+                    try:
+                        load(path)
+                    except InstanceFormatError:
+                        continue
+                    accepted.append((seed, index, key, value))
+        assert accepted == []
 
 
 GOLDEN_DOCUMENTS = [
