@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -215,11 +216,19 @@ def check_instance(instance: Instance) -> tuple[list[dict], list[dict]]:
 
 
 def run_suite(max_n: int, max_k: int, jobs: int = 1) -> SuiteReport:
+    """Check every enumerated instance, on at most ``jobs`` worker processes.
+
+    The pool never exceeds the instance count or the machine's CPU count,
+    and one worker means no pool at all.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     instances = list(enumerate_small_instances(max_n, max_k))
     if not instances:
         raise ValueError("the requested budgets produce no instances (rank >= 2 required)")
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(instances), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(check_instance, instances))
     else:
         results = [check_instance(instance) for instance in instances]
@@ -314,6 +323,9 @@ def _parse_p(text: str) -> float | None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.max_bases < 1:
+        _err(f"max-bases must be at least 1, got {args.max_bases}")
+        return 2
     try:
         instance = load(args.instance)
     except (OSError, InstanceFormatError) as exc:

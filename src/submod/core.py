@@ -87,11 +87,19 @@ class SetFunction:
     def singleton_table(self, candidates: Iterable[int]) -> dict[int, float]:
         """Map each id u to ``self((u,))``, billed and evaluated exactly as that call.
 
+        Each entry is one billed query and one call of the root's evaluator,
+        which is looked up once per table.  The first entry bills through
+        ``_bill`` (so a view's lazy offset is billed there, as on a call);
+        later entries find the offset cached and bill one query each.  An id
+        outside [0, n) raises before its entry is billed.
+
         ``anchored`` is already canonical, so each entry's set is one
         insertion into it (or ``anchored`` itself when u is in it), not a sort.
         """
-        anchored, n = self.anchored, self.n
+        anchored, n, counts = self.anchored, self.n, self.counts
+        evaluate = self.root._evaluate
         table: dict[int, float] = {}
+        offset = None
         for u in candidates:
             if not 0 <= u < n:
                 raise _out_of_range(u, n)
@@ -100,8 +108,11 @@ class SetFunction:
                 members = anchored
             else:
                 members = anchored[:at] + (u,) + anchored[at:]
-            offset = self._bill()
-            table[u] = self.root._evaluate(members) - offset
+            if offset is None:
+                offset = self._bill()
+            else:
+                counts.value_queries += 1
+            table[u] = evaluate(members) - offset
         return table
 
     def _bill(self) -> float:
@@ -148,12 +159,19 @@ class Matroid:
         return self.counts.independence_queries
 
     def is_independent(self, elements: Iterable[int]) -> bool:
+        """Bill one independence query and ask the root about ``elements + anchored``.
+
+        One billed query is one call of the root's ``_is_independent``, with
+        the canonical tuple of the union.  Ids outside [0, n), then ids
+        outside ``ground``, raise before anything is billed.
+        """
         members = set(elements)
         if not members <= self._ground_set:
             canonical(members, self.n)  # ids outside [0, n) raise here first
             raise ValueError(f"element {min(members - self._ground_set)} is not in the matroid ground set")
         self.counts.independence_queries += 1
-        return bool(self.root._is_independent(canonical(members.union(self.anchored))))
+        members.update(self.anchored)
+        return bool(self.root._is_independent(tuple(sorted(members))))
 
 
 def marginal_function(f: SetFunction, base_set: Iterable[int]) -> SetFunction:
@@ -190,6 +208,13 @@ def contract(matroid: Matroid, independent_set: Iterable[int]) -> Matroid:
 
 
 def is_base(matroid: Matroid, elements: Iterable[int]) -> bool:
-    """True iff the set is independent and of full rank."""
-    members = canonical(elements, matroid.n)
-    return len(members) == matroid.rank and matroid.is_independent(members)
+    """True iff the set is independent and of full rank.
+
+    Ids outside [0, n) raise whatever the set's size; a set of the wrong
+    size is rejected without a query.
+    """
+    members = set(elements)
+    if len(members) != matroid.rank:
+        canonical(members, matroid.n)  # ids outside [0, n) still raise
+        return False
+    return matroid.is_independent(members)

@@ -281,6 +281,20 @@ class TestSplitAndGrowDeterministic:
             ((17, 20, "uniform", "modular", 8), (0, 1, 6, 11, 12, 14, 16, 18), 64.0, 1411, 776),
             ((19, 16, "uniform", "weighted_coverage", 5), (3, 4, 7, 8, 13), 61.0, 339, 148),
             ((23, 14, "graphic", "concave_of_modular", 5), (3, 4, 6, 7, 12), 6.4031242374328485, 275, 125),
+            (
+                (29, 48, "uniform", "modular", 24),
+                (0, 3, 4, 7, 9, 10, 14, 18, 20, 21, 22, 24, 27, 28, 29, 30, 32, 33, 36, 39, 40, 44, 45, 47),
+                205.0,
+                23427,
+                15856,
+            ),
+            (
+                (31, 40, "partition", "coverage", 12),
+                (4, 5, 8, 9, 15, 16, 17, 19, 22, 28, 29, 39),
+                23.0,
+                3535,
+                3611,
+            ),
         ],
     )
     def test_pinned_reports(self, cell, solution, value, value_queries, independence_queries):

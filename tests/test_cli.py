@@ -1,9 +1,11 @@
 """CLI behaviour: exit codes, report formats, determinism."""
 
 import json
+import os
 
 import pytest
 
+import submod.cli as cli
 from submod import FunctionSpec, Instance, InternalInvariantError, MatroidSpec, save
 from submod.cli import main
 
@@ -86,6 +88,17 @@ class TestRun:
     def test_opt_budget_exceeded(self, triangle_path, capsys):
         assert main(["run", "--instance", triangle_path, "--opt", "--max-bases", "1"]) == 3
 
+    @pytest.mark.parametrize("max_bases", ["0", "-4"])
+    def test_max_bases_below_one_is_usage_error(self, triangle_path, capsys, monkeypatch, max_bases):
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("bases were enumerated")
+
+        monkeypatch.setattr(cli, "brute_force_opt", no_enumeration)
+        assert main(["run", "--instance", triangle_path, "--opt", "--max-bases", max_bases]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: max-bases must be at least 1, got {max_bases}\n"
+
     def test_out_file_matches_stdout(self, triangle_path, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(["run", "--instance", triangle_path, "--out", str(out)])
@@ -134,6 +147,59 @@ class TestSuite:
         assert main(["suite", "--max-n", "3", "--max-k", "2", "--out", str(serial)]) == 0
         assert main(["suite", "--max-n", "3", "--max-k", "2", "--out", str(parallel), "--jobs", "2"]) == 0
         assert (tmp_path / "serial.csv").read_bytes() == (tmp_path / "parallel.csv").read_bytes()
+
+
+class TestSuiteJobs:
+    """``--jobs`` is validated and capped; no real worker process is started here."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """Replace the process pool with one that records max_workers and maps in this process."""
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "jobs, cpus, pool_size",
+        [
+            (5000, 4, 4),  # capped at the CPU count
+            (5000, 64, 49),  # capped at the 49 instances of the (3, 2) corpus
+            (3, 64, 3),
+            (8, None, None),  # unknown CPU count: one worker, so no pool
+            (1, 64, None),
+        ],
+    )
+    def test_pool_is_capped(self, tmp_path, capsys, monkeypatch, pool_sizes, jobs, cpus, pool_size):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        out = tmp_path / "suite"
+        assert main(["suite", "--max-n", "3", "--max-k", "2", "--out", str(out), "--jobs", str(jobs)]) == 0
+        assert pool_sizes == ([] if pool_size is None else [pool_size])
+        report = json.loads((tmp_path / "suite.json").read_text())
+        assert report["summary"]["instances"] == 49
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, tmp_path, capsys, pool_sizes, jobs):
+        out = tmp_path / "suite"
+        assert main(["suite", "--max-n", "3", "--max-k", "2", "--out", str(out), "--jobs", jobs]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: jobs must be at least 1, got {jobs}\n"
+        assert pool_sizes == []
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestComplexity:

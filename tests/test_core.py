@@ -307,6 +307,24 @@ class TestIsBase:
         assert not is_base(m, (0, 1))
         assert is_base(m, (1, 2))
 
+    def test_billing_and_errors(self):
+        root, calls = counting_uniform(n=10, k=3)
+        view = contract(root, (4,))
+        start = root.queries
+        assert is_base(view, [2, 0, 2])  # a repeated id counts once
+        assert calls[-1] == (0, 2, 4)
+        assert not is_base(view, (0, 1, 2)) and not is_base(view, ())  # wrong size: no query
+        assert root.queries == start + 1 and len(calls) == root.queries
+        for members in ((0, 10), (-1,), (0, 1, 2, 11)):  # out of range, whatever the size
+            with pytest.raises(ValueError) as expected:
+                canonical(members, 10)
+            with pytest.raises(ValueError) as raised:
+                is_base(view, members)
+            assert str(raised.value) == str(expected.value)
+        with pytest.raises(ValueError, match="element 4 is not in the matroid ground set"):
+            is_base(view, (0, 4))
+        assert root.queries == start + 1
+
 
 class TestConstruction:
     def test_rank_zero_matroid_allowed_for_contractions(self):

@@ -1,15 +1,21 @@
-"""Matching solver tests against the factorial brute force."""
+"""Matching solver tests against the factorial brute force and a dense reference."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import submod.algorithms as algorithms
 from submod import (
     InfeasibleMatchingError,
+    Matching,
     WeightedBipartiteGraph,
     brute_force_perfect_matching,
+    build,
     max_weight_perfect_matching,
+    random_instance,
+    solve,
 )
 
 
@@ -140,3 +146,137 @@ class TestAgainstBruteForce:
         first = max_weight_perfect_matching(g)
         second = max_weight_perfect_matching(g)
         assert first == second
+
+
+def dense_reference_matching(graph):
+    """The dense O(k^3) Hungarian algorithm the sparse matcher must reproduce.
+
+    It fills a k x k cost matrix with +inf for absent edges and scans every
+    cell of a row at each step; the sparse matcher performs the same float
+    operations on the edges alone, so the two return equal matchings.
+    """
+    if graph.left_size != graph.right_size:
+        raise ValueError("perfect matching requires a square graph")
+    k = graph.left_size
+    if k == 0:
+        return Matching(pairs=(), total_weight=0.0)
+
+    inf = math.inf
+    cost = [[inf] * k for _ in range(k)]
+    payload = [[-1] * k for _ in range(k)]
+    for left, right, weight, pay in graph.edges:
+        cost[left][right] = -weight
+        payload[left][right] = pay
+    for row in cost:
+        if min(row) == inf:
+            raise InfeasibleMatchingError("a left vertex has no incident edges")
+    for j in range(k):
+        if min(cost[i][j] for i in range(k)) == inf:
+            raise InfeasibleMatchingError("a right vertex has no incident edges")
+
+    row_potential = [min(row) for row in cost]
+    col_potential = [0.0] * (k + 1)
+    col_match = [-1] * (k + 1)
+    for root in range(k):
+        col_match[k] = root
+        j0 = k
+        min_slack = [inf] * k
+        prev_col = [-1] * k
+        used = [False] * (k + 1)
+        while True:
+            used[j0] = True
+            i0 = col_match[j0]
+            delta = inf
+            j1 = -1
+            for j in range(k):
+                if used[j]:
+                    continue
+                slack = cost[i0][j] - row_potential[i0] - col_potential[j]
+                if slack < min_slack[j]:
+                    min_slack[j] = slack
+                    prev_col[j] = j0
+                if min_slack[j] < delta:
+                    delta = min_slack[j]
+                    j1 = j
+            if delta == inf:
+                raise InfeasibleMatchingError("graph has no perfect matching")
+            for j in range(k + 1):
+                if used[j]:
+                    row_potential[col_match[j]] += delta
+                    col_potential[j] -= delta
+                elif j < k:
+                    min_slack[j] -= delta
+            j0 = j1
+            if col_match[j0] == -1:
+                break
+        while j0 != k:
+            j_prev = prev_col[j0]
+            col_match[j0] = col_match[j_prev]
+            j0 = j_prev
+
+    pairs = []
+    total = 0.0
+    for j in range(k):
+        i = col_match[j]
+        if cost[i][j] == inf:
+            raise InfeasibleMatchingError("graph has no perfect matching")
+        weight = -cost[i][j]
+        pairs.append((j, i, payload[i][j], weight))
+        total += weight
+    return Matching(pairs=tuple(pairs), total_weight=total)
+
+
+def outcome(matcher, graph):
+    """The matcher's Matching, or the message of the InfeasibleMatchingError it raised."""
+    try:
+        return matcher(graph)
+    except InfeasibleMatchingError as exc:
+        return ("infeasible", str(exc))
+
+
+TIED_WEIGHTS = (0.0, 0.1, 0.2, 0.3, 0.1 + 0.2, 1.0)
+
+
+class TestAgainstDenseReference:
+    def test_random_graphs_with_ties(self):
+        rng = random.Random(2024)
+        infeasible = 0
+        for trial in range(2400):
+            k = rng.randint(1, 9)
+            density = rng.choice((0.2, 0.4, 0.6, 0.8, 1.0))
+            if trial % 2:
+                draw = lambda: rng.choice(TIED_WEIGHTS)  # noqa: E731
+            else:
+                draw = lambda: float(rng.randint(0, 4))  # noqa: E731
+            g = WeightedBipartiteGraph(k, k)
+            for left in range(k):
+                for right in range(k):
+                    if rng.random() < density:
+                        g.add_edge(left, right, draw(), payload=rng.randint(0, 3 * k))
+            expected = outcome(dense_reference_matching, g)
+            assert outcome(max_weight_perfect_matching, g) == expected, (trial, g.edges)
+            infeasible += isinstance(expected, tuple)
+        assert 100 < infeasible < 2000  # both outcomes are exercised
+
+    @pytest.mark.parametrize(
+        "matroid_kind, function_kind, n, rank",
+        [
+            ("partition", "coverage", 24, 6),
+            ("graphic", "modular", 24, 6),
+            ("uniform", "modular", 20, 8),
+        ],
+    )
+    def test_every_exchange_graph_of_msg_det(self, monkeypatch, matroid_kind, function_kind, n, rank):
+        graphs = []
+
+        def recording_matcher(graph):
+            graphs.append(graph)
+            return max_weight_perfect_matching(graph)
+
+        monkeypatch.setattr(algorithms, "max_weight_perfect_matching", recording_matcher)
+        for seed in range(6):
+            f, m = build(random_instance(seed, n, matroid_kind, function_kind, rank=rank))
+            solve(f, m, "msg-det")
+        assert len(graphs) >= 6 * 2  # every solve grows two halves, each for at least one round
+        for g in graphs:
+            assert max_weight_perfect_matching(g) == dense_reference_matching(g), g.edges
