@@ -113,7 +113,8 @@ def _argmax_by_id(candidates: Iterable[int], gains: Mapping[int, float]) -> int:
 
 def max_weight_base(matroid: Matroid, weights: Mapping[int, float] | Sequence[float]) -> ElementSet:
     """Greedy maximum-weight base: descending weight, ascending id scan."""
-    order = sorted(matroid.ground, key=lambda u: (-weights[u], u))
+    # ground is ascending and the sort is stable, so ties keep the smallest id first
+    order = sorted(matroid.ground, key=weights.__getitem__, reverse=True)
     chosen: list[int] = []
     for u in order:
         if len(chosen) == matroid.rank:
@@ -233,13 +234,17 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
         graph = WeightedBipartiteGraph(k, k)
         for j in range(k):
             gains = tables[j]
-            grown = set(solutions[j])
-            residue_order = sorted(residues[j])
+            residue = residues[j]
+            whole = residue | set(solutions[j])  # disjoint parts: swapping v for u is whole - {v} + {u}
+            residue_order = sorted(residue)
             for u in candidates[j]:
                 gain_u = gains[u]
-                for v in (u,) if u in residues[j] else residue_order:
-                    if gain_u >= gains[v] and is_base(matroid, (grown | {u}) | (residues[j] - {v})):
-                        graph.add_edge(left_of[v], j, gain_u, payload=u)
+                for v in (u,) if u in residue else residue_order:
+                    if gain_u >= gains[v]:
+                        swapped = whole - {v}
+                        swapped.add(u)
+                        if is_base(matroid, swapped):
+                            graph.add_edge(left_of[v], j, gain_u, payload=u)
         try:
             matching = max_weight_perfect_matching(graph)
         except InfeasibleMatchingError as exc:

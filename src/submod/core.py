@@ -165,7 +165,10 @@ class Matroid:
         the canonical tuple of the union.  Ids outside [0, n), then ids
         outside ``ground``, raise before anything is billed.
         """
-        members = set(elements)
+        return self._query(set(elements))
+
+    def _query(self, members: set[int]) -> bool:
+        """``is_independent`` on a set the caller hands over: ``anchored`` is added to it in place."""
         if not members <= self._ground_set:
             canonical(members, self.n)  # ids outside [0, n) raise here first
             raise ValueError(f"element {min(members - self._ground_set)} is not in the matroid ground set")
@@ -217,4 +220,4 @@ def is_base(matroid: Matroid, elements: Iterable[int]) -> bool:
     if len(members) != matroid.rank:
         canonical(members, matroid.n)  # ids outside [0, n) still raise
         return False
-    return matroid.is_independent(members)
+    return matroid._query(members)  # the set is ours, so the query need not copy it

@@ -62,27 +62,6 @@ def _touched_edges(edges) -> tuple[tuple[tuple[int, int], ...], int]:
     return (edges if relabeled == edges else relabeled), len(index)
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, v: int) -> int:
-        root = v
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[v] != root:
-            self.parent[v], v = root, self.parent[v]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        """Merge the two classes; False when a and b already share one."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 @dataclass(frozen=True)
 class MatroidSpec:
     kind: str
@@ -143,8 +122,17 @@ class MatroidSpec:
         if self.kind == "partition":
             return sum(self.capacities)  # type: ignore[arg-type]
         edges, num_touched = _touched_edges(self.edges)
-        uf = _UnionFind(num_touched)
-        return sum(uf.union(a, b) for a, b in edges)  # a self-loop merges nothing
+        parent = list(range(num_touched))
+        merges = 0
+        for a, b in edges:  # the oracle's union-find: a self-loop merges nothing
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[b] = a
+                merges += 1
+        return merges
 
 
 @dataclass(frozen=True)
@@ -212,6 +200,13 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
 
     Both oracles share one counter so a run's total query footprint can be
     read off a single object.
+
+    Each kernel returns the bitwise-same value for the same set: a modular
+    kernel is one ``sum`` of the weights in ascending member order, a
+    coverage kernel adds the covered items' weights lowest item first, and
+    the independence tests return exact bools.  The graphic oracle's cost
+    per query depends only on the vertices some edge touches, never on
+    ``num_vertices``.
     """
     instance.validate()
     counts = OracleCounts()
@@ -222,14 +217,14 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
         weights = fspec.weights
 
         def evaluate(members):
-            return float(sum(weights[u] for u in members))
+            return float(sum(map(weights.__getitem__, members)))
 
     elif fspec.kind == "concave_of_modular":
         weights = fspec.weights
         gamma = float(fspec.exponent)
 
         def evaluate(members):
-            return float(sum(weights[u] for u in members)) ** gamma
+            return float(sum(map(weights.__getitem__, members))) ** gamma
 
     else:
         universe = fspec.universe_weights
@@ -288,13 +283,22 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
 
     else:
         edges, num_touched = _touched_edges(mspec.edges)
+        identity = list(range(num_touched))
 
+        # A flat union-find forest per query: walk both ends to their roots
+        # with path halving; an edge whose ends share a root (a self-loop
+        # included) closes a cycle.
         def independent(members):
-            uf = _UnionFind(num_touched)
+            parent = identity.copy()
             for u in members:
                 a, b = edges[u]
-                if a == b or not uf.union(a, b):
+                while parent[a] != a:
+                    parent[a] = a = parent[parent[a]]
+                while parent[b] != b:
+                    parent[b] = b = parent[parent[b]]
+                if a == b:
                     return False
+                parent[b] = a
             return True
 
     matroid = Matroid(n, independent, rank, counts=counts)

@@ -1,5 +1,6 @@
 """Solver tests: parameter chain, greedy variants, split, grow, dispatch."""
 
+import hashlib
 import random
 from dataclasses import replace
 
@@ -106,6 +107,37 @@ class TestMaxWeightBase:
             modular(2, 3, 1),
         )
         assert max_weight_base(m, [2, 3, 1]) == (1, 2)
+
+    @pytest.mark.parametrize(
+        "weights, expected",
+        [
+            ((1, 1, 1, 1, 1, 1), (0, 2, 4)),
+            ((-0.0, 0.0, -0.0, 0.0, 0.0, -0.0), (0, 2, 4)),
+            ((0.3, 0.1 + 0.2, 0.3, 0.1 + 0.2, 0.3, 0.3), (1, 3, 4)),
+            ((2, 2.0, 0.1 + 0.2, 0.3, 2, 0.3), (0, 2, 4)),
+        ],
+        ids=["equal", "signed-zeros", "near-tie", "mixed"],
+    )
+    def test_ties_keep_the_negated_weight_order(self, weights, expected):
+        """Ties go to the smallest id, as sorting by (-w, u) would; this relies on ``ground`` being ascending."""
+
+        def negated_weight_base(matroid, weight):
+            chosen = []
+            for u in sorted(matroid.ground, key=lambda u: (-weight[u], u)):
+                if len(chosen) < matroid.rank and matroid.is_independent(chosen + [u]):
+                    chosen.append(u)
+            return tuple(sorted(chosen))
+
+        parts = MatroidSpec(kind="partition", parts=((0, 1), (2, 3), (4, 5)), capacities=(1, 1, 1))
+        _, m = make(6, parts, modular(*[1] * 6))
+        for matroid in (m, make(6, uniform(3), modular(*[1] * 6))[1]):
+            for given in (list(weights), dict(enumerate(weights))):
+                assert max_weight_base(matroid, given) == negated_weight_base(matroid, given)
+        assert max_weight_base(m, list(weights)) == expected
+        # a contraction's ground skips ids but stays ascending
+        residual = contract(m, (expected[0],))
+        remaining = {u: weights[u] for u in residual.ground}
+        assert max_weight_base(residual, remaining) == negated_weight_base(residual, remaining) == expected[1:]
 
 
 class TestClassicalGreedy:
@@ -384,6 +416,56 @@ class TestAccounting:
                 assert calls["value"] - before["value"] == report.counts.value_queries, algorithm
                 assert calls["indep"] - before["indep"] == report.counts.independence_queries, algorithm
             assert (calls["value"], calls["indep"]) == (f.counts.value_queries, f.counts.independence_queries)
+
+
+def root_call_digest(instance, seed=1):
+    """sha256 of every root oracle call's (kind, members), in order, and each algorithm's result."""
+    f, m = build(instance)
+    digest = hashlib.sha256()
+
+    def logged(kind, evaluate):
+        def wrapper(members):
+            digest.update(repr((kind, members)).encode())
+            return evaluate(members)
+
+        return wrapper
+
+    f._evaluate = logged("value", f._evaluate)
+    m._is_independent = logged("indep", m._is_independent)
+    for algorithm in ALGORITHMS:
+        report = solve(f, m, algorithm, seed=seed)
+        digest.update(repr((algorithm, report.solution, report.value)).encode())
+    return digest.hexdigest()
+
+
+class TestRootCallLog:
+    """Every algorithm asks the root oracles the same questions, in the same order, as the pinned version.
+
+    The digests were recorded before the oracle kernels and the work around
+    each call were rewritten; a change that keeps them removes only work
+    that no oracle sees.
+    """
+
+    @pytest.mark.parametrize(
+        "cell, expected",
+        [
+            ((1, 20, "graphic", "modular", 6), "09662b1e4f7be6841b6fa17caae372500cfcadf12dfea90c24f7c185adf1563f"),
+            ((2, 16, "uniform", "modular", 8), "dba747f3dc65370b91f43a9b23cfed1e6f154ceb9dc8c2473d896a794dece4b7"),
+            ((3, 20, "partition", "coverage", 6), "2b6be2ac1f7a6fbfa935c508c63e0f12ceb2bcba16143151dafaddd87787b942"),
+            (
+                (4, 16, "graphic", "concave_of_modular", 5),
+                "900c57f2ae5289393f568710b22c8dacac0fab062fd847951c767ee74a3a0101",
+            ),
+            (
+                (5, 20, "partition", "weighted_coverage", 6),
+                "dce40ff69197f74862f2acab117ae92be3d66eee2488bb6468517805b450f1bb",
+            ),
+        ],
+        ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple) else None,
+    )
+    def test_pinned_root_call_log(self, cell, expected):
+        seed, n, matroid_kind, function_kind, rank = cell
+        assert root_call_digest(random_instance(seed, n, matroid_kind, function_kind, rank=rank)) == expected
 
 
 FRACTIONS = (0.1, 0.2, 0.3)

@@ -2,11 +2,11 @@
 
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from submod import instances
 from submod import (
     FunctionSpec,
     Instance,
@@ -137,26 +137,140 @@ class TestBuild:
         # cross-check against the largest independent set found by enumeration
         assert max(len(b) for b in iter_bases(m)) == m.rank
 
-    def test_isolated_vertices_cost_nothing(self, monkeypatch):
-        sizes = []
-
-        class SizeSpy(instances._UnionFind):
-            def __init__(self, size):
-                sizes.append(size)
-                super().__init__(size)
-
-        monkeypatch.setattr(instances, "_UnionFind", SizeSpy)
+    def test_isolated_vertices_cost_nothing(self):
+        # One list over 10**6 vertices costs 8 MB; the oracle may span only
+        # the three touched vertices, so building it and answering a few
+        # hundred queries must peak far below that.
         function = FunctionSpec(kind="modular", weights=(3, 1, 2))
+        subsets = [members for size in range(4) for members in itertools.combinations(range(3), size)]
         reports = []
         for matroid in (
-            MatroidSpec(kind="graphic", num_vertices=1000, edges=((500, 999), (999, 7), (7, 500))),
+            MatroidSpec(kind="graphic", num_vertices=10**6, edges=((500_000, 999_999), (999_999, 7), (7, 500_000))),
             MatroidSpec(kind="graphic", num_vertices=3, edges=((0, 1), (1, 2), (2, 0))),
         ):
-            f, m = build(Instance(n=3, matroid=matroid, function=function))
+            tracemalloc.start()
+            try:
+                f, m = build(Instance(n=3, matroid=matroid, function=function))
+                answers = [m.is_independent(members) for _ in range(50) for members in subsets]
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000, peak
             report = solve(f, m, "msg-det")
-            reports.append((m.rank, report.solution, report.value, report.counts))
-        assert max(sizes) == 3  # union-finds span the touched vertices only
+            reports.append((m.rank, answers, report.solution, report.value, report.counts))
         assert reports[0] == reports[1]
+
+
+def forest_reference(edges, members):
+    """No self-loop, and |S| == |V(S)| - components(S), components found by a plain DFS."""
+    chosen = [edges[u] for u in members]
+    if any(a == b for a, b in chosen):
+        return False
+    adjacent: dict[int, list[int]] = {}
+    for a, b in chosen:
+        adjacent.setdefault(a, []).append(b)
+        adjacent.setdefault(b, []).append(a)
+    seen: set[int] = set()
+    components = 0
+    for start in adjacent:
+        if start in seen:
+            continue
+        components += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            for w in adjacent[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return len(chosen) == len(adjacent) - components
+
+
+def reverse_path(length):
+    """A path listed from its far end, closed into a cycle: merges build one deep tree."""
+    return tuple((v, v + 1) for v in reversed(range(length))) + ((length, 0),)
+
+
+SMALL_GRAPHS = {
+    "loops-and-parallels": (3, ((0, 0), (0, 1), (1, 0), (1, 2), (2, 2), (0, 2), (2, 1))),
+    "isolated-vertices": (9, ((1, 5), (5, 6), (6, 1), (3, 6), (8, 3))),
+    "star": (8, tuple((0, v) for v in range(1, 8)) + ((2, 5), (7, 7))),
+    "reverse-path": (12, reverse_path(11)),
+    "two-components": (7, ((0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 4), (3, 3))),
+}
+
+
+class TestGraphicKernel:
+    """The flat union-find oracle against a component count, on every subset."""
+
+    @staticmethod
+    def built(num_vertices, edges):
+        n = len(edges)
+        spec = MatroidSpec(kind="graphic", num_vertices=num_vertices, edges=edges)
+        return spec, build(Instance(n=n, matroid=spec, function=FunctionSpec(kind="modular", weights=(1,) * n)))[1]
+
+    @pytest.mark.parametrize("graph", SMALL_GRAPHS.values(), ids=SMALL_GRAPHS.keys())
+    def test_independence_matches_reference(self, graph):
+        num_vertices, edges = graph
+        _, m = self.built(num_vertices, edges)
+        for size in range(len(edges) + 1):
+            for members in itertools.combinations(range(len(edges)), size):
+                assert m.is_independent(members) is forest_reference(edges, members), members
+
+    @pytest.mark.parametrize("graph", SMALL_GRAPHS.values(), ids=SMALL_GRAPHS.keys())
+    def test_rank_is_largest_independent_subset(self, graph):
+        num_vertices, edges = graph
+        spec, m = self.built(num_vertices, edges)
+        largest = max(
+            size
+            for size in range(len(edges) + 1)
+            for members in itertools.combinations(range(len(edges)), size)
+            if forest_reference(edges, members)
+        )
+        assert spec.rank(len(edges)) == m.rank == largest
+
+
+def sum_reference(weights, members):
+    """The members' weights added left to right, lowest id first, by one ``sum``.
+
+    ``sum`` rather than a ``+=`` loop: the two agree up to Python 3.11, and
+    from 3.12 on ``sum`` compensates float rounding, which the kernel inherits.
+    """
+    return sum([weights[u] for u in sorted(members)])
+
+
+class TestModularKernel:
+    """Modular and concave-of-modular oracles give the bitwise-same float as the reference."""
+
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (0.1, 0.2, 0.3, 0.1, 0.2, 0.3, 0.1),
+            (1, 0.1, 2, 0.2, 3, 0.3, 0),
+            (7, 0, 3, 10, 1, 1, 5),
+            (0.3, 0.2, 0.1, 1e-17, 1e17, 0.7, 0.1),
+        ],
+        ids=["fractional", "mixed", "integer", "far-apart"],
+    )
+    @pytest.mark.parametrize("kind", ["modular", "concave_of_modular"])
+    def test_every_subset_matches_reference(self, kind, weights):
+        n = len(weights)
+        exponent = 0.5 if kind == "concave_of_modular" else None
+        f, _ = build(
+            Instance(
+                n=n,
+                matroid=MatroidSpec(kind="uniform", k=n),
+                function=FunctionSpec(kind=kind, weights=weights, exponent=exponent),
+            )
+        )
+        for size in range(n + 1):
+            for members in itertools.combinations(range(n), size):
+                value = f(members)
+                expected = float(sum_reference(weights, members))
+                if kind == "concave_of_modular":
+                    expected **= exponent
+                assert type(value) is float
+                assert value == expected, members
 
 
 def coverage_reference(universe_weights, covers, members):
