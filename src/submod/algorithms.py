@@ -114,13 +114,7 @@ def _argmax_by_id(candidates: Iterable[int], gains: Mapping[int, float]) -> int:
 def max_weight_base(matroid: Matroid, weights: Mapping[int, float] | Sequence[float]) -> ElementSet:
     """Greedy maximum-weight base: descending weight, ascending id scan."""
     # ground is ascending and the sort is stable, so ties keep the smallest id first
-    order = sorted(matroid.ground, key=weights.__getitem__, reverse=True)
-    chosen: list[int] = []
-    for u in order:
-        if len(chosen) == matroid.rank:
-            break
-        if matroid.is_independent(chosen + [u]):
-            chosen.append(u)
+    chosen = matroid.greedy_scan(sorted(matroid.ground, key=weights.__getitem__, reverse=True))
     if len(chosen) != matroid.rank:
         raise InternalInvariantError("independence oracle did not extend to a full base")
     return canonical(chosen)
@@ -128,12 +122,8 @@ def max_weight_base(matroid: Matroid, weights: Mapping[int, float] | Sequence[fl
 
 def _feasible_pool(matroid: Matroid, used: set[int]) -> list[int]:
     """Elements that can extend ``used`` while staying independent."""
-    base = sorted(used)
-    return [
-        u
-        for u in matroid.ground
-        if u not in used and matroid.is_independent(base + [u])
-    ]
+    extends = matroid.exchange_test(used)
+    return [u for u in matroid.ground if u not in used and extends(u)]
 
 
 def classical_greedy(f: SetFunction, matroid: Matroid) -> ElementSet:
@@ -208,9 +198,13 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
     decides simultaneously which element each solution gains and which
     residue element it gives up.  Returns the best final solution.
 
-    A candidate u still in copy j's residue is tested only against v = u:
-    solution + residue is a base, so for any other v the swapped set is
-    solution + residue - {v}, one element short of the rank, and never a base.
+    solution + residue keeps exactly ``rank`` elements every round: each
+    copy gains one element and gives up one.  A candidate u still in copy
+    j's residue is tested only against v = u, because for any other v the
+    swapped set is solution + residue - {v}, one element short of the rank,
+    and never a base.  Every other swap, solution + residue - {v} + {u}
+    with u in neither, has full size, so an edge test is one independence
+    query on it and needs no size check.
     """
     base = canonical(residue, matroid.n)
     if not is_base(matroid, base):
@@ -235,16 +229,13 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
         for j in range(k):
             gains = tables[j]
             residue = residues[j]
-            whole = residue | set(solutions[j])  # disjoint parts: swapping v for u is whole - {v} + {u}
+            swap = matroid.exchange_test(residue.union(solutions[j]))  # the parts are disjoint
             residue_order = sorted(residue)
             for u in candidates[j]:
                 gain_u = gains[u]
                 for v in (u,) if u in residue else residue_order:
-                    if gain_u >= gains[v]:
-                        swapped = whole - {v}
-                        swapped.add(u)
-                        if is_base(matroid, swapped):
-                            graph.add_edge(left_of[v], j, gain_u, payload=u)
+                    if gain_u >= gains[v] and swap(u, v):
+                        graph.add_edge(left_of[v], j, gain_u, payload=u)
         try:
             matching = max_weight_perfect_matching(graph)
         except InfeasibleMatchingError as exc:

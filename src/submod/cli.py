@@ -275,7 +275,7 @@ def measure_complexity(
     function_kind: str = "modular",
     x: float = DEFAULT_X,
 ) -> list[dict]:
-    """Query counts of the deterministic solver across an (n, k) grid."""
+    """Query counts and wall time of the deterministic solver across an (n, k) grid."""
     rows: list[dict] = []
     for n in n_grid:
         for k in k_grid:
@@ -300,6 +300,7 @@ def measure_complexity(
                         "independence_queries": report.counts.independence_queries,
                         "value_fit": report.counts.value_queries / denominator,
                         "independence_fit": report.counts.independence_queries / denominator,
+                        "elapsed_s": report.elapsed,
                     }
                 )
     return rows
@@ -410,7 +411,7 @@ def cmd_complexity(args: argparse.Namespace) -> int:
         x=args.x,
     )
     measured = [row for row in rows if "skipped" not in row]
-    print(f"{'n':>5} {'k':>3} {'seed':>6} {'value_q':>9} {'indep_q':>9} {'value_fit':>10}")
+    print(f"{'n':>5} {'k':>3} {'seed':>6} {'value_q':>9} {'indep_q':>9} {'value_fit':>10} {'elapsed_s':>10}")
     for row in rows:
         if "skipped" in row:
             print(f"{row['n']:>5} {row['k']:>3} {row['seed']:>6} skipped: {row['skipped']}")
@@ -418,14 +419,15 @@ def cmd_complexity(args: argparse.Namespace) -> int:
             print(
                 f"{row['n']:>5} {row['k']:>3} {row['seed']:>6} "
                 f"{row['value_queries']:>9} {row['independence_queries']:>9} "
-                f"{row['value_fit']:>10.4f}"
+                f"{row['value_fit']:>10.4f} {row['elapsed_s']:>10.4f}"
             )
     if measured:
         fits = [row["value_fit"] for row in measured]
         print(f"value_fit spread: min {min(fits):.4f}, max {max(fits):.4f}, "
               f"ratio {max(fits) / min(fits):.3f}")
     if args.out:
-        fields = ["n", "k", "seed", "value_queries", "independence_queries", "value_fit", "independence_fit"]
+        fields = ["n", "k", "seed", "value_queries", "independence_queries", "value_fit", "independence_fit",
+                  "elapsed_s"]
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             writer = csv.DictWriter(handle, fieldnames=fields)
             writer.writeheader()

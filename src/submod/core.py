@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, filterfalse
 from typing import Callable, Iterable
 
 ElementSet = tuple[int, ...]
@@ -134,6 +134,13 @@ class Matroid:
     ``ground`` but keep ``n`` so element ids stay globally meaningful.
     Rank 0 is legal for contractions; concrete instance families reject it.
     ``root`` and ``anchored`` are as on :class:`SetFunction`.
+
+    One billed independence query is one call of ``root._is_independent``
+    with the canonical tuple of the set asked about plus ``anchored``, on
+    every path (``is_independent``, ``is_base``, ``contract``,
+    ``exchange_test`` and ``greedy_scan``, on roots and on views).  Ids
+    outside [0, n), then ids outside ``ground``, raise before the query
+    that would hold them is billed, with ``is_independent``'s message.
     """
 
     def __init__(
@@ -170,11 +177,74 @@ class Matroid:
     def _query(self, members: set[int]) -> bool:
         """``is_independent`` on a set the caller hands over: ``anchored`` is added to it in place."""
         if not members <= self._ground_set:
-            canonical(members, self.n)  # ids outside [0, n) raise here first
-            raise ValueError(f"element {min(members - self._ground_set)} is not in the matroid ground set")
+            self._reject(members)
         self.counts.independence_queries += 1
         members.update(self.anchored)
         return bool(self.root._is_independent(tuple(sorted(members))))
+
+    def _reject(self, members: set[int]) -> None:
+        """Raise ``is_independent``'s error for a set that is not within ``ground``."""
+        canonical(members, self.n)  # ids outside [0, n) raise here first
+        raise ValueError(f"element {min(members - self._ground_set)} is not in the matroid ground set")
+
+    def exchange_test(self, kept: Iterable[int]) -> Callable[..., bool]:
+        """Return ``test(u, v=None)``, which answers ``is_independent(kept - {v} + {u})``.
+
+        Each test is one billed query with exactly the root call that
+        ``is_independent`` would make.  ``kept`` is validated and sorted
+        with ``anchored`` once, here; each test checks ``u`` and looks ``v``
+        up in ``kept`` in O(1), and builds its tuple from the sorted one by
+        at most one removal and one insertion.  A ``v`` outside ``kept``
+        removes nothing, as in the set difference.
+        """
+        kept = set(kept)
+        if not kept <= self._ground_set:
+            self._reject(kept)
+        base = tuple(sorted(kept.union(self.anchored)))
+        ground, counts = self._ground_set, self.counts
+        independent = self.root._is_independent
+
+        def test(u: int, v: int | None = None) -> bool:
+            if u not in ground:
+                self._reject({u})
+            counts.independence_queries += 1
+            members = base
+            if v in kept and v != u:
+                at = bisect_left(members, v)
+                members = members[:at] + members[at + 1:]
+            if u not in kept:  # ground and anchored are disjoint, so u is new
+                at = bisect_left(members, u)
+                members = members[:at] + (u,) + members[at:]
+            return bool(independent(members))
+
+        return test
+
+    def greedy_scan(self, order: Iterable[int]) -> list[int]:
+        """Keep each id of ``order`` that stays independent with the ids kept before it.
+
+        The test for ``u`` is one billed query, ``is_independent(kept + [u])``
+        with its root call; the scan stops, without a query, once ``rank``
+        ids are kept.  Returns the kept ids in scan order.
+        """
+        members = list(self.anchored)  # anchored + kept, ascending
+        kept: list[int] = []
+        rank, ground, counts = self.rank, self._ground_set, self.counts
+        independent = self.root._is_independent
+        for u in order:
+            if len(kept) == rank:
+                break
+            if u not in ground:
+                self._reject({u})
+            counts.independence_queries += 1
+            at = bisect_left(members, u)
+            fresh = at == len(members) or members[at] != u  # u repeats a kept id otherwise
+            if fresh:
+                members.insert(at, u)
+            if independent(tuple(members)):
+                kept.append(u)
+            elif fresh:
+                del members[at]
+        return kept
 
 
 def marginal_function(f: SetFunction, base_set: Iterable[int]) -> SetFunction:
@@ -205,8 +275,8 @@ def contract(matroid: Matroid, independent_set: Iterable[int]) -> Matroid:
     view.n, view.counts, view.root = matroid.n, matroid.counts, matroid.root
     view.anchored = canonical(away.union(matroid.anchored))
     view.rank = matroid.rank - len(contracted)
-    view.ground = tuple(u for u in matroid.ground if u not in away)
-    view._ground_set = frozenset(view.ground)
+    view.ground = tuple(filterfalse(away.__contains__, matroid.ground))
+    view._ground_set = matroid._ground_set - away
     return view
 
 

@@ -460,6 +460,15 @@ class TestRootCallLog:
                 (5, 20, "partition", "weighted_coverage", 6),
                 "dce40ff69197f74862f2acab117ae92be3d66eee2488bb6468517805b450f1bb",
             ),
+            # the benchmark's uniform-dense and coverage-partition shapes
+            (
+                (100, 48, "uniform", "modular", 24),
+                "1cfe8fd146678414a8fcf34827e50b920e1533a2386989f4e9bb7fde91a74dcc",
+            ),
+            (
+                (101, 120, "partition", "coverage", 12),
+                "8eb363acc732b623fc97775a870d871879873afd3908585692ffc32c83bea8d4",
+            ),
         ],
         ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple) else None,
     )

@@ -326,6 +326,111 @@ class TestIsBase:
         assert root.queries == start + 1
 
 
+def logged_matroid(spec):
+    """A root matroid built from ``spec`` whose root oracle logs every call it gets."""
+    _, m = build(Instance(n=5, matroid=spec, function=FunctionSpec(kind="modular", weights=(1,) * 5)))
+    calls = []
+    independent = m._is_independent
+
+    def wrapper(members):
+        calls.append(members)
+        return independent(members)
+
+    m._is_independent = wrapper
+    return m, calls
+
+
+PRIMITIVE_SPECS = {
+    "uniform": MatroidSpec(kind="uniform", k=3),
+    "partition": MatroidSpec(kind="partition", parts=((0, 1, 2), (3, 4)), capacities=(2, 1)),
+    "graphic": MatroidSpec(kind="graphic", num_vertices=4, edges=((0, 1), (1, 2), (0, 2), (2, 3), (1, 3))),
+}
+# each entry contracts the root by these sets, one after another; the last leaves rank 0
+PRIMITIVE_VIEWS = ((), ((1,),), ((0,), (3,)), ((0, 1, 3),))
+
+
+def primitive_twins(kind, contractions):
+    """Two equal (view, calls) pairs: one for the primitive, one for plain ``is_independent``."""
+    twins = []
+    for _ in range(2):
+        root, calls = logged_matroid(PRIMITIVE_SPECS[kind])
+        view = root
+        for members in contractions:
+            view = contract(view, members)
+        twins.append((view, calls))
+    return twins
+
+
+def plain_scan(matroid, order):
+    chosen = []
+    for u in order:
+        if len(chosen) == matroid.rank:
+            break
+        if matroid.is_independent(chosen + [u]):
+            chosen.append(u)
+    return chosen
+
+
+def subsets(ground):
+    return [s for r in range(len(ground) + 1) for s in itertools.combinations(ground, r)]
+
+
+class TestIndependencePrimitives:
+    """``exchange_test`` and ``greedy_scan`` ask the root exactly what ``is_independent`` would."""
+
+    @pytest.mark.parametrize("contractions", PRIMITIVE_VIEWS)
+    @pytest.mark.parametrize("kind", sorted(PRIMITIVE_SPECS))
+    def test_exchange_test_equals_is_independent(self, kind, contractions):
+        (view, calls), (plain, plain_calls) = primitive_twins(kind, contractions)
+        for kept in subsets(view.ground):
+            test = view.exchange_test(kept)
+            assert len(calls) == view.queries == plain.queries  # building a test costs nothing
+            for u in view.ground:  # u in kept, v == u and v outside kept are all among these
+                for v in (None, *view.ground):
+                    answer = test(u, v) if v is not None else test(u)
+                    assert answer is plain.is_independent((set(kept) - {v}) | {u}), (kept, u, v)
+                    assert calls == plain_calls
+                    assert view.queries == plain.queries == len(calls)
+
+    @pytest.mark.parametrize("contractions", PRIMITIVE_VIEWS)
+    @pytest.mark.parametrize("kind", sorted(PRIMITIVE_SPECS))
+    def test_greedy_scan_equals_plain_scan(self, kind, contractions):
+        (view, calls), (plain, plain_calls) = primitive_twins(kind, contractions)
+        orders = [p for s in subsets(view.ground) for p in itertools.permutations(s)]
+        orders += [view.ground[:1] * 2 + view.ground, view.ground[::-1] * 2]  # repeated ids
+        for order in orders:
+            assert view.greedy_scan(order) == plain_scan(plain, order), order
+            assert calls == plain_calls
+            assert view.queries == plain.queries == len(calls)
+
+    def test_empty_order_costs_nothing(self):
+        m, calls = logged_matroid(PRIMITIVE_SPECS["graphic"])
+        assert m.greedy_scan(()) == [] and m.greedy_scan(iter(())) == []
+        assert m.queries == 0 and calls == []
+
+    @pytest.mark.parametrize("bad", [-1, 5, 9, 1])  # 1 is contracted away, so outside ground
+    def test_bad_ids_raise_the_plain_error_before_billing(self, bad):
+        root, calls = logged_matroid(PRIMITIVE_SPECS["uniform"])
+        view = contract(root, (1,))
+        start = root.queries
+        with pytest.raises(ValueError) as expected:
+            view.is_independent((0, bad))
+        assert root.queries == start
+        with pytest.raises(ValueError) as raised:
+            view.exchange_test((0, bad))
+        assert str(raised.value) == str(expected.value)
+        test = view.exchange_test((0, 2))
+        for args in ((bad,), (bad, 0), (bad, bad)):
+            with pytest.raises(ValueError) as raised:
+                test(*args)
+            assert str(raised.value) == str(expected.value)
+        assert root.queries == start and len(calls) == start
+        with pytest.raises(ValueError) as raised:
+            view.greedy_scan((0, bad, 3))
+        assert str(raised.value) == str(expected.value)
+        assert root.queries == start + 1 == len(calls)  # the id before the bad one was billed
+
+
 class TestConstruction:
     def test_rank_zero_matroid_allowed_for_contractions(self):
         m = Matroid(2, lambda s: len(s) == 0, rank=0)
