@@ -247,22 +247,23 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
             solutions[right] = canonical(solutions[right] + (gained,))
             residues[right].remove(base[left])
 
-    best = solutions[0]
-    best_value = f(best)
-    for j in range(1, k):
-        value = f(solutions[j])
-        if value > best_value:
-            best, best_value = solutions[j], value
-    return best
+    return max(solutions, key=f)  # the first copy of the largest value
 
 
-def _counts_delta(
-    f: SetFunction, matroid: Matroid, v0: int, i0: int
-) -> OracleCounts:
-    return OracleCounts(
-        f.counts.value_queries - v0,
-        matroid.counts.independence_queries - i0,
-    )
+def _meter(f: SetFunction, matroid: Matroid) -> Callable[..., RunReport]:
+    """Return ``report(algorithm, solution, value, parameters=None, seed=None)``.
+
+    The report bills the queries made and the time spent since this call.
+    """
+    started = time.perf_counter()
+    v0, i0 = f.counts.value_queries, matroid.counts.independence_queries
+
+    def report(algorithm: str, solution: ElementSet, value: float,
+               parameters: Parameters | None = None, seed: int | None = None) -> RunReport:
+        counts = OracleCounts(f.counts.value_queries - v0, matroid.counts.independence_queries - i0)
+        return RunReport(algorithm, solution, value, counts, parameters, seed, time.perf_counter() - started)
+
+    return report
 
 
 def _split_and_grow(
@@ -270,18 +271,15 @@ def _split_and_grow(
     matroid: Matroid,
     algorithm: str,
     x: float,
-    p: float | None,
     seed: int | None,
     grow: Callable[[SetFunction, Matroid, ElementSet, int], ElementSet],
 ) -> RunReport:
     """Split; grow each half h as grow(f(. | h), M / h, other half, side 0 or 1); keep the better."""
-    started = time.perf_counter()
-    v0, i0 = f.counts.value_queries, matroid.counts.independence_queries
+    report = _meter(f, matroid)
     params = parameters(x)
-    use_p = params.p if p is None else p
     if matroid.rank < 2:
         raise ValueError("split-and-grow needs rank >= 2; use solve() for rank-1 problems")
-    half = split(f, matroid, use_p)
+    half = split(f, matroid, params.p)
     grown_a = grow(marginal_function(f, half.a), contract(matroid, half.a), half.b, 0)
     grown_b = grow(marginal_function(f, half.b), contract(matroid, half.b), half.a, 1)
     first = canonical(half.a + grown_a)
@@ -292,15 +290,7 @@ def _split_and_grow(
         solution, value = first, value_first
     else:
         solution, value = second, value_second
-    return RunReport(
-        algorithm=algorithm,
-        solution=solution,
-        value=value,
-        counts=_counts_delta(f, matroid, v0, i0),
-        parameters=params,
-        seed=seed,
-        elapsed=time.perf_counter() - started,
-    )
+    return report(algorithm, solution, value, params, seed)
 
 
 def split_and_grow(
@@ -308,7 +298,6 @@ def split_and_grow(
     matroid: Matroid,
     x: float = DEFAULT_X,
     rng_seed: int = 0,
-    p: float | None = None,
 ) -> RunReport:
     """Randomized split-and-grow: split, then grow each half randomly.
 
@@ -316,7 +305,7 @@ def split_and_grow(
     Rank-1 problems should go through :func:`solve`, which answers them by
     exhaustive search.
     """
-    return _split_and_grow(f, matroid, "msg", x, p, rng_seed,
+    return _split_and_grow(f, matroid, "msg", x, rng_seed,
                            lambda g, contracted, _other, side: rr_greedy(g, contracted, rng_seed + side))
 
 
@@ -324,7 +313,6 @@ def split_and_grow_deterministic(
     f: SetFunction,
     matroid: Matroid,
     x: float = DEFAULT_X,
-    p: float | None = None,
 ) -> RunReport:
     """Deterministic split-and-grow: grow each half with the parallel greedy.
 
@@ -332,18 +320,13 @@ def split_and_grow_deterministic(
     as the residue base, so the whole run is deterministic and the output
     is a base.
     """
-    return _split_and_grow(f, matroid, "msg-det", x, p, None,
+    return _split_and_grow(f, matroid, "msg-det", x, None,
                            lambda g, contracted, other, _side: rp_greedy(g, contracted, other))
 
 
 def _best_singleton(f: SetFunction, matroid: Matroid) -> ElementSet:
-    best: ElementSet | None = None
-    best_value = -math.inf
-    for u in matroid.ground:
-        if matroid.is_independent((u,)):
-            value = f((u,))
-            if value > best_value:
-                best, best_value = (u,), value
+    singletons = ((u,) for u in matroid.ground if matroid.is_independent((u,)))
+    best = max(singletons, key=f, default=None)  # the smallest id of the largest value
     if best is None:
         raise InternalInvariantError("rank-1 matroid without an independent singleton")
     return best
@@ -354,58 +337,34 @@ def solve(
     matroid: Matroid,
     algorithm: str,
     x: float = DEFAULT_X,
-    p: float | None = None,
     seed: int = 0,
 ) -> RunReport:
     """Dispatch to a solver by name; rank-1 problems are solved exhaustively.
 
-    Algorithm names: greedy, split, rrgreedy, rpgreedy, msg, msg-det.
-    ``p=None`` means derive the split bias from x.
+    Algorithm names: greedy, split, rrgreedy, rpgreedy, msg, msg-det.  The
+    split bias is always the one ``parameters(x)`` derives from x.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose one of {', '.join(ALGORITHMS)}")
-    if p is not None and not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
     if matroid.rank < 1:
         raise ValueError("solve needs a matroid of rank >= 1")
 
-    started = time.perf_counter()
-    v0, i0 = f.counts.value_queries, matroid.counts.independence_queries
-
+    report = _meter(f, matroid)
+    params = used_seed = None
     if matroid.rank == 1:
         solution = _best_singleton(f, matroid)  # no randomness on the exhaustive path
-        params = None
-        used_seed = None
     elif algorithm == "msg":
-        return split_and_grow(f, matroid, x=x, rng_seed=seed, p=p)
+        return split_and_grow(f, matroid, x=x, rng_seed=seed)
     elif algorithm == "msg-det":
-        return split_and_grow_deterministic(f, matroid, x=x, p=p)
+        return split_and_grow_deterministic(f, matroid, x=x)
     elif algorithm == "greedy":
         solution = classical_greedy(f, matroid)
-        params = None
-        used_seed = None
     elif algorithm == "split":
         params = parameters(x)
-        half = split(f, matroid, params.p if p is None else p)
+        half = split(f, matroid, params.p)
         solution = canonical(half.a + half.b)  # the full base assembled by the sweep
-        used_seed = None
     elif algorithm == "rrgreedy":
-        solution = rr_greedy(f, matroid, seed)
-        params = None
-        used_seed = seed
+        solution, used_seed = rr_greedy(f, matroid, seed), seed
     else:  # rpgreedy, seeded with the lexicographically first base as residue
-        residue = max_weight_base(matroid, [0.0] * matroid.n)
-        solution = rp_greedy(f, matroid, residue)
-        params = None
-        used_seed = None
-
-    value = f(solution)
-    return RunReport(
-        algorithm=algorithm,
-        solution=solution,
-        value=value,
-        counts=_counts_delta(f, matroid, v0, i0),
-        parameters=params,
-        seed=used_seed,
-        elapsed=time.perf_counter() - started,
-    )
+        solution = rp_greedy(f, matroid, max_weight_base(matroid, [0.0] * matroid.n))
+    return report(algorithm, solution, f(solution), params, used_seed)

@@ -1,13 +1,15 @@
 """Command line front end: solve instances, verify, measure query scaling.
 
-Exit codes: 0 success, 1 suite violations, 2 usage or input error,
-3 enumeration budget exceeded, 4 inconsistent oracles.
+Exit codes: 0 success, 1 suite violations, 2 usage or input error (an
+unwritable ``--out`` path included), 3 enumeration budget exceeded,
+4 inconsistent oracles.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -66,6 +68,16 @@ ROW_FIELDS = (
     "independence_queries",
     "params",
     "seed",
+)
+COMPLEXITY_FIELDS = (
+    "n",
+    "k",
+    "seed",
+    "value_queries",
+    "independence_queries",
+    "value_fit",
+    "independence_fit",
+    "elapsed_s",
 )
 
 
@@ -248,23 +260,24 @@ def run_suite(max_n: int, max_k: int, jobs: int = 1) -> SuiteReport:
     return SuiteReport(rows=rows, summary=summary, violations=violations)
 
 
-def _write_suite_files(report: SuiteReport, out_base: str) -> tuple[str, str]:
-    csv_path = f"{out_base}.csv"
-    json_path = f"{out_base}.json"
-    with open(csv_path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=ROW_FIELDS)
-        writer.writeheader()
-        for row in report.rows:
-            writer.writerow({field: row[field] for field in ROW_FIELDS})
-    with open(json_path, "w", encoding="utf-8") as handle:
-        json.dump(
-            {"rows": report.rows, "summary": report.summary, "violations": report.violations},
-            handle,
-            indent=2,
-            sort_keys=True,
-        )
-        handle.write("\n")
-    return csv_path, json_path
+def _csv_text(fields: tuple[str, ...], rows: list[dict]) -> str:
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=fields)
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({field: row[field] for field in fields})
+    return buffer.getvalue()
+
+
+def _write(path: str, text: str) -> bool:
+    """Write ``text`` to ``path``; if that fails, print one error line and return False."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        _err(f"cannot write {path}: {exc.strerror or exc}")
+        return False
+    return True
 
 
 def measure_complexity(
@@ -314,15 +327,6 @@ def _parse_grid(text: str) -> list[int]:
         raise ValueError(f"a grid must list comma-separated integers, got {text!r}") from None
 
 
-def _parse_p(text: str) -> float | None:
-    if text == "auto":
-        return None
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"p must be a real number or 'auto', got {text!r}") from exc
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     if args.max_bases < 1:
         _err(f"max-bases must be at least 1, got {args.max_bases}")
@@ -334,7 +338,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
     f, matroid = build(instance)
     try:
-        report = solve(f, matroid, args.algorithm, x=args.x, p=args.p, seed=args.seed)
+        report = solve(f, matroid, args.algorithm, x=args.x, seed=args.seed)
     except ValueError as exc:
         _err(str(exc))
         return 2
@@ -356,10 +360,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         payload["opt_witness"] = list(opt_base)
         payload["ratio"] = _ratio(report.value, opt_value)
     text = json.dumps(payload, indent=2, sort_keys=True)
+    if args.out and not _write(args.out, text + "\n"):
+        return 2
     print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
     return 0
 
 
@@ -375,7 +378,13 @@ def cmd_suite(args: argparse.Namespace) -> int:
     except ValueError as exc:
         _err(str(exc))
         return 2
-    csv_path, json_path = _write_suite_files(report, args.out)
+    csv_path, json_path = f"{args.out}.csv", f"{args.out}.json"
+    document = {"rows": report.rows, "summary": report.summary, "violations": report.violations}
+    if not (
+        _write(csv_path, _csv_text(ROW_FIELDS, report.rows))
+        and _write(json_path, json.dumps(document, indent=2, sort_keys=True) + "\n")
+    ):
+        return 2
     print(f"instances: {report.summary['instances']}")
     for algorithm, stats in report.summary["per_algorithm"].items():
         print(
@@ -411,6 +420,8 @@ def cmd_complexity(args: argparse.Namespace) -> int:
         x=args.x,
     )
     measured = [row for row in rows if "skipped" not in row]
+    if args.out and not _write(args.out, _csv_text(COMPLEXITY_FIELDS, measured)):
+        return 2
     print(f"{'n':>5} {'k':>3} {'seed':>6} {'value_q':>9} {'indep_q':>9} {'value_fit':>10} {'elapsed_s':>10}")
     for row in rows:
         if "skipped" in row:
@@ -426,13 +437,6 @@ def cmd_complexity(args: argparse.Namespace) -> int:
         print(f"value_fit spread: min {min(fits):.4f}, max {max(fits):.4f}, "
               f"ratio {max(fits) / min(fits):.3f}")
     if args.out:
-        fields = ["n", "k", "seed", "value_queries", "independence_queries", "value_fit", "independence_fit",
-                  "elapsed_s"]
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            writer = csv.DictWriter(handle, fieldnames=fields)
-            writer.writeheader()
-            for row in measured:
-                writer.writerow({field: row[field] for field in fields})
         print(f"wrote {args.out}")
     return 0
 
@@ -448,8 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--instance", required=True, help="path to an instance JSON file")
     run_parser.add_argument("--algorithm", default="msg-det", choices=ALGORITHMS)
     run_parser.add_argument("--x", type=float, default=DEFAULT_X)
-    run_parser.add_argument("--p", type=_parse_p, default="auto",
-                            help="split bias in [0, 1], or 'auto' to derive it from x")
     run_parser.add_argument("--seed", type=int, default=0)
     run_parser.add_argument("--opt", action="store_true",
                             help="also compute the exact optimum by base enumeration")

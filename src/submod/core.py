@@ -172,10 +172,7 @@ class Matroid:
         the canonical tuple of the union.  Ids outside [0, n), then ids
         outside ``ground``, raise before anything is billed.
         """
-        return self._query(set(elements))
-
-    def _query(self, members: set[int]) -> bool:
-        """``is_independent`` on a set the caller hands over: ``anchored`` is added to it in place."""
+        members = set(elements)
         if not members <= self._ground_set:
             self._reject(members)
         self.counts.independence_queries += 1
@@ -290,4 +287,4 @@ def is_base(matroid: Matroid, elements: Iterable[int]) -> bool:
     if len(members) != matroid.rank:
         canonical(members, matroid.n)  # ids outside [0, n) still raise
         return False
-    return matroid._query(members)  # the set is ours, so the query need not copy it
+    return matroid.is_independent(members)

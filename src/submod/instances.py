@@ -54,6 +54,21 @@ def _check_each(values, is_valid, requirement: str) -> None:
             raise InstanceFormatError(f"{requirement}, got {value!r}")
 
 
+def _check_total(values, start: float, field: str) -> None:
+    """Reject non-negative weights whose total, summed from ``start`` in index order, is not a finite float.
+
+    The oracles sum a set's weights the same way, lowest index first, and
+    every partial sum is at most the total's, so a finite total keeps every
+    value finite.
+    """
+    try:
+        total = float(sum(values, start))
+    except OverflowError:  # an int too large for a float
+        total = math.inf
+    if not math.isfinite(total):
+        raise InstanceFormatError(f"{field} must sum to a finite float, got a total too large for one")
+
+
 def _touched_edges(edges) -> tuple[tuple[tuple[int, int], ...], int]:
     """Renumber the touched vertices 0, 1, ... (isolated ones change no test); return edges and count."""
     index: dict[int, int] = {}
@@ -92,7 +107,7 @@ class MatroidSpec:
                     if not 0 <= u < n:
                         raise InstanceFormatError(f"matroid.parts[{i}] contains out-of-range element {u}")
                     if u in seen:
-                        raise InstanceFormatError(f"element {u} appears in two parts")
+                        raise InstanceFormatError(f"matroid.parts lists element {u} in two parts")
                     seen.add(u)
             if len(seen) != n:
                 raise InstanceFormatError("matroid.parts must cover every element exactly once")
@@ -100,7 +115,7 @@ class MatroidSpec:
                 if not 0 <= cap <= len(part):
                     raise InstanceFormatError(f"matroid.capacities[{i}]={cap} outside [0, {len(part)}]")
             if sum(self.capacities) < 1:
-                raise InstanceFormatError("partition matroid rank must be at least 1")
+                raise InstanceFormatError("matroid.capacities must sum to at least 1 (the rank)")
         elif self.kind == "graphic":
             if not _is_int(self.num_vertices) or self.num_vertices < 1:
                 raise InstanceFormatError("matroid.num_vertices must be a positive integer")
@@ -112,7 +127,7 @@ class MatroidSpec:
                 if len(edge) != 2 or not all(0 <= v < self.num_vertices for v in edge):
                     raise InstanceFormatError(f"matroid.edges[{i}]={edge} is not a valid vertex pair")
             if self.rank(n) < 1:
-                raise InstanceFormatError("graphic matroid rank must be at least 1")
+                raise InstanceFormatError("matroid.edges must hold an edge that is not a self-loop (rank >= 1)")
         else:
             raise InstanceFormatError(f"unknown matroid kind {self.kind!r}")
 
@@ -151,6 +166,7 @@ class FunctionSpec:
             _check_each(self.weights, _is_real, "function.weights must hold finite real numbers")
             if any(w < 0 for w in self.weights):
                 raise InstanceFormatError("function.weights must be non-negative")
+            _check_total(self.weights, 0, "function.weights")
             if self.kind == "concave_of_modular":
                 if not _is_real(self.exponent) or not 0 < self.exponent <= 1:
                     raise InstanceFormatError(f"function.exponent must lie in (0, 1], got {self.exponent}")
@@ -162,6 +178,7 @@ class FunctionSpec:
             )
             if any(w < 0 for w in self.universe_weights):
                 raise InstanceFormatError("function.universe_weights must be non-negative")
+            _check_total(self.universe_weights, 0.0, "function.universe_weights")
             if self.covers is None or len(self.covers) != n:
                 got = None if self.covers is None else len(self.covers)
                 raise InstanceFormatError(f"function.covers must list {n} subsets, got {got}")

@@ -383,12 +383,22 @@ class TestSolve:
         assert first.counts.value_queries == second.counts.value_queries
         assert first.counts.independence_queries == second.counts.independence_queries
 
-    def test_explicit_bias_override(self):
+    @pytest.mark.parametrize("algorithm", ["split", "msg", "msg-det"])
+    def test_reported_bias_is_the_bias_used(self, monkeypatch, algorithm):
         f, m = make(3, uniform(2), CHAIN)
-        report = solve(f, m, "split", p=0.0)
-        assert report.solution  # still a base; the override routed everything to one half
-        with pytest.raises(ValueError):
-            solve(f, m, "split", p=1.5)
+        used = []
+
+        def recording_split(f, matroid, p):
+            used.append(p)
+            return split(f, matroid, p)
+
+        monkeypatch.setattr(algorithms, "split", recording_split)
+        for x in (0.0, 0.5, 0.9):
+            report = solve(f, m, algorithm, x=x)
+            assert report.parameters == parameters(x)
+            assert used.pop() == parameters(x).p and used == []
+        with pytest.raises(TypeError):
+            solve(f, m, algorithm, p=0.3)
 
 
 def counted(calls, kind, evaluate):

@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import submod.cli as cli
-from submod import FunctionSpec, Instance, InternalInvariantError, MatroidSpec, save
+from submod import FunctionSpec, Instance, InternalInvariantError, MatroidSpec, parameters, save
 from submod.cli import main
 
 TRIANGLE = Instance(
@@ -49,12 +52,6 @@ class TestRun:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ratio"] == 1.0
 
-    def test_bias_out_of_range_is_usage_error(self, triangle_path, capsys):
-        assert main(["run", "--instance", triangle_path, "--p", "1.5"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: p must lie in [0, 1], got 1.5\n"
-
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
         assert main(["run", "--instance", str(tmp_path / "nope.json")]) == 2
 
@@ -67,6 +64,11 @@ class TestRun:
             '{"n":2,"matroid":{"kind":"uniform","k":1},"function":{"kind":"modular","weights":[1,"a"]}}',
             b"\xff\xfe{}",  # not UTF-8
             '{"n":1,"label":{"a":[1]},"matroid":{"kind":"uniform","k":1},"function":{"kind":"modular","weights":[1]}}',
+            '{"n":2,"matroid":{"kind":"partition","parts":[[0,1],[1]],"capacities":[1,1]},'
+            '"function":{"kind":"modular","weights":[1,2]}}',
+            '{"n":2,"matroid":{"kind":"uniform","k":1},'
+            '"function":{"kind":"modular","weights":[1%s,1]}}' % ("0" * 400),  # an int beyond a float
+            '{"n":2,"matroid":{"kind":"uniform","k":2},"function":{"kind":"modular","weights":[1e308,1e308]}}',
         ):
             path.write_bytes(text if isinstance(text, bytes) else text.encode())
             assert main(["run", "--instance", str(path), "--algorithm", "msg-det"]) == 2, text
@@ -115,11 +117,31 @@ class TestRun:
         second.pop("elapsed")
         assert first == second
 
-    def test_explicit_bias_override_changes_split(self, triangle_path, capsys):
-        code = main(["run", "--instance", triangle_path, "--algorithm", "split", "--p", "1.0"])
-        assert code == 0
+    def test_reported_bias_is_derived_from_x(self, triangle_path, capsys):
+        assert main(["run", "--instance", triangle_path, "--algorithm", "split", "--x", "0.5"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert sorted(payload["solution"]) == payload["solution"]
+        assert payload["parameters"]["x"] == 0.5
+        assert payload["parameters"]["p"] == parameters(0.5).p
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--instance", "TRIANGLE"],
+        ["suite", "--max-n", "3", "--max-k", "2"],
+        ["complexity", "--n-grid", "12", "--k-grid", "2", "--seeds", "1"],
+    ],
+    ids=["run", "suite", "complexity"],
+)
+def test_unwritable_out_is_usage_error(tmp_path, triangle_path, capsys, command):
+    out = tmp_path / "missing" / "report"
+    args = [triangle_path if arg == "TRIANGLE" else arg for arg in command]
+    assert main([*args, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}") and captured.err.count("\n") == 1, captured.err
+    assert captured.err.endswith(": No such file or directory\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["tri.json"]
 
 
 class TestSuite:
@@ -134,6 +156,28 @@ class TestSuite:
         code = main(["suite", "--max-n", "3", "--max-k", "2", "--out", str(out)])
         assert code == 0
         assert (tmp_path / "suite.csv").read_bytes() == first_csv
+
+    def test_violations_exit_1_and_are_listed(self, tmp_path, capsys, monkeypatch):
+        real = cli.check_instance
+
+        def planted(instance):
+            rows, violations = real(instance)
+            if instance.label == "n2-unif2-modv":
+                violations.append({"label": instance.label, "check": "planted", "detail": "a planted fault"})
+            return rows, violations
+
+        monkeypatch.setattr(cli, "check_instance", planted)
+        out = tmp_path / "suite"
+        assert main(["suite", "--max-n", "3", "--max-k", "2", "--out", str(out)]) == 1
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[-3:] == [
+            "violations: 1",
+            f"wrote {out}.csv and {out}.json",
+            "  n2-unif2-modv: planted: a planted fault",
+        ]
+        report = json.loads((tmp_path / "suite.json").read_text())
+        assert report["summary"]["violations"] == 1
+        assert report["violations"] == [{"label": "n2-unif2-modv", "check": "planted", "detail": "a planted fault"}]
 
     def test_rank_one_budget_rejected(self, capsys):
         assert main(["suite", "--max-k", "1"]) == 2
@@ -244,6 +288,15 @@ class TestComplexity:
             assert kept == before
             assert float(elapsed) >= 0.0
 
+    def test_infeasible_cell_is_skipped(self, tmp_path, capsys):
+        out = tmp_path / "scaling.csv"
+        assert main(["complexity", "--n-grid", "4", "--k-grid", "2,8", "--seeds", "1", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[2] == "    4   8   4080 skipped: rank 8 is infeasible for n=4"
+        assert printed[1].startswith("    4   2   4020 ")
+        written = out.read_text().splitlines()
+        assert [line.split(",")[:3] for line in written] == [["n", "k", "seed"], ["4", "2", "4020"]]
+
     def test_empty_grid_is_usage_error(self, capsys):
         for flags in (
             ["--n-grid", "", "--k-grid", "4"],
@@ -280,6 +333,12 @@ class TestComplexity:
 
 
 class TestUsage:
+    def test_bias_option_is_gone(self, triangle_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--instance", triangle_path, "--p", "0.3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --p 0.3" in capsys.readouterr().err
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -289,3 +348,42 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--instance", triangle_path, "--algorithm", "nope"])
         assert exc.value.code == 2
+
+
+class TestModuleEntryPoint:
+    """``python -m submod`` runs the same front end and passes its exit code on."""
+
+    @staticmethod
+    def run_module(*args):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "submod", *args],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+
+    def test_report_on_stdout_and_exit_0(self, triangle_path, capsys):
+        done = self.run_module("run", "--instance", triangle_path, "--algorithm", "msg-det")
+        assert (done.returncode, done.stderr) == (0, "")
+        assert main(["run", "--instance", triangle_path, "--algorithm", "msg-det"]) == 0
+        in_process = json.loads(capsys.readouterr().out)
+        from_module = json.loads(done.stdout)
+        in_process.pop("elapsed")
+        from_module.pop("elapsed")
+        assert from_module == in_process
+
+    def test_input_error_exits_2(self, tmp_path):
+        missing = tmp_path / "nope.json"
+        done = self.run_module("run", "--instance", str(missing))
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+
+    def test_usage_error_exits_2(self, triangle_path):
+        done = self.run_module("run", "--instance", triangle_path, "--p", "0.3")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "unrecognized arguments: --p 0.3" in done.stderr

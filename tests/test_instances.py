@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import re
+import sys
 import tracemalloc
 
 import pytest
@@ -32,6 +34,7 @@ TRIANGLE = Instance(
 
 UNIFORM2 = '{"kind":"uniform","k":2}'
 MODULAR2 = '{"kind":"modular","weights":[1,2]}'
+HUGE = "1" + "0" * 400  # an integer too large for a float
 
 
 class TestBuild:
@@ -122,6 +125,37 @@ class TestBuild:
         )
         with pytest.raises(InstanceFormatError, match="capacities"):
             build(bad)
+
+    @pytest.mark.parametrize(
+        "function",
+        [
+            FunctionSpec(kind="modular", weights=(10**400, 1, 0)),
+            FunctionSpec(kind="modular", weights=(1e308, 1e308, 0)),
+            FunctionSpec(kind="modular", weights=(sys.float_info.max, 0.5, sys.float_info.max)),
+            FunctionSpec(kind="concave_of_modular", weights=(1, 10**400, 0), exponent=0.5),
+            FunctionSpec(kind="weighted_coverage", universe_weights=(1e308, 1e308), covers=((0,), (1,), (0,))),
+            FunctionSpec(kind="weighted_coverage", universe_weights=(2, 10**400), covers=((0,), (0,), (0,))),
+        ],
+    )
+    def test_weight_total_beyond_a_float_rejected(self, function):
+        instance = Instance(n=3, matroid=MatroidSpec(kind="uniform", k=2), function=function)
+        field = "function.weights" if function.weights else "function.universe_weights"
+        with pytest.raises(InstanceFormatError, match=re.escape(f"{field} must sum to a finite float")):
+            instance.validate()
+
+    @pytest.mark.parametrize(
+        "function",
+        [
+            FunctionSpec(kind="modular", weights=(1e308, 7e307, 0)),
+            FunctionSpec(kind="modular", weights=(sys.float_info.max, 0, 1)),
+            FunctionSpec(kind="modular", weights=(2**1000, 2**1000, 1)),
+            FunctionSpec(kind="weighted_coverage", universe_weights=(1e308, 7e307), covers=((0,), (1,), (0, 1))),
+        ],
+    )
+    def test_largest_representable_totals_accepted(self, function):
+        f, _m = build(Instance(n=3, matroid=MatroidSpec(kind="uniform", k=3), function=function))
+        values = [f(subset) for r in range(4) for subset in itertools.combinations(range(3), r)]
+        assert all(value != float("inf") for value in values)
 
     def test_graphic_rank_matches_components(self):
         # two components: a triangle and one disjoint edge
@@ -465,6 +499,139 @@ class TestSerialization:
         path = tmp_path / "typed.json"
         path.write_text(f'{{"n":2,"matroid":{matroid},"function":{function}}}')
         with pytest.raises(InstanceFormatError, match=field):
+            load(path)
+
+    # One document per rule that well-typed fields can still break; each
+    # message names the field and tells the rules apart.
+    @pytest.mark.parametrize(
+        "matroid, function, message",
+        [
+            pytest.param(
+                '{"kind":"partition","parts":[[0,1],[]],"capacities":[1,0]}',
+                MODULAR2,
+                "matroid.parts[1] is empty",
+                id="empty-part",
+            ),
+            pytest.param(
+                '{"kind":"partition","parts":[[0],[2]],"capacities":[1,1]}',
+                MODULAR2,
+                "matroid.parts[1] contains out-of-range element 2",
+                id="out-of-range-part-element",
+            ),
+            pytest.param(
+                '{"kind":"partition","parts":[[0,1],[1]],"capacities":[1,1]}',
+                MODULAR2,
+                "matroid.parts lists element 1 in two parts",
+                id="element-in-two-parts",
+            ),
+            pytest.param(
+                '{"kind":"partition","parts":[[1]],"capacities":[1]}',
+                MODULAR2,
+                "matroid.parts must cover every element exactly once",
+                id="parts-miss-an-element",
+            ),
+            pytest.param(
+                '{"kind":"partition","parts":[[0],[1]],"capacities":[1,2]}',
+                MODULAR2,
+                "matroid.capacities[1]=2 outside [0, 1]",
+                id="capacity-above-part-size",
+            ),
+            pytest.param(
+                '{"kind":"partition","parts":[[0],[1]],"capacities":[0,0]}',
+                MODULAR2,
+                "matroid.capacities must sum to at least 1",
+                id="zero-total-capacity",
+            ),
+            pytest.param(
+                '{"kind":"graphic","num_vertices":3,"edges":[[0,1]]}',
+                MODULAR2,
+                "matroid.edges must list 2 edges, got 1",
+                id="edge-count",
+            ),
+            pytest.param(
+                '{"kind":"graphic","num_vertices":3,"edges":[[0,1],[1,3]]}',
+                MODULAR2,
+                "matroid.edges[1]=(1, 3) is not a valid vertex pair",
+                id="vertex-out-of-range",
+            ),
+            pytest.param(
+                '{"kind":"graphic","num_vertices":3,"edges":[[0,1,2],[1,2]]}',
+                MODULAR2,
+                "matroid.edges[0]=(0, 1, 2) is not a valid vertex pair",
+                id="edge-of-three-vertices",
+            ),
+            pytest.param(
+                '{"kind":"graphic","num_vertices":2,"edges":[[0,0],[1,1]]}',
+                MODULAR2,
+                "matroid.edges must hold an edge that is not a self-loop",
+                id="only-self-loops",
+            ),
+            pytest.param(
+                UNIFORM2,
+                '{"kind":"modular","weights":[1]}',
+                "function.weights must list 2 values, got 1",
+                id="weight-count",
+            ),
+            pytest.param(
+                UNIFORM2,
+                '{"kind":"coverage","universe_weights":[1,1],"covers":[[0]]}',
+                "function.covers must list 2 subsets, got 1",
+                id="cover-count",
+            ),
+            pytest.param(
+                UNIFORM2,
+                '{"kind":"modular","weights":[1,-1]}',
+                "function.weights must be non-negative",
+                id="negative-weight",
+            ),
+            pytest.param(
+                UNIFORM2,
+                '{"kind":"weighted_coverage","universe_weights":[2,-1],"covers":[[0],[1]]}',
+                "function.universe_weights must be non-negative",
+                id="negative-universe-weight",
+            ),
+            pytest.param(
+                UNIFORM2,
+                '{"kind":"coverage","universe_weights":[1,1],"covers":[[0],[0,2]]}',
+                "function.covers[1] references unknown universe item 2",
+                id="unknown-universe-item",
+            ),
+            pytest.param(
+                UNIFORM2,
+                f'{{"kind":"modular","weights":[{HUGE},1]}}',
+                "function.weights must sum to a finite float",
+                id="int-weight-too-large",
+            ),
+            pytest.param(
+                UNIFORM2,
+                '{"kind":"modular","weights":[1e308,1e308]}',
+                "function.weights must sum to a finite float",
+                id="weight-total-overflows",
+            ),
+            pytest.param(
+                UNIFORM2,
+                '{"kind":"concave_of_modular","weights":[1e308,1e308],"exponent":0.5}',
+                "function.weights must sum to a finite float",
+                id="concave-weight-total-overflows",
+            ),
+            pytest.param(
+                UNIFORM2,
+                f'{{"kind":"coverage","universe_weights":[1,{HUGE}],"covers":[[0],[1]]}}',
+                "function.universe_weights must sum to a finite float",
+                id="int-universe-weight-too-large",
+            ),
+            pytest.param(
+                UNIFORM2,
+                '{"kind":"weighted_coverage","universe_weights":[1e308,1e308],"covers":[[0],[1]]}',
+                "function.universe_weights must sum to a finite float",
+                id="universe-weight-total-overflows",
+            ),
+        ],
+    )
+    def test_inconsistent_field_rejected(self, tmp_path, matroid, function, message):
+        path = tmp_path / "rule.json"
+        path.write_text(f'{{"n":2,"matroid":{matroid},"function":{function}}}')
+        with pytest.raises(InstanceFormatError, match=re.escape(message)):
             load(path)
 
 
