@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -16,6 +17,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algorithms import (
     ALGORITHMS,
@@ -92,10 +94,10 @@ def _ratio(value: float, opt: float) -> float:
 
 
 def _beats_guarantee(value: float, opt: float) -> bool:
-    """value >= DET_GUARANTEE * opt, in exact arithmetic on integral values."""
-    if float(value).is_integer() and float(opt).is_integer():
-        return 10_000 * int(value) >= 5_008 * int(opt)
-    return value >= DET_GUARANTEE * opt
+    """value >= DET_GUARANTEE * opt, in exact arithmetic: every finite float is a rational."""
+    if not (math.isfinite(value) and math.isfinite(opt)):
+        return value >= DET_GUARANTEE * opt  # an infinity or NaN has no ratio; float order decides
+    return Fraction(value) * 10_000 >= Fraction(opt) * 5_008
 
 
 @dataclass
@@ -269,6 +271,23 @@ def _csv_text(fields: tuple[str, ...], rows: list[dict]) -> str:
     return buffer.getvalue()
 
 
+def _writable(path: str) -> bool:
+    """Whether ``path``'s directory exists and is writable; if not, print ``_write``'s error line.
+
+    Commands check this before any work, so a bad ``--out`` fails fast and
+    creates no file; ``_write`` still reports a write that fails later.
+    """
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+    elif not os.access(directory, os.W_OK):
+        code = errno.EACCES
+    else:
+        return True
+    _err(f"cannot write {path}: {os.strerror(code)}")
+    return False
+
+
 def _write(path: str, text: str) -> bool:
     """Write ``text`` to ``path``; if that fails, print one error line and return False."""
     try:
@@ -331,6 +350,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.max_bases < 1:
         _err(f"max-bases must be at least 1, got {args.max_bases}")
         return 2
+    if args.out and not _writable(args.out):
+        return 2
     try:
         instance = load(args.instance)
     except (OSError, InstanceFormatError) as exc:
@@ -373,12 +394,14 @@ def cmd_suite(args: argparse.Namespace) -> int:
     if args.max_n < 2 or args.max_n > 10 or args.max_k > 4:
         _err("suite budgets are limited to 2 <= max-n <= 10 and 2 <= max-k <= 4")
         return 2
+    csv_path, json_path = f"{args.out}.csv", f"{args.out}.json"
+    if not _writable(csv_path):  # the JSON file goes to the same directory
+        return 2
     try:
         report = run_suite(args.max_n, args.max_k, jobs=args.jobs)
     except ValueError as exc:
         _err(str(exc))
         return 2
-    csv_path, json_path = f"{args.out}.csv", f"{args.out}.json"
     document = {"rows": report.rows, "summary": report.summary, "violations": report.violations}
     if not (
         _write(csv_path, _csv_text(ROW_FIELDS, report.rows))
@@ -410,6 +433,8 @@ def cmd_complexity(args: argparse.Namespace) -> int:
         return 2
     if not n_grid or not k_grid or args.seeds < 1:
         _err("complexity needs non-empty n and k grids and at least one seed")
+        return 2
+    if args.out and not _writable(args.out):
         return 2
     rows = measure_complexity(
         n_grid,

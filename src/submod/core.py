@@ -53,11 +53,15 @@ class SetFunction:
     separate counters.  ``root`` owns the evaluator (``root is self`` on a
     root); ``anchored`` is the set a derived view is relative to.
 
-    One billed value query is one call of ``root._evaluate``, on every path
-    (``__call__`` and ``singleton_table``, on roots and on views).  A
-    reported query count is therefore the number of raw oracle evaluations
-    the paper's ``O(n k^2)`` bound counts, and wrapping the root's evaluator
-    is enough to observe all of them.
+    One billed value query is one kernel answer: a call of
+    ``root._evaluate``, or one ``add(u)`` of the evaluator's ``extend`` hook
+    (see ``singleton_table``), on every path (``__call__`` and
+    ``singleton_table``, on roots and on views).  A reported query count is
+    therefore the number of raw oracle evaluations the paper's ``O(n k^2)``
+    bound counts.  The hook is an attribute of the evaluator object, so
+    replacing ``root._evaluate`` with a plain wrapper drops it and every
+    answer then goes through the wrapper, which is enough to observe all of
+    them.
     """
 
     def __init__(
@@ -87,32 +91,33 @@ class SetFunction:
     def singleton_table(self, candidates: Iterable[int]) -> dict[int, float]:
         """Map each id u to ``self((u,))``, billed and evaluated exactly as that call.
 
-        Each entry is one billed query and one call of the root's evaluator,
-        which is looked up once per table.  The first entry bills through
-        ``_bill`` (so a view's lazy offset is billed there, as on a call);
-        later entries find the offset cached and bill one query each.  An id
-        outside [0, n) raises before its entry is billed.
-
-        ``anchored`` is already canonical, so each entry's set is one
-        insertion into it (or ``anchored`` itself when u is in it), not a sort.
+        Each entry is one billed query and one kernel answer for
+        ``anchored`` plus u.  If the root's evaluator carries an ``extend``
+        hook (``instances.build`` gives one to every coverage kernel and to
+        modular and concave-of-modular kernels with all-``int`` weights),
+        ``extend(anchored)`` reads the anchor once per table and each answer
+        is its ``add(u)``, bitwise equal to the evaluator's value for that
+        set.  Otherwise, a replaced evaluator included, each answer is one
+        evaluator call on ``anchored`` with u inserted (not a sort: the anchor
+        is already canonical).  The first entry bills through ``_bill`` (so a
+        view's lazy offset is billed there, as on a call); later entries find
+        the offset cached and bill one query each.  An id outside [0, n)
+        raises before its entry is billed.
         """
         anchored, n, counts = self.anchored, self.n, self.counts
         evaluate = self.root._evaluate
+        extend = getattr(evaluate, "extend", None)
+        add = _inserting(evaluate, anchored) if extend is None else extend(anchored)
         table: dict[int, float] = {}
         offset = None
         for u in candidates:
             if not 0 <= u < n:
                 raise _out_of_range(u, n)
-            at = bisect_left(anchored, u)
-            if at < len(anchored) and anchored[at] == u:
-                members = anchored
-            else:
-                members = anchored[:at] + (u,) + anchored[at:]
             if offset is None:
                 offset = self._bill()
             else:
                 counts.value_queries += 1
-            table[u] = evaluate(members) - offset
+            table[u] = add(u) - offset
         return table
 
     def _bill(self) -> float:
@@ -125,6 +130,18 @@ class SetFunction:
             self.counts.value_queries += 1
             self._offset = self.root._evaluate(self.anchored)
         return self._offset
+
+
+def _inserting(evaluate: Callable[[ElementSet], float], anchored: ElementSet) -> Callable[[int], float]:
+    """The default ``add``: ``evaluate`` on the canonical ``anchored`` with u inserted."""
+
+    def add(u: int) -> float:
+        at = bisect_left(anchored, u)
+        if at < len(anchored) and anchored[at] == u:
+            return evaluate(anchored)
+        return evaluate(anchored[:at] + (u,) + anchored[at:])
+
+    return add
 
 
 class Matroid:
@@ -263,15 +280,21 @@ def contract(matroid: Matroid, independent_set: Iterable[int]) -> Matroid:
     """The matroid on ground \\ A where S is independent iff S + A was.
 
     A flat view on ``matroid.root`` anchored at ``matroid.anchored + A``.
+    The dependence check is ``is_independent(A)``'s query: the same
+    validation and billing, and the root is asked about the view's sorted
+    anchor, which is that query's tuple.
     """
-    contracted = canonical(independent_set, matroid.n)
-    if not matroid.is_independent(contracted):
+    away = frozenset(canonical(independent_set, matroid.n))
+    if not away <= matroid._ground_set:
+        matroid._reject(set(away))
+    anchored = tuple(sorted(away.union(matroid.anchored)))
+    matroid.counts.independence_queries += 1
+    if not matroid.root._is_independent(anchored):
         raise ValueError("cannot contract a dependent set")
-    away = frozenset(contracted)
     view = object.__new__(Matroid)
     view.n, view.counts, view.root = matroid.n, matroid.counts, matroid.root
-    view.anchored = canonical(away.union(matroid.anchored))
-    view.rank = matroid.rank - len(contracted)
+    view.anchored = anchored
+    view.rank = matroid.rank - len(away)
     view.ground = tuple(filterfalse(away.__contains__, matroid.ground))
     view._ground_set = matroid._ground_set - away
     return view

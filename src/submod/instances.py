@@ -11,7 +11,9 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
+from operator import or_
 from typing import Iterator
 
 from .core import Matroid, OracleCounts, SetFunction
@@ -212,6 +214,22 @@ class Instance:
         return self.matroid.rank(self.n)
 
 
+def _integer_sum_extend(weights, finish):
+    """The ``extend`` hook of a sum kernel whose weights are all ``int``.
+
+    An integer sum is exact in any order, so ``finish(base + weights[u])`` is
+    the float the kernel returns for ``anchored`` plus u; an anchored u adds
+    nothing.
+    """
+
+    def extend(anchored):
+        base = sum(map(weights.__getitem__, anchored))
+        inside = frozenset(anchored)
+        return lambda u: finish(base if u in inside else base + weights[u])
+
+    return extend
+
+
 def build(instance: Instance) -> tuple[SetFunction, Matroid]:
     """Realize the instance as a (value oracle, independence oracle) pair.
 
@@ -224,6 +242,14 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
     the independence tests return exact bools.  The graphic oracle's cost
     per query depends only on the vertices some edge touches, never on
     ``num_vertices``.
+
+    Where it provably returns the same float, the value kernel carries an
+    ``extend`` hook (``evaluate.extend``) for ``SetFunction.singleton_table``:
+    ``extend(anchored)`` reads the anchor once and returns ``add``, where
+    ``add(u)`` equals ``evaluate(canonical(anchored + (u,)))`` bitwise for
+    every u in [0, n).  Both coverage kernels offer it (the same mask, then
+    the same count or walk); modular and concave-of-modular kernels offer it
+    only when every weight is an ``int``, whose sum is exact.
     """
     instance.validate()
     counts = OracleCounts()
@@ -236,12 +262,18 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
         def evaluate(members):
             return float(sum(map(weights.__getitem__, members)))
 
+        if all(map(_is_int, weights)):
+            evaluate.extend = _integer_sum_extend(weights, float)
+
     elif fspec.kind == "concave_of_modular":
         weights = fspec.weights
         gamma = float(fspec.exponent)
 
         def evaluate(members):
             return float(sum(map(weights.__getitem__, members))) ** gamma
+
+        if all(map(_is_int, weights)):
+            evaluate.extend = _integer_sum_extend(weights, lambda total: float(total) ** gamma)
 
     else:
         universe = fspec.universe_weights
@@ -258,19 +290,32 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
                     covered |= masks[u]
                 return float(covered.bit_count())
 
+            def extend(anchored):
+                covered = reduce(or_, map(masks.__getitem__, anchored), 0)
+                return lambda u: float((covered | masks[u]).bit_count())
+
         else:
             # Visit only the set bits, lowest item first: a fixed ascending
             # order keeps sums of fractional weights reproducible.
-            def evaluate(members):
-                covered = 0
-                for u in members:
-                    covered |= masks[u]
+            def weigh(covered):
                 total = 0.0
                 while covered:
                     low = covered & -covered
                     total += universe[low.bit_length() - 1]
                     covered ^= low
                 return total
+
+            def evaluate(members):
+                covered = 0
+                for u in members:
+                    covered |= masks[u]
+                return weigh(covered)
+
+            def extend(anchored):
+                covered = reduce(or_, map(masks.__getitem__, anchored), 0)
+                return lambda u: weigh(covered | masks[u])
+
+        evaluate.extend = extend
 
     f = SetFunction(n, evaluate, counts=counts)
 

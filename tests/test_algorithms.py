@@ -409,27 +409,61 @@ def counted(calls, kind, evaluate):
     return wrapper
 
 
+def logged_evaluator(evaluate, log, hooked):
+    """``evaluate`` wrapped to call ``log(members, by_hook)`` before each answer it gives.
+
+    A plain wrapper (``hooked`` false) carries no ``extend`` hook, so
+    ``singleton_table`` asks it once per entry.  A hooked wrapper also carries
+    the evaluator's own hook, wrapped so that each ``add(u)`` logs the set it
+    answers for, ``canonical(anchored + (u,))``.
+    """
+
+    def wrapper(members):
+        log(members, False)
+        return evaluate(members)
+
+    if hooked:
+        extend = evaluate.extend  # every kernel of a random_instance has one: its weights are ints
+
+        def logged_extend(anchored):
+            add = extend(anchored)
+
+            def logged_add(u):
+                log(canonical(anchored + (u,)), True)
+                return add(u)
+
+            return logged_add
+
+        wrapper.extend = logged_extend
+    return wrapper
+
+
 class TestAccounting:
-    """One counted query is one call of the root's evaluator, on every path."""
+    """One counted query is one kernel answer (a root evaluator call or one hook ``add``), on every path."""
 
     @pytest.mark.parametrize("function_kind", FUNCTION_KINDS)
     @pytest.mark.parametrize("matroid_kind", MATROID_KINDS)
     def test_counted_queries_are_root_calls(self, matroid_kind, function_kind):
-        for seed, n, rank in ((1, 9, 1), (2, 10, 3), (3, 12, 4)):
-            f, m = build(random_instance(seed, n, matroid_kind, function_kind, rank=rank))
-            calls = {"value": 0, "indep": 0}
-            f._evaluate = counted(calls, "value", f._evaluate)
-            m._is_independent = counted(calls, "indep", m._is_independent)
-            for algorithm in ALGORITHMS:
-                before = dict(calls)
-                report = solve(f, m, algorithm, seed=seed)
-                assert calls["value"] - before["value"] == report.counts.value_queries, algorithm
-                assert calls["indep"] - before["indep"] == report.counts.independence_queries, algorithm
-            assert (calls["value"], calls["indep"]) == (f.counts.value_queries, f.counts.independence_queries)
+        for hooked in (False, True):
+            hook_answers = 0
+            for seed, n, rank in ((1, 9, 1), (2, 10, 3), (3, 12, 4)):
+                f, m = build(random_instance(seed, n, matroid_kind, function_kind, rank=rank))
+                calls = {"indep": 0}
+                answers = []  # by_hook of every value answer
+                f._evaluate = logged_evaluator(f._evaluate, lambda _, by_hook: answers.append(by_hook), hooked)
+                m._is_independent = counted(calls, "indep", m._is_independent)
+                for algorithm in ALGORITHMS:
+                    before = (len(answers), calls["indep"])
+                    report = solve(f, m, algorithm, seed=seed)
+                    assert len(answers) - before[0] == report.counts.value_queries, (algorithm, hooked)
+                    assert calls["indep"] - before[1] == report.counts.independence_queries, (algorithm, hooked)
+                assert (len(answers), calls["indep"]) == (f.counts.value_queries, f.counts.independence_queries)
+                hook_answers += sum(answers)
+            assert (hook_answers > 0) is hooked  # the hook answers the tables exactly when it is offered
 
 
-def root_call_digest(instance, seed=1):
-    """sha256 of every root oracle call's (kind, members), in order, and each algorithm's result."""
+def root_call_digest(instance, seed=1, hooked=False):
+    """sha256 of every root oracle answer's (kind, members), in order, and each algorithm's result."""
     f, m = build(instance)
     digest = hashlib.sha256()
 
@@ -440,7 +474,9 @@ def root_call_digest(instance, seed=1):
 
         return wrapper
 
-    f._evaluate = logged("value", f._evaluate)
+    f._evaluate = logged_evaluator(
+        f._evaluate, lambda members, _: digest.update(repr(("value", members)).encode()), hooked
+    )
     m._is_independent = logged("indep", m._is_independent)
     for algorithm in ALGORITHMS:
         report = solve(f, m, algorithm, seed=seed)
@@ -453,7 +489,9 @@ class TestRootCallLog:
 
     The digests were recorded before the oracle kernels and the work around
     each call were rewritten; a change that keeps them removes only work
-    that no oracle sees.
+    that no oracle sees.  Each cell runs twice: with plain wrappers, which
+    answer every table entry by an evaluator call, and with the value
+    kernel's ``extend`` hook, which answers each entry for the same set.
     """
 
     @pytest.mark.parametrize(
@@ -484,7 +522,9 @@ class TestRootCallLog:
     )
     def test_pinned_root_call_log(self, cell, expected):
         seed, n, matroid_kind, function_kind, rank = cell
-        assert root_call_digest(random_instance(seed, n, matroid_kind, function_kind, rank=rank)) == expected
+        instance = random_instance(seed, n, matroid_kind, function_kind, rank=rank)
+        assert root_call_digest(instance) == expected
+        assert root_call_digest(instance, hooked=True) == expected
 
 
 FRACTIONS = (0.1, 0.2, 0.3)

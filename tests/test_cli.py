@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, report formats, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -133,15 +134,39 @@ class TestRun:
     ],
     ids=["run", "suite", "complexity"],
 )
-def test_unwritable_out_is_usage_error(tmp_path, triangle_path, capsys, command):
-    out = tmp_path / "missing" / "report"
+def test_unwritable_out_is_usage_error(tmp_path, triangle_path, capsys, monkeypatch, command):
+    built = []
+    monkeypatch.setattr(cli, "build", built.append)  # every check and solve builds its oracles first
     args = [triangle_path if arg == "TRIANGLE" else arg for arg in command]
-    assert main([*args, "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: cannot write {out}") and captured.err.count("\n") == 1, captured.err
-    assert captured.err.endswith(": No such file or directory\n")
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["tri.json"]
+    for parent, reason in (("missing", "No such file or directory"), ("tri.json", "Not a directory")):
+        out = tmp_path / parent / "report"
+        assert main([*args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}") and captured.err.count("\n") == 1, captured.err
+        assert captured.err.endswith(f": {reason}\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["tri.json"]
+    assert built == []  # no instance was checked or solved
+
+
+@pytest.mark.parametrize(
+    "value, opt, verdict",
+    [
+        (5_008, 10_000, True),
+        (5_007, 10_000, False),
+        (0, 0, True),
+        # 313/625 is 0.5008: opt = 625/16 and value = 313/16 are exact floats at the bound
+        (19.5625, 39.0625, True),
+        (math.nextafter(19.5625, 0), 39.0625, False),
+        (0.5008, 1.0, True),  # the float 0.5008 lies just above 5008/10000
+        (math.nextafter(0.5008, 0), 1.0, False),
+        (14.92384, 29.8, False),  # 0.5008 * 29.8 rounds to 14.92384, which is below the exact bound
+        (math.inf, 3.0, True),
+        (math.nan, 3.0, False),
+    ],
+)
+def test_guarantee_verdict_is_exact(value, opt, verdict):
+    assert cli._beats_guarantee(value, opt) is verdict
 
 
 class TestSuite:

@@ -214,6 +214,28 @@ class TestSingletonTable:
         assert len(patched) == f.queries
 
 
+    @pytest.mark.parametrize("anchor", [None, (1,), (0, 3)])
+    @pytest.mark.parametrize("kind", ["modular", "coverage"])
+    def test_replaced_evaluator_of_a_built_oracle_answers_every_entry(self, kind, anchor):
+        def make():
+            if kind == "modular":
+                return modular_instance((3, 1, 4, 1, 5, 9))[0]
+            return coverage_instance(((0, 1), (1, 2), (2,), (3, 0), (4,), (1, 4)), 2)[0]
+
+        f, twin = make(), make()
+        inner = f._evaluate
+        assert hasattr(inner, "extend")  # build offers a hook here; the replacement has none
+        seen = []
+        f._evaluate = lambda members: seen.append(members) or inner(members)
+        view, twin_view = f, twin
+        if anchor is not None:
+            view, twin_view = marginal_function(f, anchor), marginal_function(twin, anchor)
+        candidates = (5, 0, 1, 3, 1)
+        assert view.singleton_table(candidates) == twin_view.singleton_table(candidates)
+        assert len(seen) == f.queries == twin.queries
+        assert seen[-3:] == [canonical((*(anchor or ()), u)) for u in (1, 3, 1)]
+
+
 class TestContract:
     def test_uniform_contraction(self):
         _, m = modular_instance([1, 1, 1], k=2)

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 import re
 import sys
 import tracemalloc
@@ -305,6 +306,61 @@ class TestModularKernel:
                     expected **= exponent
                 assert type(value) is float
                 assert value == expected, members
+
+
+INTEGER = (7, 0, 3, 10, 1, 1, 5)
+NEAR_2_53 = (2**53, 1, 1, 3, 2**52 - 1, 2**53 - 1, 2)  # exact sums round once, at the end
+FRACTIONAL = (0.1, 0.2, 0.3, 0.1, 0.2, 0.3, 0.1)
+MIXED = (1, 0.1, 2, 0.2, 3, 0.3, 0)
+HOOK_COVERS = ((0, 1), (1, 2), (2, 3, 4), (4,), (), (0, 4), (3, 1))
+
+
+class TestExtendHook:
+    """Where a value kernel offers ``extend``, ``extend(anchored)(u)`` is its own float for anchored + (u,)."""
+
+    @staticmethod
+    def evaluator(kind, weights):
+        n = len(HOOK_COVERS)
+        if kind in ("coverage", "weighted_coverage"):
+            function = FunctionSpec(kind=kind, universe_weights=weights[:5], covers=HOOK_COVERS)
+        else:
+            exponent = 0.5 if kind == "concave_of_modular" else None
+            function = FunctionSpec(kind=kind, weights=weights, exponent=exponent)
+        f, _ = build(Instance(n=n, matroid=MatroidSpec(kind="uniform", k=n), function=function))
+        return f._evaluate
+
+    @pytest.mark.parametrize(
+        "kind, weights",
+        [
+            pytest.param(kind, weights, id=f"{kind}-{name}")
+            for kinds, named in (
+                (("modular", "concave_of_modular"), {"integer": INTEGER, "near-2**53": NEAR_2_53}),
+                (
+                    ("coverage", "weighted_coverage"),
+                    {"unit": (1,) * 7, "float-unit": (1.0,) * 7, "integer": INTEGER, "fractional": FRACTIONAL,
+                     "mixed": MIXED},
+                ),
+            )
+            for kind in kinds
+            for name, weights in named.items()
+        ],
+    )
+    def test_every_entry_is_the_kernel_float(self, kind, weights):
+        evaluate = self.evaluator(kind, weights)
+        n = len(weights)
+        rng = random.Random(f"{kind}-{weights}")
+        anchors = [(), tuple(range(n))] + [
+            tuple(sorted(rng.sample(range(n), rng.randint(1, n - 1)))) for _ in range(40)
+        ]
+        for anchored in anchors:
+            add = evaluate.extend(anchored)
+            for u in range(n):
+                assert add(u).hex() == evaluate(tuple(sorted({*anchored, u}))).hex(), (anchored, u)
+
+    @pytest.mark.parametrize("weights", [FRACTIONAL, MIXED, (1.0,) * 7], ids=["fractional", "mixed", "float-ones"])
+    @pytest.mark.parametrize("kind", ["modular", "concave_of_modular"])
+    def test_no_hook_unless_every_weight_is_an_int(self, kind, weights):
+        assert not hasattr(self.evaluator(kind, weights), "extend")
 
 
 def coverage_reference(universe_weights, covers, members):
