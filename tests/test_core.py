@@ -213,7 +213,6 @@ class TestSingletonTable:
         assert patched == [(0,), (0, 1), (0, 2)]
         assert len(patched) == f.queries
 
-
     @pytest.mark.parametrize("anchor", [None, (1,), (0, 3)])
     @pytest.mark.parametrize("kind", ["modular", "coverage"])
     def test_replaced_evaluator_of_a_built_oracle_answers_every_entry(self, kind, anchor):
