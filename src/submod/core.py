@@ -152,12 +152,17 @@ class Matroid:
     Rank 0 is legal for contractions; concrete instance families reject it.
     ``root`` and ``anchored`` are as on :class:`SetFunction`.
 
-    One billed independence query is one call of ``root._is_independent``
-    with the canonical tuple of the set asked about plus ``anchored``, on
-    every path (``is_independent``, ``is_base``, ``contract``,
+    One billed independence query is one kernel answer for the set asked
+    about plus ``anchored``: a call of ``root._is_independent`` with that
+    set's canonical tuple, or one ``swap``/``offer`` answer of the kernel's
+    ``exchange``/``scan`` hook (see ``exchange_test`` and ``greedy_scan``),
+    on every path (``is_independent``, ``is_base``, ``contract``,
     ``exchange_test`` and ``greedy_scan``, on roots and on views).  Ids
     outside [0, n), then ids outside ``ground``, raise before the query
     that would hold them is billed, with ``is_independent``'s message.
+    The hooks are attributes of the kernel object, so replacing
+    ``root._is_independent`` with a plain wrapper drops them and every
+    answer then goes through the wrapper.
     """
 
     def __init__(
@@ -204,12 +209,17 @@ class Matroid:
     def exchange_test(self, kept: Iterable[int]) -> Callable[..., bool]:
         """Return ``test(u, v=None)``, which answers ``is_independent(kept - {v} + {u})``.
 
-        Each test is one billed query with exactly the root call that
-        ``is_independent`` would make.  ``kept`` is validated and sorted
-        with ``anchored`` once, here; each test checks ``u`` and looks ``v``
-        up in ``kept`` in O(1), and builds its tuple from the sorted one by
-        at most one removal and one insertion.  A ``v`` outside ``kept``
-        removes nothing, as in the set difference.
+        Each test is one billed query and one kernel answer for that set.
+        ``kept`` is validated and sorted with ``anchored`` once, here, into
+        ``base``; each test checks ``u`` and looks ``v`` up in ``kept`` in
+        O(1).  A ``v`` outside ``kept`` removes nothing, as in the set
+        difference.  If the root's kernel carries an ``exchange`` hook
+        (``instances.build`` gives one to every kernel it builds),
+        ``exchange(base)`` reads ``base`` once and each answer is its
+        ``swap(add, drop)``, equal to the kernel's answer for that set.
+        Otherwise, a replaced kernel included, each answer is one kernel call
+        with the tuple built from ``base`` by at most one removal and one
+        insertion, the tuple ``is_independent`` would pass.
         """
         kept = set(kept)
         if not kept <= self._ground_set:
@@ -217,48 +227,78 @@ class Matroid:
         base = tuple(sorted(kept.union(self.anchored)))
         ground, counts = self._ground_set, self.counts
         independent = self.root._is_independent
+        exchange = getattr(independent, "exchange", None)
+        swap = _swapping(independent, base) if exchange is None else exchange(base)
 
         def test(u: int, v: int | None = None) -> bool:
             if u not in ground:
                 self._reject({u})
             counts.independence_queries += 1
-            members = base
-            if v in kept and v != u:
-                at = bisect_left(members, v)
-                members = members[:at] + members[at + 1:]
-            if u not in kept:  # ground and anchored are disjoint, so u is new
-                at = bisect_left(members, u)
-                members = members[:at] + (u,) + members[at:]
-            return bool(independent(members))
+            # ground and anchored are disjoint, so a u outside kept is outside base
+            return bool(swap(None if u in kept else u, v if v in kept and v != u else None))
 
         return test
 
     def greedy_scan(self, order: Iterable[int]) -> list[int]:
         """Keep each id of ``order`` that stays independent with the ids kept before it.
 
-        The test for ``u`` is one billed query, ``is_independent(kept + [u])``
-        with its root call; the scan stops, without a query, once ``rank``
-        ids are kept.  Returns the kept ids in scan order.
+        The test for ``u`` is one billed query and one kernel answer for
+        ``anchored + kept + [u]``; the scan stops, without a query, once
+        ``rank`` ids are kept.  If the root's kernel carries a ``scan`` hook
+        (``instances.build`` gives one to every kernel it builds),
+        ``scan(anchored)`` reads the anchor once and each answer is its
+        ``offer(u)``, which keeps u on a yes.  Otherwise, a replaced kernel
+        included, each answer is one kernel call with the tuple
+        ``is_independent`` would pass.  Returns the kept ids in scan order.
         """
-        members = list(self.anchored)  # anchored + kept, ascending
         kept: list[int] = []
         rank, ground, counts = self.rank, self._ground_set, self.counts
         independent = self.root._is_independent
+        scan = getattr(independent, "scan", None)
+        offer = _offering(independent, self.anchored) if scan is None else scan(self.anchored)
         for u in order:
             if len(kept) == rank:
                 break
             if u not in ground:
                 self._reject({u})
             counts.independence_queries += 1
-            at = bisect_left(members, u)
-            fresh = at == len(members) or members[at] != u  # u repeats a kept id otherwise
-            if fresh:
-                members.insert(at, u)
-            if independent(tuple(members)):
+            if offer(u):
                 kept.append(u)
-            elif fresh:
-                del members[at]
         return kept
+
+
+def _swapping(independent: Callable[[ElementSet], bool], base: ElementSet) -> Callable[..., bool]:
+    """The default ``swap``: ``independent`` on the canonical ``base`` less ``drop`` plus ``add``."""
+
+    def swap(add: int | None, drop: int | None) -> bool:
+        members = base
+        if drop is not None:
+            at = bisect_left(members, drop)
+            members = members[:at] + members[at + 1:]
+        if add is not None:
+            at = bisect_left(members, add)
+            members = members[:at] + (add,) + members[at:]
+        return independent(members)
+
+    return swap
+
+
+def _offering(independent: Callable[[ElementSet], bool], anchored: ElementSet) -> Callable[[int], bool]:
+    """The default ``offer``: ``independent`` on the sorted members with u inserted; u stays on a yes."""
+    members = list(anchored)
+
+    def offer(u: int) -> bool:
+        at = bisect_left(members, u)
+        fresh = at == len(members) or members[at] != u  # u repeats a member otherwise
+        if fresh:
+            members.insert(at, u)
+        if independent(tuple(members)):
+            return True
+        if fresh:
+            del members[at]
+        return False
+
+    return offer
 
 
 def marginal_function(f: SetFunction, base_set: Iterable[int]) -> SetFunction:

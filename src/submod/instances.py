@@ -71,6 +71,28 @@ def _check_total(values, start: float, field: str) -> None:
         raise InstanceFormatError(f"{field} must sum to a finite float, got a total too large for one")
 
 
+def _link(parent: list[int], a: int, b: int) -> bool:
+    """Join the trees of vertices a and b in a union-find forest; False if they share one already.
+
+    Both ends walk to their roots with path halving, as the graphic kernel's do.
+    """
+    while parent[a] != a:
+        parent[a] = a = parent[parent[a]]
+    while parent[b] != b:
+        parent[b] = b = parent[parent[b]]
+    if a == b:
+        return False
+    parent[b] = a
+    return True
+
+
+def _root(parent: list[int], v: int) -> int:
+    """The root of vertex v's tree in a union-find forest."""
+    while parent[v] != v:
+        v = parent[v]
+    return v
+
+
 def _touched_edges(edges) -> tuple[tuple[tuple[int, int], ...], int]:
     """Renumber the touched vertices 0, 1, ... (isolated ones change no test); return edges and count."""
     index: dict[int, int] = {}
@@ -140,16 +162,7 @@ class MatroidSpec:
             return sum(self.capacities)  # type: ignore[arg-type]
         edges, num_touched = _touched_edges(self.edges)
         parent = list(range(num_touched))
-        merges = 0
-        for a, b in edges:  # the oracle's union-find: a self-loop merges nothing
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a != b:
-                parent[b] = a
-                merges += 1
-        return merges
+        return sum(_link(parent, a, b) for a, b in edges)  # a self-loop merges nothing
 
 
 @dataclass(frozen=True)
@@ -250,6 +263,24 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
     every u in [0, n).  Both coverage kernels offer it (the same mask, then
     the same count or walk); modular and concave-of-modular kernels offer it
     only when every weight is an ``int``, whose sum is exact.
+
+    Every independence kernel carries two hooks, ``independent.exchange``
+    for ``Matroid.exchange_test`` and ``independent.scan`` for
+    ``Matroid.greedy_scan``.  ``exchange(base)`` reads the canonical
+    ``base`` once and returns ``swap``, where ``swap(add, drop)`` equals
+    ``independent(canonical(base - {drop} + {add}))`` for ``add`` None or
+    outside ``base`` and ``drop`` None or in it, whether or not ``base`` is
+    independent.  ``scan(anchored)`` returns ``offer``, where ``offer(u)``
+    equals ``independent`` on the members so far plus u and keeps u as a
+    member on a yes; the members start as ``anchored``.  Uniform hooks
+    compare a size and partition hooks keep part counts; the graphic
+    ``exchange`` keeps a union-find of ``base`` and answers a swap whose
+    added edge closes a cycle from the tree path between its ends, rooting
+    ``base``'s spanning forest once, on the first such swap (a ``base``
+    that holds a cycle is answered by a kernel call per swap), and the
+    graphic ``scan`` keeps a union-find of the members.  Under either hook one answer is one
+    billed query, as a kernel call is; a callable put in a kernel's place
+    carries no hooks, so it answers every query itself.
     """
     instance.validate()
     counts = OracleCounts()
@@ -327,6 +358,23 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
         def independent(members):
             return len(members) <= k
 
+        def exchange(base):
+            size = len(base)
+            return lambda add, drop: size + (add is not None) - (drop is not None) <= k
+
+        def scan(anchored):
+            members = set(anchored)
+
+            def offer(u):
+                if u in members:
+                    return len(members) <= k
+                if len(members) < k:
+                    members.add(u)
+                    return True
+                return False
+
+            return offer
+
     elif mspec.kind == "partition":
         part_of = [0] * n
         for i, part in enumerate(mspec.parts):
@@ -342,6 +390,46 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
                 if used[i] > caps[i]:
                     return False
             return True
+
+        def room(members):
+            """Each part's capacity less its members (negative when over capacity)."""
+            spare = list(caps)
+            for u in members:
+                spare[part_of[u]] -= 1
+            return spare
+
+        def exchange(base):
+            spare = room(base)
+            over = sum(s < 0 for s in spare)  # the parts over capacity
+
+            def swap(add, drop):
+                relieved = False  # dropping brings the one part over capacity back to it
+                if drop is not None:
+                    j = part_of[drop]
+                    if add is not None and part_of[add] == j:
+                        return over == 0
+                    relieved = spare[j] == -1
+                return over == relieved and (add is None or spare[part_of[add]] > 0)
+
+            return swap
+
+        def scan(anchored):
+            spare = room(anchored)
+            if min(spare, default=0) < 0:
+                return lambda u: False  # every superset of a dependent set is dependent
+            members = set(anchored)
+
+            def offer(u):
+                if u in members:
+                    return True
+                i = part_of[u]
+                if spare[i] == 0:
+                    return False
+                spare[i] -= 1
+                members.add(u)
+                return True
+
+            return offer
 
     else:
         edges, num_touched = _touched_edges(mspec.edges)
@@ -363,6 +451,97 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
                 parent[b] = a
             return True
 
+        def asking(base):
+            """The ``swap`` of a base that holds a cycle: one kernel call per answer.
+
+            Whether edges form a forest does not depend on their order, so
+            the members need no sort.
+            """
+
+            def swap(add, drop):
+                members = [u for u in base if u != drop]
+                if add is not None:
+                    members.append(add)
+                return independent(members)
+
+            return swap
+
+        def exchange(base):
+            parent = identity.copy()
+            for u in base:
+                if not _link(parent, *edges[u]):
+                    return asking(base)
+            up, depth, joins, cycles = {}, {}, {}, {}
+
+            def root_forest():
+                """Root each tree of base's forest: each vertex's (parent, edge) and depth."""
+                adjacent = {}
+                for u in base:
+                    a, b = edges[u]
+                    adjacent.setdefault(a, []).append((b, u))
+                    adjacent.setdefault(b, []).append((a, u))
+                for r in adjacent:
+                    if r in depth:
+                        continue
+                    depth[r], stack = 0, [r]
+                    while stack:
+                        v = stack.pop()
+                        for w, e in adjacent[v]:
+                            if w not in depth:
+                                up[w], depth[w] = (v, e), depth[v] + 1
+                                stack.append(w)
+
+            def cycle(a, b):
+                """The base edges on the tree path between vertices a and b of one tree."""
+                if not depth:
+                    root_forest()
+                path = set()
+                while a != b:
+                    if depth[a] < depth[b]:
+                        a, b = b, a
+                    a, e = up[a]
+                    path.add(e)
+                return path
+
+            # base - drop + add is a forest iff add joins two trees or drop
+            # lies on the cycle add closes (a self-loop's cycle holds no edge
+            # of base).  Most bases get few swaps, so the forest is rooted
+            # only for the first cycle a swap needs.
+            def swap(add, drop):
+                if add is None:
+                    return True
+                if add not in joins:
+                    a, b = edges[add]
+                    joins[add] = _root(parent, a) != _root(parent, b)
+                if joins[add]:
+                    return True
+                if drop is None:
+                    return False
+                if add not in cycles:
+                    cycles[add] = cycle(*edges[add])
+                return drop in cycles[add]
+
+            return swap
+
+        def scan(anchored):
+            parent = identity.copy()
+            for u in anchored:
+                if not _link(parent, *edges[u]):
+                    return lambda u: False  # every superset of a dependent set is dependent
+            members = set(anchored)
+
+            def offer(u):
+                if u in members:
+                    return True
+                if _link(parent, *edges[u]):
+                    members.add(u)
+                    return True
+                return False
+
+            return offer
+
+    independent.exchange = exchange
+    independent.scan = scan
     matroid = Matroid(n, independent, rank, counts=counts)
     return f, matroid
 

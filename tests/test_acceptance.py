@@ -4,8 +4,8 @@ Each test covers one acceptance criterion and prints one pass line on
 success (visible with ``pytest -s`` or ``-rP``).  Criteria 2-6 and 9 are
 verdicts of ``submod.cli.check_instance``, the checks ``submod suite``
 runs: the shared fixture calls it once on every instance of the small
-corpus, and each of those criteria asserts that its checks report
-nothing.  The planted-fault tests show that every check can fire.
+corpus and on every hard fixture in ``tests/data/hard``, and each of
+those criteria asserts that its checks report nothing.  The planted-fault tests show that every check can fire.
 """
 
 import dataclasses
@@ -57,10 +57,14 @@ CRITERION_CHECKS = {
 }
 
 
+HARD = Path(__file__).parent / "data" / "hard"
+
+
 @pytest.fixture(scope="session")
 def verdicts():
-    """(instance, rows, violations) of check_instance on every corpus instance."""
-    return [(instance, *cli.check_instance(instance)) for instance in enumerate_small_instances(8, 3)]
+    """(instance, rows, violations) of check_instance on every corpus instance and every hard fixture."""
+    corpus = [*enumerate_small_instances(8, 3), *map(load, sorted(HARD.glob("*.json")))]
+    return [(instance, *cli.check_instance(instance)) for instance in corpus]
 
 
 def assert_criterion_holds(verdicts, criterion, claim):
@@ -210,14 +214,11 @@ def test_corpus_has_zero_violations(verdicts):
     assert [v for _, _, violations in verdicts for v in violations] == []
 
 
-HARD = Path(__file__).parent / "data" / "hard"
-
-
-def test_hard_fixture_cover9_partition():
+def test_hard_fixture_cover9_partition(verdicts):
     """Five solvers stop at 9 of OPT 14 (ratio 0.643) on this instance; rpgreedy reaches 14."""
     instance = load(HARD / "cover9-partition.json")
     opt, _ = brute_force_opt(*build(instance))
-    rows, violations = cli.check_instance(instance)
+    rows, violations = next((rows, violations) for checked, rows, violations in verdicts if checked == instance)
     assert opt == 14
     assert {row["algorithm"]: row["value"] for row in rows} == {
         "greedy": 9,

@@ -38,6 +38,8 @@ from submod import (
     split_and_grow_deterministic,
 )
 
+from oracle_logs import logged_evaluator, logged_independence
+
 
 def make(n, matroid, function, **kwargs):
     return build(Instance(n=n, matroid=matroid, function=function, **kwargs))
@@ -401,65 +403,32 @@ class TestSolve:
             solve(f, m, algorithm, p=0.3)
 
 
-def counted(calls, kind, evaluate):
-    def wrapper(members):
-        calls[kind] += 1
-        return evaluate(members)
-
-    return wrapper
-
-
-def logged_evaluator(evaluate, log, hooked):
-    """``evaluate`` wrapped to call ``log(members, by_hook)`` before each answer it gives.
-
-    A plain wrapper (``hooked`` false) carries no ``extend`` hook, so
-    ``singleton_table`` asks it once per entry.  A hooked wrapper also carries
-    the evaluator's own hook, wrapped so that each ``add(u)`` logs the set it
-    answers for, ``canonical(anchored + (u,))``.
-    """
-
-    def wrapper(members):
-        log(members, False)
-        return evaluate(members)
-
-    if hooked:
-        extend = evaluate.extend  # every kernel of a random_instance has one: its weights are ints
-
-        def logged_extend(anchored):
-            add = extend(anchored)
-
-            def logged_add(u):
-                log(canonical(anchored + (u,)), True)
-                return add(u)
-
-            return logged_add
-
-        wrapper.extend = logged_extend
-    return wrapper
-
-
 class TestAccounting:
-    """One counted query is one kernel answer (a root evaluator call or one hook ``add``), on every path."""
+    """One counted query is one kernel answer (a root kernel call or one hook answer), on every path."""
 
     @pytest.mark.parametrize("function_kind", FUNCTION_KINDS)
     @pytest.mark.parametrize("matroid_kind", MATROID_KINDS)
     def test_counted_queries_are_root_calls(self, matroid_kind, function_kind):
         for hooked in (False, True):
-            hook_answers = 0
+            hook_answers = [0, 0]  # value and independence answers a hook gave
             for seed, n, rank in ((1, 9, 1), (2, 10, 3), (3, 12, 4)):
                 f, m = build(random_instance(seed, n, matroid_kind, function_kind, rank=rank))
-                calls = {"indep": 0}
-                answers = []  # by_hook of every value answer
-                f._evaluate = logged_evaluator(f._evaluate, lambda _, by_hook: answers.append(by_hook), hooked)
-                m._is_independent = counted(calls, "indep", m._is_independent)
+                value_log, indep_log = [], []  # by_hook of every answer of each kernel
+                f._evaluate = logged_evaluator(f._evaluate, lambda _, by_hook: value_log.append(by_hook), hooked)
+                m._is_independent = logged_independence(
+                    m._is_independent, lambda _, by_hook: indep_log.append(by_hook), hooked
+                )
                 for algorithm in ALGORITHMS:
-                    before = (len(answers), calls["indep"])
+                    before = (len(value_log), len(indep_log))
                     report = solve(f, m, algorithm, seed=seed)
-                    assert len(answers) - before[0] == report.counts.value_queries, (algorithm, hooked)
-                    assert calls["indep"] - before[1] == report.counts.independence_queries, (algorithm, hooked)
-                assert (len(answers), calls["indep"]) == (f.counts.value_queries, f.counts.independence_queries)
-                hook_answers += sum(answers)
-            assert (hook_answers > 0) is hooked  # the hook answers the tables exactly when it is offered
+                    answered = (len(value_log) - before[0], len(indep_log) - before[1])
+                    counted = (report.counts.value_queries, report.counts.independence_queries)
+                    assert answered == counted, (algorithm, hooked)
+                assert (len(value_log), len(indep_log)) == (f.counts.value_queries, f.counts.independence_queries)
+                hook_answers[0] += sum(value_log)
+                hook_answers[1] += sum(indep_log)
+            # each kernel's hooks answer exactly when they are offered
+            assert (hook_answers[0] > 0, hook_answers[1] > 0) == (hooked, hooked)
 
 
 def root_call_digest(instance, seed=1, hooked=False):
@@ -467,17 +436,11 @@ def root_call_digest(instance, seed=1, hooked=False):
     f, m = build(instance)
     digest = hashlib.sha256()
 
-    def logged(kind, evaluate):
-        def wrapper(members):
-            digest.update(repr((kind, members)).encode())
-            return evaluate(members)
+    def logger(kind):
+        return lambda members, _: digest.update(repr((kind, members)).encode())
 
-        return wrapper
-
-    f._evaluate = logged_evaluator(
-        f._evaluate, lambda members, _: digest.update(repr(("value", members)).encode()), hooked
-    )
-    m._is_independent = logged("indep", m._is_independent)
+    f._evaluate = logged_evaluator(f._evaluate, logger("value"), hooked)
+    m._is_independent = logged_independence(m._is_independent, logger("indep"), hooked)
     for algorithm in ALGORITHMS:
         report = solve(f, m, algorithm, seed=seed)
         digest.update(repr((algorithm, report.solution, report.value)).encode())
@@ -490,8 +453,9 @@ class TestRootCallLog:
     The digests were recorded before the oracle kernels and the work around
     each call were rewritten; a change that keeps them removes only work
     that no oracle sees.  Each cell runs twice: with plain wrappers, which
-    answer every table entry by an evaluator call, and with the value
-    kernel's ``extend`` hook, which answers each entry for the same set.
+    answer every query by a kernel call, and with the kernels' hooks (the
+    value kernel's ``extend``, the independence kernel's ``exchange`` and
+    ``scan``), each of whose answers is for the same set as that call.
     """
 
     @pytest.mark.parametrize(

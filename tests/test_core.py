@@ -18,6 +18,8 @@ from submod import (
     marginal_function,
 )
 
+from oracle_logs import logged_independence
+
 
 def modular_instance(weights, k=None):
     n = len(weights)
@@ -347,38 +349,49 @@ class TestIsBase:
         assert root.queries == start + 1
 
 
-def logged_matroid(spec):
-    """A root matroid built from ``spec`` whose root oracle logs every call it gets."""
-    _, m = build(Instance(n=5, matroid=spec, function=FunctionSpec(kind="modular", weights=(1,) * 5)))
-    calls = []
-    independent = m._is_independent
+def primitive_root(spec):
+    """The root matroid ``build`` makes from ``spec`` on ids 0..4."""
+    return build(Instance(n=5, matroid=spec, function=FunctionSpec(kind="modular", weights=(1,) * 5)))[1]
 
-    def wrapper(members):
-        calls.append(members)
-        return independent(members)
 
-    m._is_independent = wrapper
-    return m, calls
+def logged_matroid(spec, hooked=False):
+    """A root matroid built from ``spec`` whose kernel logs the set of every answer it gives.
+
+    Returns the matroid and its log of ``(members, by_hook)`` pairs; see
+    ``oracle_logs.logged_independence``.
+    """
+    m = primitive_root(spec)
+    log = []
+    m._is_independent = logged_independence(m._is_independent, lambda *answer: log.append(answer), hooked)
+    return m, log
 
 
 PRIMITIVE_SPECS = {
     "uniform": MatroidSpec(kind="uniform", k=3),
     "partition": MatroidSpec(kind="partition", parts=((0, 1, 2), (3, 4)), capacities=(2, 1)),
     "graphic": MatroidSpec(kind="graphic", num_vertices=4, edges=((0, 1), (1, 2), (0, 2), (2, 3), (1, 3))),
+    # edge 2 is a self-loop and edge 4 runs parallel to edge 0
+    "graphic-multi": MatroidSpec(kind="graphic", num_vertices=4, edges=((0, 1), (1, 2), (2, 2), (2, 3), (1, 0))),
 }
 # each entry contracts the root by these sets, one after another; the last leaves rank 0
 PRIMITIVE_VIEWS = ((), ((1,),), ((0,), (3,)), ((0, 1, 3),))
 
 
-def primitive_twins(kind, contractions):
-    """Two equal (view, calls) pairs: one for the primitive, one for plain ``is_independent``."""
+def primitive_twins(kind, contractions, hooked):
+    """Two equal (view, log) pairs: one for the primitive, with or without hooks, and one for plain queries.
+
+    The logs and counters start after the contractions, so each holds only
+    the answers the test asks for.
+    """
     twins = []
-    for _ in range(2):
-        root, calls = logged_matroid(PRIMITIVE_SPECS[kind])
+    for wrapped in (hooked, False):
+        root, log = logged_matroid(PRIMITIVE_SPECS[kind], wrapped)
         view = root
         for members in contractions:
             view = contract(view, members)
-        twins.append((view, calls))
+        log.clear()
+        root.counts.independence_queries = 0
+        twins.append((view, log))
     return twins
 
 
@@ -396,60 +409,110 @@ def subsets(ground):
     return [s for r in range(len(ground) + 1) for s in itertools.combinations(ground, r)]
 
 
+def assert_same_answers(log, plain_log, hooked):
+    """The primitive's kernel answered for the plain queries' sets, each by a hook exactly when hooked."""
+    assert [members for members, _ in log] == [members for members, _ in plain_log]
+    assert all(by_hook is hooked for _, by_hook in log)
+
+
+# a dependent set of each kind, with a part one over its capacity or a cycle
+DEPENDENT = {"uniform": (0, 1, 2, 3), "partition": (0, 1, 2), "graphic": (0, 1, 2), "graphic-multi": (0, 4)}
+
+
 class TestIndependencePrimitives:
-    """``exchange_test`` and ``greedy_scan`` ask the root exactly what ``is_independent`` would."""
+    """``exchange_test`` and ``greedy_scan`` answer exactly what ``is_independent`` would.
+
+    Each cell runs twice: through the kernel's ``exchange`` and ``scan``
+    hooks, and through a plain wrapper, which the primitives ask once per
+    answer.  Either way every answer is for the set ``is_independent``
+    asks about, and a hook answer equals the kernel's.
+    """
 
     @pytest.mark.parametrize("contractions", PRIMITIVE_VIEWS)
     @pytest.mark.parametrize("kind", sorted(PRIMITIVE_SPECS))
     def test_exchange_test_equals_is_independent(self, kind, contractions):
-        (view, calls), (plain, plain_calls) = primitive_twins(kind, contractions)
-        for kept in subsets(view.ground):
-            test = view.exchange_test(kept)
-            assert len(calls) == view.queries == plain.queries  # building a test costs nothing
-            for u in view.ground:  # u in kept, v == u and v outside kept are all among these
-                for v in (None, *view.ground):
-                    answer = test(u, v) if v is not None else test(u)
-                    assert answer is plain.is_independent((set(kept) - {v}) | {u}), (kept, u, v)
-                    assert calls == plain_calls
-                    assert view.queries == plain.queries == len(calls)
+        for hooked in (False, True):
+            (view, log), (plain, plain_log) = primitive_twins(kind, contractions, hooked)
+            for kept in subsets(view.ground):
+                test = view.exchange_test(kept)
+                assert len(log) == view.queries == plain.queries  # building a test costs nothing
+                for u in view.ground:  # u in kept, v == u and v outside kept are all among these
+                    for v in (None, *view.ground):
+                        answer = test(u, v) if v is not None else test(u)
+                        assert answer is plain.is_independent((set(kept) - {v}) | {u}), (kept, u, v, hooked)
+                        assert view.queries == plain.queries == len(log)
+                assert_same_answers(log, plain_log, hooked)
 
     @pytest.mark.parametrize("contractions", PRIMITIVE_VIEWS)
     @pytest.mark.parametrize("kind", sorted(PRIMITIVE_SPECS))
     def test_greedy_scan_equals_plain_scan(self, kind, contractions):
-        (view, calls), (plain, plain_calls) = primitive_twins(kind, contractions)
-        orders = [p for s in subsets(view.ground) for p in itertools.permutations(s)]
-        orders += [view.ground[:1] * 2 + view.ground, view.ground[::-1] * 2]  # repeated ids
-        for order in orders:
-            assert view.greedy_scan(order) == plain_scan(plain, order), order
-            assert calls == plain_calls
-            assert view.queries == plain.queries == len(calls)
+        for hooked in (False, True):
+            (view, log), (plain, plain_log) = primitive_twins(kind, contractions, hooked)
+            orders = [p for s in subsets(view.ground) for p in itertools.permutations(s)]
+            orders += [view.ground[:1] * 2 + view.ground, view.ground[::-1] * 2]  # repeated ids
+            for order in orders:
+                assert view.greedy_scan(order) == plain_scan(plain, order), (order, hooked)
+                assert view.queries == plain.queries == len(log)
+            assert_same_answers(log, plain_log, hooked)
+
+    @pytest.mark.parametrize("kind", sorted(PRIMITIVE_SPECS))
+    def test_hooks_equal_the_kernel_on_every_set(self, kind):
+        """Dependent bases and anchors too, which no view of an oracle hands a hook."""
+        kernel = primitive_root(PRIMITIVE_SPECS[kind])._is_independent
+        ids = range(5)
+        for base in subsets(ids):
+            swap = kernel.exchange(base)
+            for add in (None, *(u for u in ids if u not in base)):
+                for drop in (None, *base):
+                    assert swap(add, drop) is kernel(canonical({*base, add} - {drop, None})), (base, add, drop)
+            for order in itertools.permutations(ids):
+                offer, members = kernel.scan(base), set(base)
+                for u in order + order[:2]:  # the repeats offer members
+                    answer = kernel(canonical(members | {u}))
+                    assert offer(u) is answer, (base, order, u)
+                    if answer:
+                        members.add(u)
+
+    def test_root_cells_keep_dependent_sets(self):
+        for kind, dependent in DEPENDENT.items():
+            root, _ = logged_matroid(PRIMITIVE_SPECS[kind])
+            assert dependent in subsets(root.ground) and not root.is_independent(dependent), kind
+
+    def test_build_attaches_the_hooks_and_a_wrapper_drops_them(self):
+        for kind, spec in PRIMITIVE_SPECS.items():
+            root = primitive_root(spec)
+            assert callable(root._is_independent.exchange) and callable(root._is_independent.scan), kind
+            plain, _ = logged_matroid(spec)
+            assert not hasattr(plain._is_independent, "exchange") and not hasattr(plain._is_independent, "scan")
 
     def test_empty_order_costs_nothing(self):
-        m, calls = logged_matroid(PRIMITIVE_SPECS["graphic"])
-        assert m.greedy_scan(()) == [] and m.greedy_scan(iter(())) == []
-        assert m.queries == 0 and calls == []
+        for hooked in (False, True):
+            m, log = logged_matroid(PRIMITIVE_SPECS["graphic"], hooked)
+            assert m.greedy_scan(()) == [] and m.greedy_scan(iter(())) == []
+            assert m.queries == 0 and log == []
 
     @pytest.mark.parametrize("bad", [-1, 5, 9, 1])  # 1 is contracted away, so outside ground
     def test_bad_ids_raise_the_plain_error_before_billing(self, bad):
-        root, calls = logged_matroid(PRIMITIVE_SPECS["uniform"])
-        view = contract(root, (1,))
-        start = root.queries
-        with pytest.raises(ValueError) as expected:
-            view.is_independent((0, bad))
-        assert root.queries == start
-        with pytest.raises(ValueError) as raised:
-            view.exchange_test((0, bad))
-        assert str(raised.value) == str(expected.value)
-        test = view.exchange_test((0, 2))
-        for args in ((bad,), (bad, 0), (bad, bad)):
+        for hooked in (False, True):
+            root, log = logged_matroid(PRIMITIVE_SPECS["uniform"], hooked)
+            view = contract(root, (1,))
+            start = root.queries
+            with pytest.raises(ValueError) as expected:
+                view.is_independent((0, bad))
+            assert root.queries == start
             with pytest.raises(ValueError) as raised:
-                test(*args)
+                view.exchange_test((0, bad))
             assert str(raised.value) == str(expected.value)
-        assert root.queries == start and len(calls) == start
-        with pytest.raises(ValueError) as raised:
-            view.greedy_scan((0, bad, 3))
-        assert str(raised.value) == str(expected.value)
-        assert root.queries == start + 1 == len(calls)  # the id before the bad one was billed
+            test = view.exchange_test((0, 2))
+            for args in ((bad,), (bad, 0), (bad, bad)):
+                with pytest.raises(ValueError) as raised:
+                    test(*args)
+                assert str(raised.value) == str(expected.value)
+            assert root.queries == start and len(log) == start
+            with pytest.raises(ValueError) as raised:
+                view.greedy_scan((0, bad, 3))
+            assert str(raised.value) == str(expected.value)
+            assert root.queries == start + 1 == len(log)  # the id before the bad one was billed
 
 
 class TestConstruction:
