@@ -278,9 +278,9 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
     added edge closes a cycle from the tree path between its ends, rooting
     ``base``'s spanning forest once, on the first such swap (a ``base``
     that holds a cycle is answered by a kernel call per swap), and the
-    graphic ``scan`` keeps a union-find of the members.  Under either hook one answer is one
-    billed query, as a kernel call is; a callable put in a kernel's place
-    carries no hooks, so it answers every query itself.
+    graphic ``scan`` keeps a union-find of the members.  Under either hook
+    one answer is one billed query, as a kernel call is; a callable put in
+    a kernel's place carries no hooks, so it answers every query itself.
     """
     instance.validate()
     counts = OracleCounts()
