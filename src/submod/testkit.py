@@ -3,7 +3,8 @@
 Everything here exists to cross-check the solvers on small instances:
 exact optima by base enumeration, exact expectations of the randomized
 greedy by branching over every coin flip, exchange-mapping and
-completion-partition witnesses, and exhaustive axiom validators.
+completion-partition witnesses, and axiom validators that check the
+local forms of the axioms on every subset of a ground set of n <= 10.
 Budgets are explicit and exceeding one raises instead of silently
 sampling, so these stay trustworthy as oracles.
 """
@@ -284,108 +285,111 @@ class ValidationReport:
     violations: tuple[str, ...]
 
 
-def _mask_members(mask: int) -> tuple[int, ...]:
-    members = []
-    u = 0
-    while mask:
-        if mask & 1:
-            members.append(u)
-        mask >>= 1
-        u += 1
-    return tuple(members)
+def _subsets(items: Sequence[int]) -> list[ElementSet]:
+    """The member tuple of every mask over ``items``, indexed by mask.
+
+    Bit i of a mask stands for ``items[i]``, so
+    ``members[mask] = members[mask ^ top] + (items[top],)`` for the mask's top
+    bit; each tuple is built once, and ascending ``items`` give canonical
+    tuples.
+    """
+    members: list[ElementSet] = [()]
+    for item in items:
+        members += [rest + (item,) for rest in members]
+    return members
 
 
 def validate_monotone_submodular(f: SetFunction) -> ValidationReport:
-    """Exhaustively check monotonicity and diminishing marginals.
+    """Check monotonicity and diminishing marginals in their local forms.
 
-    Checks f(S) <= f(T) and f(u|S) >= f(u|T) for every S subset of T and
-    every u outside T.  Violations are reported, not raised.
+    Evaluates f once on every subset, in ascending mask order, then checks
+    f(S) <= f(S+u) and f(S+u) - f(S) >= f(S+u+v) - f(S+v) for every S and
+    every u < v outside S: O(2^n n^2) comparisons instead of the O(3^n n)
+    of checking every S subset of T.  On exact values the local forms are
+    equivalent to the full ones (Nemhauser, Wolsey & Fisher 1978).  Each
+    step allows TOLERANCE / n, and a chain S subset of T has at most n
+    steps, so a function that passes also keeps every full-form inequality
+    within TOLERANCE; a per-step TOLERANCE would let a slow drift through.
+    Violations are reported, not raised; n <= 10.
     """
     size = f.n
     if size > 10:
         raise ValueError("exhaustive validation is limited to n <= 10")
-    values = [f(_mask_members(mask)) for mask in range(1 << size)]
+    members = _subsets(range(size))
+    values = [f(subset) for subset in members]
+    tolerance = TOLERANCE / max(size, 1)
     violations: list[str] = []
     checked = 0
-    for t_mask in range(1 << size):
-        outside = [u for u in range(size) if not t_mask & (1 << u)]
-        sub = t_mask
-        while True:
-            checked += 1
-            if values[sub] > values[t_mask] + TOLERANCE and len(violations) < MAX_VIOLATIONS:
-                violations.append(
-                    f"monotonicity: f({_mask_members(sub)}) > f({_mask_members(t_mask)})"
-                )
-            for u in outside:
-                bit = 1 << u
-                small_gain = values[sub | bit] - values[sub]
-                large_gain = values[t_mask | bit] - values[t_mask]
-                if small_gain < large_gain - TOLERANCE and len(violations) < MAX_VIOLATIONS:
+    for s_mask, value in enumerate(values):
+        outside = [(u, 1 << u) for u in range(size) if not s_mask >> u & 1]
+        checked += len(outside) * (len(outside) + 1) // 2
+        for i, (u, u_bit) in enumerate(outside):
+            grown = s_mask | u_bit
+            with_u = values[grown]
+            if value > with_u + tolerance and len(violations) < MAX_VIOLATIONS:
+                violations.append(f"monotonicity: f({members[s_mask]}) > f({members[grown]})")
+            gain = with_u - value
+            for _v, v_bit in outside[i + 1:]:
+                if (
+                    gain < values[grown | v_bit] - values[s_mask | v_bit] - tolerance
+                    and len(violations) < MAX_VIOLATIONS
+                ):
                     violations.append(
-                        f"submodularity: marginal of {u} grows from {_mask_members(sub)} "
-                        f"to {_mask_members(t_mask)}"
+                        f"submodularity: marginal of {u} grows from {members[s_mask]} "
+                        f"to {members[s_mask | v_bit]}"
                     )
-            if sub == 0:
-                break
-            sub = (sub - 1) & t_mask
     return ValidationReport(ok=not violations, checked=checked, violations=tuple(violations))
 
 
 def validate_matroid_axioms(matroid: Matroid) -> ValidationReport:
-    """Exhaustively check non-emptiness, downward closure and exchange."""
+    """Check non-emptiness, downward closure and exchange on every subset of ``ground``.
+
+    Asks about every subset once, in ascending mask order.  Exchange is
+    checked only from each independent S into each independent T with
+    |T| = |S| + 1: given downward closure, which is checked too, that is
+    equivalent to exchange between all sizes.  Messages name element ids.
+    Violations are reported, not raised; at most 10 ground elements.
+    """
     ground = matroid.ground
     size = len(ground)
     if size > 10:
         raise ValueError("exhaustive validation is limited to n <= 10")
-    independent = [
-        matroid.is_independent([ground[i] for i in range(size) if mask & (1 << i)])
-        for mask in range(1 << size)
-    ]
+    members = _subsets(ground)
+    independent = [matroid.is_independent(subset) for subset in members]
     violations: list[str] = []
     checked = 1
     if not independent[0]:
         violations.append("non-emptiness: the empty set is dependent")
 
-    extenders = [0] * (1 << size)
-    independent_masks = []
-    for mask in range(1 << size):
-        if not independent[mask]:
+    bits = [1 << i for i in range(size)]
+    extenders: dict[int, int] = {}
+    by_size: list[list[int]] = [[] for _ in range(size + 1)]
+    for mask, yes in enumerate(independent):
+        if not yes:
             continue
-        independent_masks.append(mask)
+        by_size[len(members[mask])].append(mask)
         ext = 0
-        for i in range(size):
-            bit = 1 << i
-            if not mask & bit and independent[mask | bit]:
-                ext |= bit
-        extenders[mask] = ext
-
-    for mask in independent_masks:
-        for i in range(size):
-            bit = 1 << i
+        for bit in bits:
             if mask & bit:
                 checked += 1
                 if not independent[mask ^ bit] and len(violations) < MAX_VIOLATIONS:
                     violations.append(
-                        f"downward closure: {_mask_members(mask ^ bit)} dependent inside "
-                        f"independent {_mask_members(mask)}"
+                        f"downward closure: {members[mask ^ bit]} dependent inside "
+                        f"independent {members[mask]}"
                     )
+            elif independent[mask | bit]:
+                ext |= bit
+        extenders[mask] = ext
 
-    by_size: dict[int, list[int]] = {}
-    for mask in independent_masks:
-        by_size.setdefault(bin(mask).count("1"), []).append(mask)
-    for small_size, small_masks in by_size.items():
-        for large_size, large_masks in by_size.items():
-            if large_size <= small_size:
-                continue
-            for s_mask in small_masks:
-                ext = extenders[s_mask]
-                for t_mask in large_masks:
-                    checked += 1
-                    if not (t_mask & ~s_mask) & ext and len(violations) < MAX_VIOLATIONS:
-                        violations.append(
-                            f"exchange: {_mask_members(s_mask)} cannot grow into "
-                            f"{_mask_members(t_mask)}"
-                        )
+    for small_masks, large_masks in zip(by_size, by_size[1:]):
+        for s_mask in small_masks:
+            ext = extenders[s_mask]
+            checked += len(large_masks)
+            for t_mask in large_masks:
+                if not (t_mask & ~s_mask) & ext and len(violations) < MAX_VIOLATIONS:
+                    violations.append(
+                        f"exchange: {members[s_mask]} cannot grow into {members[t_mask]}"
+                    )
     return ValidationReport(ok=not violations, checked=checked, violations=tuple(violations))
 
 

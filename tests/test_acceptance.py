@@ -278,3 +278,12 @@ def test_planted_fault_fires(check, monkeypatch):
     subject = next(i for i in enumerate_small_instances(4, 2) if i.label == "n4-unif2-covc")
     _, violations = cli.check_instance(subject)
     assert check in {v["check"] for v in violations}
+
+
+@pytest.mark.parametrize("check", ["monotone-submodular", "matroid-axioms"])
+def test_validation_plant_fires_on_the_n9_fixture(check, monkeypatch):
+    """check_instance runs both validators up to their own limit, n <= 10, so past the corpus' n <= 8."""
+    binding, plant = PLANTS[check]
+    monkeypatch.setattr(cli, binding, plant(getattr(cli, binding)))
+    _, violations = cli.check_instance(load(HARD / "cover9-partition.json"))
+    assert check in {v["check"] for v in violations}

@@ -2,22 +2,28 @@
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from submod import (
+    TOLERANCE,
     BudgetExceededError,
     FunctionSpec,
     Instance,
     InternalInvariantError,
+    Matroid,
     MatroidSpec,
     SetFunction,
+    ValidationReport,
     bases_within,
     brute_force_opt,
     build,
+    contract,
     enumerate_small_instances,
     exchange_bijection,
     iter_bases,
+    load,
     max_weight_base,
     random_instance,
     rr_greedy,
@@ -260,3 +266,161 @@ class TestValidators:
         f = SetFunction(11, lambda s: float(len(s)))
         with pytest.raises(ValueError):
             validate_monotone_submodular(f)
+
+
+def fake_matroid(n, independent_sets, rank):
+    return Matroid(n, lambda s: s in independent_sets, rank=rank)
+
+
+class TestValidatorMessages:
+    def test_function_messages_name_the_local_step(self):
+        parity = validate_monotone_submodular(SetFunction(3, lambda s: float(len(s) % 2)))
+        assert parity.violations[0] == "monotonicity: f((0,)) > f((0, 1))"
+        squared = validate_monotone_submodular(SetFunction(3, lambda s: float(len(s)) ** 2))
+        assert squared.violations[0] == "submodularity: marginal of 0 grows from () to (1,)"
+
+    def test_matroid_messages_name_ids_of_a_contraction(self):
+        # contracting 0 leaves ground (1, 2, 3), where (1,) cannot grow toward (2, 3)
+        with_zero = {(0,), (0, 1), (0, 2), (0, 3), (0, 2, 3)}
+        residual = contract(fake_matroid(4, with_zero, rank=3), (0,))
+        assert residual.ground == (1, 2, 3)
+        report = validate_matroid_axioms(residual)
+        assert report.violations == ("exchange: (1,) cannot grow into (2, 3)",)
+
+
+def _mask_members(mask):
+    return tuple(u for u in range(mask.bit_length()) if mask >> u & 1)
+
+
+def full_monotone_submodular(f):
+    """Reference: f(S) <= f(T) and f(u|S) >= f(u|T) for every S subset of T and u outside T, O(3^n n)."""
+    size = f.n
+    values = [f(_mask_members(mask)) for mask in range(1 << size)]
+    violations = []
+    for t_mask in range(1 << size):
+        outside = [u for u in range(size) if not t_mask & (1 << u)]
+        sub = t_mask
+        while True:
+            if values[sub] > values[t_mask] + TOLERANCE:
+                violations.append(f"monotonicity: f({_mask_members(sub)}) > f({_mask_members(t_mask)})")
+            for u in outside:
+                bit = 1 << u
+                if values[sub | bit] - values[sub] < values[t_mask | bit] - values[t_mask] - TOLERANCE:
+                    violations.append(f"submodularity: marginal of {u} grows")
+            if sub == 0:
+                break
+            sub = (sub - 1) & t_mask
+    return ValidationReport(ok=not violations, checked=0, violations=tuple(violations))
+
+
+def full_matroid_axioms(matroid):
+    """Reference: non-emptiness, downward closure, and exchange between independent sets of all sizes."""
+    ground = matroid.ground
+    size = len(ground)
+
+    def ids(mask):
+        return tuple(ground[i] for i in range(size) if mask >> i & 1)
+
+    independent = [matroid.is_independent(ids(mask)) for mask in range(1 << size)]
+    violations = [] if independent[0] else ["non-emptiness: the empty set is dependent"]
+    masks = [mask for mask in range(1 << size) if independent[mask]]
+    for mask in masks:
+        for i in range(size):
+            if mask >> i & 1 and not independent[mask ^ (1 << i)]:
+                violations.append(f"downward closure: {ids(mask ^ (1 << i))} inside {ids(mask)}")
+    for s_mask in masks:
+        for t_mask in masks:
+            if bin(t_mask).count("1") > bin(s_mask).count("1") and not any(
+                t_mask >> i & 1 and not s_mask >> i & 1 and independent[s_mask | 1 << i] for i in range(size)
+            ):
+                violations.append(f"exchange: {ids(s_mask)} cannot grow into {ids(t_mask)}")
+    return ValidationReport(ok=not violations, checked=0, violations=tuple(violations))
+
+
+def logged(oracle, attribute):
+    """The oracle with its root kernel wrapped to log every set it is asked about."""
+    log = []
+    kernel = getattr(oracle, attribute)
+
+    def wrapper(members):
+        log.append(members)
+        return kernel(members)
+
+    setattr(oracle, attribute, wrapper)
+    return oracle, log
+
+
+HARD = Path(__file__).parent / "data" / "hard"
+
+
+class TestLocalFormsMatchFullForms:
+    """The local-form validators agree with the full forms they replaced.
+
+    The full forms (above) check every S subset of T and every pair of
+    independent sets; the local forms check single steps with a per-step
+    tolerance of TOLERANCE / n.
+    """
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return [*enumerate_small_instances(8, 3), *map(load, sorted(HARD.glob("*.json")))]
+
+    def test_equal_verdicts_and_oracle_calls_on_the_corpus(self, corpus):
+        assert any(instance.n == 9 for instance in corpus)  # a hard fixture past the corpus' n <= 8
+        for instance in corpus:
+            for pick, attribute, local, full in (
+                (0, "_evaluate", validate_monotone_submodular, full_monotone_submodular),
+                (1, "_is_independent", validate_matroid_axioms, full_matroid_axioms),
+            ):
+                seen = []
+                for validate in (local, full):
+                    oracle, log = logged(build(instance)[pick], attribute)
+                    seen.append((validate(oracle).ok, oracle.queries, log))
+                assert seen[0] == seen[1], (instance.label, local.__name__)
+                assert seen[0][0] and seen[0][1] == len(seen[0][2]) == 1 << instance.n
+
+    @pytest.mark.parametrize(
+        "n, evaluate",
+        [
+            (4, lambda s: float(len(s)) ** 2),
+            (3, lambda s: float(len(s) % 2)),
+            (3, lambda s: 10.0 - 5e-10 * len(s)),
+            (5, lambda s: 10.0 - 5e-10 * len(s)),
+            (8, lambda s: 10.0 - 5e-10 * len(s)),
+            # a dip at each single element, and a bonus for each pair, first to last
+            *((4, lambda s, w=w: len(s) - 1.5 * (w in s)) for w in range(4)),
+            *(
+                (4, lambda s, u=u, v=v: len(s) + (u in s and v in s))
+                for u in range(4)
+                for v in range(u + 1, 4)
+            ),
+        ],
+        ids=["squared", "parity", "drift3", "drift5", "drift8"]
+        + [f"dip{w}" for w in range(4)]
+        + [f"bonus{u}{v}" for u in range(4) for v in range(u + 1, 4)],
+    )
+    def test_local_form_fails_where_the_full_form_fails(self, n, evaluate):
+        full = full_monotone_submodular(SetFunction(n, evaluate))
+        local = validate_monotone_submodular(SetFunction(n, evaluate))
+        assert not full.ok
+        assert not local.ok
+        kinds = {violation.split(":")[0] for violation in full.violations}
+        assert {violation.split(":")[0] for violation in local.violations} == kinds
+
+    @pytest.mark.parametrize(
+        "matroid",
+        [
+            fake_matroid(3, {(), (0,), (1,), (2,), (1, 2)}, rank=2),
+            fake_matroid(2, {(), (0, 1)}, rank=2),
+            fake_matroid(3, {(0,), (1,)}, rank=1),
+            contract(fake_matroid(4, {(0,), (0, 1), (0, 2), (0, 3), (0, 2, 3)}, rank=3), (0,)),
+            # closed downward; (0,) cannot grow toward (1, 2, 3) nor any of its pairs
+            fake_matroid(4, {(), (0,), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)}, rank=3),
+        ],
+        ids=["exchange", "downward", "empty-dependent", "contracted", "closed"],
+    )
+    def test_matroid_faults_fail_both_forms(self, matroid):
+        full = full_matroid_axioms(matroid)
+        local = validate_matroid_axioms(matroid)
+        assert not full.ok
+        assert not local.ok
