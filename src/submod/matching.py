@@ -1,30 +1,51 @@
 """Maximum-weight perfect matching in square weighted bipartite graphs.
 
 The solver is the potential-based Hungarian algorithm in its
-shortest-augmenting-path form (Kuhn 1955; Jonker & Volgenant 1987).  Each
-left vertex keeps only its list of edges, in ascending column order, so a
-step updates the slack of the current row's edges alone: an absent edge
-would have slack +inf, which never lowers a minimum.  A column that joins
-the alternating tree has its slack set to +inf, so the step's minimum is
-the first minimum among the free columns, and the dual update touches
-only the tree's rows and columns.  The bound stays O(k^3), but no k x k
-cost matrix is built or scanned.  A step whose minimum slack is zero
-skips the update: adding zero could flip only the sign of a zero, which
-no comparison sees.
+shortest-augmenting-path form (Kuhn 1955; Jonker & Volgenant 1987).  The
+dense form fills a k x k cost matrix with +inf for absent edges and scans
+every cell of a row at each step.  This one does the same float
+operations on the stored edges alone, in the same order, and meets ties
+in the same order, so both return the same matching:
 
-Every float operation whose result the dense form (a full cost matrix
-with +inf sentinels, every cell scanned) reads is done here too, in the
-same order, and ties are met in the same order, so both return the same
-matching.  Output is deterministic for a fixed input: potentials start at
-the row extrema and augmenting paths explore columns in ascending index
-order, so ties always resolve the same way.  When no perfect matching
-exists the solver raises instead of returning a degenerate answer.
+- Per-row storage.  The graph keeps one ``{right: (weight, payload)}``
+  dict per left vertex.  The matcher sorts each row's columns, never the
+  whole edge set, and scans a row in ascending column order.  An absent
+  edge would have slack +inf, which never lowers a minimum.
+- Row slacks cached per potential epoch.  A row's slacks
+  ``cost - row_potential[i] - col_potential[j]`` are computed the first
+  time a search reaches the row and reused until a nonzero dual update
+  changes a potential, which drops every cached row.  Until then the
+  operands are the same, so the floats are the same.
+- A heap of tight columns.  Within one root's search, a min-heap holds
+  the free columns whose least slack is exactly zero.  No free slack is
+  negative when the search starts (all are +inf) or after a dual update
+  (each is its old value minus the minimum).  So while no negative slack
+  has been recorded since, a nonempty heap means the minimum is zero,
+  and the heap's smallest column is the first minimum in ascending
+  column order.  The dense form would then update by a zero delta, which
+  could flip only the sign of a zero, and no comparison sees that, so
+  the step skips it.  Otherwise the step takes the first minimum over
+  the free columns, updates the tree's potentials and the free slacks by
+  it (a nonzero delta, as the heap serves every zero) and rebuilds the
+  heap from the shifted slacks, leaving out the column just taken.
+
+A column that joins the alternating tree has its slack set to -inf, so no
+later slack lowers it, the minimum skips it and the row scan needs no
+separate check.  The dual update finds the tree's columns by that mark
+and touches only them and the rows they brought in, plus the root.  The
+bound stays O(k^3), but no k x k cost matrix is built or scanned.
+
+Output is deterministic for a fixed input: potentials start at the row
+extrema and augmenting paths explore columns in ascending index order, so
+ties always resolve the same way.  When no perfect matching exists the
+solver raises instead of returning a degenerate answer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 
 class InfeasibleMatchingError(ValueError):
@@ -36,7 +57,8 @@ class WeightedBipartiteGraph:
 
     At most one edge is stored per (left, right) pair: parallel edges are
     collapsed to the maximum weight, ties broken by the smallest payload,
-    so the stored graph does not depend on insertion order.
+    so the stored graph does not depend on insertion order.  Each left
+    vertex keeps its own ``{right: (weight, payload)}`` row.
     """
 
     def __init__(self, left_size: int, right_size: int):
@@ -44,7 +66,7 @@ class WeightedBipartiteGraph:
             raise ValueError("vertex counts must be non-negative")
         self.left_size = left_size
         self.right_size = right_size
-        self._edges: dict[tuple[int, int], tuple[float, int]] = {}
+        self._rows: list[dict[int, tuple[float, int]]] = [{} for _ in range(left_size)]
 
     def add_edge(self, left: int, right: int, weight: float, payload: int = -1) -> None:
         if not 0 <= left < self.left_size:
@@ -53,28 +75,32 @@ class WeightedBipartiteGraph:
             raise ValueError(f"right vertex {right} out of range")
         if not math.isfinite(weight) or weight < 0:
             raise ValueError(f"edge weight must be finite and non-negative, got {weight}")
-        key = (left, right)
-        current = self._edges.get(key)
+        row = self._rows[left]
+        current = row.get(right)
         if current is None or weight > current[0] or (weight == current[0] and payload < current[1]):
-            self._edges[key] = (weight, payload)
+            row[right] = (weight, payload)
 
     @property
     def edges(self) -> tuple[tuple[int, int, float, int], ...]:
+        """Every stored edge as (left, right, weight, payload), sorted by (left, right)."""
         return tuple(
-            (left, right, weight, payload)
-            for (left, right), (weight, payload) in sorted(self._edges.items())
+            (left, right, *row[right])
+            for left, row in enumerate(self._rows)
+            for right in sorted(row)
         )
 
     def weight_of(self, left: int, right: int) -> float | None:
-        entry = self._edges.get((left, right))
+        if not 0 <= left < self.left_size:
+            return None
+        entry = self._rows[left].get(right)
         return None if entry is None else entry[0]
 
 
 @dataclass(frozen=True)
 class Matching:
-    """A perfect matching: one (left, payload, weight) entry per right vertex."""
+    """A perfect matching: one (right, left, payload, weight) entry per right vertex, by right."""
 
-    pairs: tuple[tuple[int, int, int, float], ...]  # (right, left, payload, weight)
+    pairs: tuple[tuple[int, int, int, float], ...]
     total_weight: float
 
 
@@ -90,67 +116,76 @@ def max_weight_perfect_matching(graph: WeightedBipartiteGraph) -> Matching:
         return Matching(pairs=(), total_weight=0.0)
 
     inf = math.inf
-    # Minimize cost = -weight over each row's edges, in ascending column order.
-    edges = graph.edges
-    rows: list[list[tuple[int, float]]] = [[] for _ in range(k)]
-    for left, right, weight, _payload in edges:
-        rows[left].append((right, -weight))
-    if not all(rows):
+    stored = graph._rows
+    if not all(stored):
         raise InfeasibleMatchingError("a left vertex has no incident edges")
-    if len({edge[1] for edge in edges}) < k:
+    if len(set().union(*stored)) < k:
         raise InfeasibleMatchingError("a right vertex has no incident edges")
+    # Minimize cost = -weight over each row's edges, in ascending column order.
+    row_cols = [sorted(row) for row in stored]
+    row_costs = [[-row[j][0] for j in cols] for row, cols in zip(stored, row_cols)]
 
-    row_potential = [min([cost for _, cost in row]) for row in rows]  # row extrema, per the tie-break contract
+    row_potential = [min(costs) for costs in row_costs]  # row extrema, per the tie-break contract
     col_potential = [0.0] * k
     col_match: list[int] = [-1] * (k + 1)  # col_match[j] = row matched to column j
+    # Each row's (column, slack) pairs, in ascending column order, valid until a potential changes.
+    row_slacks: list[list[tuple[int, float]] | None] = [None] * k
     for root in range(k):
         col_match[k] = root  # virtual column holds the row being inserted
         j0 = k
-        min_slack = [inf] * k  # a tree column's entry is +inf, so it never wins the minimum
+        min_slack = [inf] * k  # a tree column's entry is -inf, so no slack lowers it
         prev_col = [-1] * k
-        used = [False] * (k + 1)
-        tree_rows = [root]
-        tree_cols: list[int] = []
+        tight: list[int] = []  # heap of the free columns whose min_slack is exactly zero
+        negative = False  # whether some free column's min_slack is below zero
         while True:
-            used[j0] = True
             i0 = col_match[j0]
-            potential = row_potential[i0]
-            for j, cost in rows[i0]:  # an absent edge's slack is +inf and lowers nothing
-                if used[j]:
-                    continue
-                slack = cost - potential - col_potential[j]
+            slacks = row_slacks[i0]
+            if slacks is None:
+                potential = row_potential[i0]
+                slacks = row_slacks[i0] = [
+                    (j, cost - potential - col_potential[j]) for j, cost in zip(row_cols[i0], row_costs[i0])
+                ]
+            for j, slack in slacks:  # an absent edge's slack is +inf and lowers nothing
                 if slack < min_slack[j]:
                     min_slack[j] = slack
                     prev_col[j] = j0
-            delta = min(min_slack)
-            if delta == inf:
-                raise InfeasibleMatchingError("graph has no perfect matching")
-            j1 = min_slack.index(delta)  # the first minimum in ascending column order
-            if delta != 0:  # adding zero could only flip the sign of a zero
-                for i in tree_rows:
-                    row_potential[i] += delta
-                for j in tree_cols:
-                    col_potential[j] -= delta
+                    if slack == 0:
+                        heappush(tight, j)
+                    elif slack < 0:
+                        negative = True
+            if tight and not negative:
+                j1 = heappop(tight)  # the minimum is zero: its first column in ascending order
+            else:
+                delta = min([slack for slack in min_slack if slack > -inf])  # over the free columns
+                if delta == inf:
+                    raise InfeasibleMatchingError("graph has no perfect matching")
+                j1 = min_slack.index(delta)  # the first minimum in ascending column order
+                row_potential[root] += delta
+                for j, slack in enumerate(min_slack):
+                    if slack == -inf:  # a tree column and the row it brought into the tree
+                        row_potential[col_match[j]] += delta
+                        col_potential[j] -= delta
                 min_slack = [slack - delta for slack in min_slack]
-            min_slack[j1] = inf
+                row_slacks = [None] * k  # a new potential epoch
+                tight = [j for j, slack in enumerate(min_slack) if slack == 0 and j != j1]  # sorted: a heap
+                negative = False
+            min_slack[j1] = -inf
             j0 = j1
             if col_match[j0] == -1:
                 break
-            tree_rows.append(col_match[j0])
-            tree_cols.append(j0)
         while j0 != k:  # flip the alternating path back to the virtual column
             j_prev = prev_col[j0]
             col_match[j0] = col_match[j_prev]
             j0 = j_prev
 
-    stored = graph._edges
     pairs = []
     total = 0.0
     for j in range(k):
         i = col_match[j]
-        if (i, j) not in stored:
+        entry = stored[i].get(j)
+        if entry is None:
             raise InfeasibleMatchingError("graph has no perfect matching")
-        weight, payload = stored[i, j]
+        weight, payload = entry
         pairs.append((j, i, payload, weight))
         total += weight
     return Matching(pairs=tuple(pairs), total_weight=total)

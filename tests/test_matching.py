@@ -71,6 +71,19 @@ class TestSmallCases:
         with pytest.raises(ValueError):
             g.add_edge(0, 0, -1.0)
 
+    @pytest.mark.parametrize("weight", [-1e-300, math.nan, math.inf, -math.inf])
+    def test_tiny_negative_or_non_finite_weight_rejected(self, weight):
+        g = WeightedBipartiteGraph(1, 1)
+        with pytest.raises(ValueError, match="edge weight must be finite and non-negative"):
+            g.add_edge(0, 0, weight)
+        assert g.edges == ()
+
+    def test_zero_weights_accepted(self):
+        g = WeightedBipartiteGraph(1, 1)
+        g.add_edge(0, 0, -0.0)
+        g.add_edge(0, 0, 0.0, payload=1)
+        assert g.edges == ((0, 0, -0.0, -1),)
+
     def test_infeasible_column(self):
         g = graph_from_edges(2, [(0, 0, 1.0), (1, 0, 1.0)])
         with pytest.raises(InfeasibleMatchingError):
@@ -95,10 +108,33 @@ class TestParallelEdgeCollapse:
         entries = [(0, 0, 2.0, 4), (0, 0, 2.0, 1), (0, 1, 1.0, 3), (1, 0, 5.0, 2), (1, 1, 2.0, 0)]
         rng = random.Random(11)
         reference = graph_from_edges(2, entries).edges
+        assert reference == ((0, 0, 2.0, 1), (0, 1, 1.0, 3), (1, 0, 5.0, 2), (1, 1, 2.0, 0))
         for _ in range(10):
             shuffled = entries[:]
             rng.shuffle(shuffled)
             assert graph_from_edges(2, shuffled).edges == reference
+
+    def test_edges_are_sorted_by_left_then_right(self):
+        g = graph_from_edges(3, [(2, 0, 1.0), (0, 2, 2.0), (1, 1, 3.0), (0, 0, 4.0), (2, 1, 5.0)])
+        assert [(left, right) for left, right, _, _ in g.edges] == [(0, 0), (0, 2), (1, 1), (2, 0), (2, 1)]
+
+
+class TestWeightOf:
+    def test_stored_edge(self):
+        g = graph_from_edges(2, [(0, 1, 4.0, 7), (1, 0, 2.0)])
+        assert g.weight_of(0, 1) == 4.0
+        assert g.weight_of(1, 0) == 2.0
+
+    def test_absent_edge_is_none(self):
+        g = graph_from_edges(2, [(0, 1, 4.0), (1, 0, 2.0)])
+        assert g.weight_of(0, 0) is None
+        assert g.weight_of(1, 1) is None
+
+    @pytest.mark.parametrize("left, right", [(-1, 0), (-1, 1), (2, 0), (0, -1), (0, 2), (5, 5)])
+    def test_out_of_range_vertex_is_none(self, left, right):
+        # Row -1 would be row 1 if the rows were indexed without a range check.
+        g = graph_from_edges(2, [(0, 1, 4.0), (1, 0, 2.0), (1, 1, 3.0)])
+        assert g.weight_of(left, right) is None
 
 
 class TestAgainstBruteForce:
@@ -258,15 +294,59 @@ class TestAgainstDenseReference:
             infeasible += isinstance(expected, tuple)
         assert 100 < infeasible < 2000  # both outcomes are exercised
 
+    def test_larger_random_graphs(self):
+        rng = random.Random(1414)
+        draws = (
+            lambda: rng.choice(TIED_WEIGHTS),
+            lambda: float(rng.randint(0, 4)),
+            lambda: rng.uniform(0.0, 10.0),
+        )
+        infeasible = 0
+        for trial in range(300):
+            k = rng.randint(10, 30)
+            draw = draws[trial % 3]
+            g = WeightedBipartiteGraph(k, k)
+            for v in range(k):  # no isolated vertex: an infeasible graph breaks Hall's condition
+                g.add_edge(v, rng.randrange(k), draw(), payload=rng.randint(0, k))
+                g.add_edge(rng.randrange(k), v, draw(), payload=rng.randint(0, k))
+            density = rng.choice((0.0, 1.0 / k, 0.3, 0.7))
+            for left in range(k):
+                for right in range(k):
+                    if rng.random() < density:
+                        g.add_edge(left, right, draw(), payload=rng.randint(0, k))
+            expected = outcome(dense_reference_matching, g)
+            assert outcome(max_weight_perfect_matching, g) == expected, (trial, g.edges)
+            infeasible += isinstance(expected, tuple)
+        assert 30 < infeasible < 270  # both outcomes are exercised
+
+    def test_nonzero_delta_then_cached_rows(self):
+        # Root 0 takes column 2 at zero slack.  Root 1's only edge leads to
+        # column 2, so its search reaches row 0, whose other columns have
+        # positive slack: the tight heap runs empty and a nonzero delta moves
+        # the potentials, which must drop row 0's cached slacks.  Root 2
+        # caches row 2's slacks, and root 3 reaches row 2 through column 1
+        # and reuses them before its own nonzero delta.
+        g = graph_from_edges(4, [
+            (0, 0, 2.0), (0, 2, 5.0), (0, 3, 1.0),
+            (1, 2, 1.0),
+            (2, 1, 0.0),
+            (3, 0, 4.0), (3, 1, 5.0), (3, 3, 0.0),
+        ])
+        result = max_weight_perfect_matching(g)
+        assert result == dense_reference_matching(g)
+        assert result.total_weight == brute_force_perfect_matching(g).total_weight == 6.0
+        assert result.pairs == ((0, 3, -1, 4.0), (1, 2, -1, 0.0), (2, 1, -1, 1.0), (3, 0, -1, 1.0))
+
     @pytest.mark.parametrize(
-        "matroid_kind, function_kind, n, rank",
+        "matroid_kind, function_kind, n, rank, seeds",
         [
-            ("partition", "coverage", 24, 6),
-            ("graphic", "modular", 24, 6),
-            ("uniform", "modular", 20, 8),
+            ("partition", "coverage", 24, 6, 6),
+            ("graphic", "modular", 24, 6, 6),
+            ("uniform", "modular", 20, 8, 6),
+            ("uniform", "modular", 48, 24, 2),  # the uniform-dense benchmark shape
         ],
     )
-    def test_every_exchange_graph_of_msg_det(self, monkeypatch, matroid_kind, function_kind, n, rank):
+    def test_every_exchange_graph_of_msg_det(self, monkeypatch, matroid_kind, function_kind, n, rank, seeds):
         graphs = []
 
         def recording_matcher(graph):
@@ -274,9 +354,9 @@ class TestAgainstDenseReference:
             return max_weight_perfect_matching(graph)
 
         monkeypatch.setattr(algorithms, "max_weight_perfect_matching", recording_matcher)
-        for seed in range(6):
+        for seed in range(seeds):
             f, m = build(random_instance(seed, n, matroid_kind, function_kind, rank=rank))
             solve(f, m, "msg-det")
-        assert len(graphs) >= 6 * 2  # every solve grows two halves, each for at least one round
+        assert len(graphs) >= seeds * 2  # every solve grows two halves, each for at least one round
         for g in graphs:
             assert max_weight_perfect_matching(g) == dense_reference_matching(g), g.edges
