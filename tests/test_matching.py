@@ -340,10 +340,10 @@ class TestAgainstDenseReference:
     @pytest.mark.parametrize(
         "matroid_kind, function_kind, n, rank, seeds",
         [
-            ("partition", "coverage", 24, 6, 6),
-            ("graphic", "modular", 24, 6, 6),
-            ("uniform", "modular", 20, 8, 6),
-            ("uniform", "modular", 48, 24, 2),  # the uniform-dense benchmark shape
+            pytest.param("partition", "coverage", 24, 6, 6, id="partition-coverage-24-6"),
+            pytest.param("graphic", "modular", 24, 6, 6, id="graphic-modular-24-6"),
+            pytest.param("uniform", "modular", 20, 8, 6, id="uniform-modular-20-8"),
+            pytest.param("uniform", "modular", 48, 24, 2, id="uniform-modular-48-24"),  # the uniform-dense shape
         ],
     )
     def test_every_exchange_graph_of_msg_det(self, monkeypatch, matroid_kind, function_kind, n, rank, seeds):
