@@ -54,8 +54,8 @@ class SetFunction:
     root); ``anchored`` is the set a derived view is relative to.
 
     One billed value query is one kernel answer: a call of
-    ``root._evaluate``, or one ``add(u)`` of the evaluator's ``extend`` hook
-    (see ``singleton_table``), on every path (``__call__`` and
+    ``root._evaluate``, or one entry of a row answered by the evaluator's
+    ``extend`` hook (see ``singleton_table``), on every path (``__call__`` and
     ``singleton_table``, on roots and on views).  A reported query count is
     therefore the number of raw oracle evaluations the paper's ``O(n k^2)``
     bound counts.  The hook is an attribute of the evaluator object, so
@@ -75,6 +75,7 @@ class SetFunction:
         self.n = n
         self._evaluate = evaluate
         self.counts = counts if counts is not None else OracleCounts()
+        self._ground_set = frozenset(range(n))
         self.root = self
         self.anchored: ElementSet = ()
         self._offset: float | None = 0  # a root reports f(S) itself, not f(S) - f(())
@@ -85,63 +86,67 @@ class SetFunction:
 
     def __call__(self, elements: Iterable[int]) -> float:
         members = canonical(chain(self.anchored, elements), self.n)
-        offset = self._bill()
+        offset = self._bill(1)
         return self.root._evaluate(members) - offset
 
     def singleton_table(self, candidates: Iterable[int]) -> dict[int, float]:
         """Map each id u to ``self((u,))``, billed and evaluated exactly as that call.
 
-        Each entry is one billed query and one kernel answer for
-        ``anchored`` plus u.  If the root's evaluator carries an ``extend``
-        hook (``instances.build`` gives one to every coverage kernel and to
-        modular and concave-of-modular kernels with all-``int`` weights),
-        ``extend(anchored)`` reads the anchor once per table and each answer
-        is its ``add(u)``, bitwise equal to the evaluator's value for that
-        set.  Otherwise, a replaced evaluator included, each answer is one
-        evaluator call on ``anchored`` with u inserted (not a sort: the anchor
-        is already canonical).  The first entry bills through ``_bill`` (so a
-        view's lazy offset is billed there, as on a call); later entries find
-        the offset cached and bill one query each.  An id outside [0, n)
-        raises before its entry is billed.
+        The table is one row: each id is one entry, one billed query and one
+        kernel answer for ``anchored`` plus u, and a view's lazy offset is
+        billed with the row, as on a call.  The ids are checked once, then
+        billed together and answered by one call of ``marginals(ids,
+        offset)``.  If the root's evaluator carries an ``extend`` hook
+        (``instances.build`` gives one to every coverage kernel and to modular
+        and concave-of-modular kernels with all-``int`` weights),
+        ``marginals`` is ``extend(anchored)``, which reads the anchor once and
+        answers each entry bitwise equal to the evaluator's value for that
+        set.  Otherwise, a replaced evaluator included, each entry is one
+        evaluator call on ``anchored`` with u inserted (not a sort: the
+        anchor is already canonical).  If an id lies outside [0, n), the
+        entries before the first such id are billed and answered, then the
+        call's error is raised.
         """
-        anchored, n, counts = self.anchored, self.n, self.counts
+        ids = tuple(candidates)
+        if not ids:
+            return {}
+        ground = self._ground_set
+        if not ground.issuperset(ids):  # one check per row, cheaper than min and max
+            at = next(i for i, u in enumerate(ids) if u not in ground)
+            self.singleton_table(ids[:at])
+            raise _out_of_range(ids[at], self.n)
+        offset = self._bill(len(ids))
         evaluate = self.root._evaluate
         extend = getattr(evaluate, "extend", None)
-        add = _inserting(evaluate, anchored) if extend is None else extend(anchored)
-        table: dict[int, float] = {}
-        offset = None
-        for u in candidates:
-            if not 0 <= u < n:
-                raise _out_of_range(u, n)
-            if offset is None:
-                offset = self._bill()
-            else:
-                counts.value_queries += 1
-            table[u] = add(u) - offset
-        return table
+        marginals = _inserting(evaluate, self.anchored) if extend is None else extend(self.anchored)
+        return marginals(ids, offset)
 
-    def _bill(self) -> float:
-        """Bill one query and return the offset root(anchored), billing it once more on first use.
+    def _bill(self, queries: int) -> float:
+        """Bill ``queries`` and return the offset root(anchored), billing it once more on first use.
 
         The offset is lazy so that a view nobody evaluates costs nothing.
         """
-        self.counts.value_queries += 1
+        self.counts.value_queries += queries
         if self._offset is None:
             self.counts.value_queries += 1
             self._offset = self.root._evaluate(self.anchored)
         return self._offset
 
 
-def _inserting(evaluate: Callable[[ElementSet], float], anchored: ElementSet) -> Callable[[int], float]:
-    """The default ``add``: ``evaluate`` on the canonical ``anchored`` with u inserted."""
+def _inserting(evaluate: Callable[[ElementSet], float], anchored: ElementSet) -> Callable[..., dict[int, float]]:
+    """The default ``marginals``: per id, one ``evaluate`` call on the canonical ``anchored`` with u inserted."""
 
-    def add(u: int) -> float:
-        at = bisect_left(anchored, u)
-        if at < len(anchored) and anchored[at] == u:
-            return evaluate(anchored)
-        return evaluate(anchored[:at] + (u,) + anchored[at:])
+    def marginals(ids: tuple[int, ...], offset: float) -> dict[int, float]:
+        table = {}
+        for u in ids:
+            at = bisect_left(anchored, u)
+            if at < len(anchored) and anchored[at] == u:
+                table[u] = evaluate(anchored) - offset
+            else:
+                table[u] = evaluate(anchored[:at] + (u,) + anchored[at:]) - offset
+        return table
 
-    return add
+    return marginals
 
 
 class Matroid:
@@ -154,10 +159,11 @@ class Matroid:
 
     One billed independence query is one kernel answer for the set asked
     about plus ``anchored``: a call of ``root._is_independent`` with that
-    set's canonical tuple, or one ``swap``/``offer`` answer of the kernel's
-    ``exchange``/``scan`` hook (see ``exchange_test`` and ``greedy_scan``),
-    on every path (``is_independent``, ``is_base``, ``contract``,
-    ``exchange_test`` and ``greedy_scan``, on roots and on views).  Ids
+    set's canonical tuple, one ``swap`` answer of the kernel's ``exchange``
+    hook (see ``exchange_test``), or one offer of a row its ``scan`` hook
+    takes (see ``greedy_scan``), on every path (``is_independent``,
+    ``is_base``, ``contract``, ``exchange_test`` and ``greedy_scan``, on
+    roots and on views).  Ids
     outside [0, n), then ids outside ``ground``, raise before the query
     that would hold them is billed, with ``is_independent``'s message.
     The hooks are attributes of the kernel object, so replacing
@@ -244,26 +250,31 @@ class Matroid:
 
         The test for ``u`` is one billed query and one kernel answer for
         ``anchored + kept + [u]``; the scan stops, without a query, once
-        ``rank`` ids are kept.  If the root's kernel carries a ``scan`` hook
-        (``instances.build`` gives one to every kernel it builds),
-        ``scan(anchored)`` reads the anchor once and each answer is its
-        ``offer(u)``, which keeps u on a yes.  Otherwise, a replaced kernel
-        included, each answer is one kernel call with the tuple
-        ``is_independent`` would pass.  Returns the kept ids in scan order.
+        ``rank`` ids are kept.  ``order`` is checked once, then scanned as one
+        row by ``take(order, rank)``, which returns the kept ids and the
+        number of ids it asked about, and those are billed together.  If the
+        root's kernel carries a ``scan`` hook (``instances.build`` gives one
+        to every kernel it builds), ``take`` is ``scan(anchored)``, which reads
+        the anchor once and answers each id equal to the kernel.  Otherwise, a
+        replaced kernel included, each answer is one kernel call with the
+        tuple ``is_independent`` would pass.  If an id lies outside
+        ``ground``, the ids before the first such one are scanned and billed,
+        and ``is_independent``'s error is raised unless the scan stopped
+        before reaching it.  Returns the kept ids in scan order.
         """
-        kept: list[int] = []
-        rank, ground, counts = self.rank, self._ground_set, self.counts
+        order = tuple(order)
+        ground = self._ground_set
+        if not ground.issuperset(order):
+            at = next(i for i, u in enumerate(order) if u not in ground)
+            kept = self.greedy_scan(order[:at])
+            if len(kept) < self.rank:
+                self._reject({order[at]})
+            return kept
         independent = self.root._is_independent
         scan = getattr(independent, "scan", None)
-        offer = _offering(independent, self.anchored) if scan is None else scan(self.anchored)
-        for u in order:
-            if len(kept) == rank:
-                break
-            if u not in ground:
-                self._reject({u})
-            counts.independence_queries += 1
-            if offer(u):
-                kept.append(u)
+        take = _offering(independent, self.anchored) if scan is None else scan(self.anchored)
+        kept, asked = take(order, self.rank)
+        self.counts.independence_queries += asked
         return kept
 
 
@@ -283,22 +294,28 @@ def _swapping(independent: Callable[[ElementSet], bool], base: ElementSet) -> Ca
     return swap
 
 
-def _offering(independent: Callable[[ElementSet], bool], anchored: ElementSet) -> Callable[[int], bool]:
-    """The default ``offer``: ``independent`` on the sorted members with u inserted; u stays on a yes."""
+def _offering(independent: Callable[[ElementSet], bool], anchored: ElementSet) -> Callable[..., tuple]:
+    """The default ``take``: per id, ``independent`` on the sorted members with u inserted; u stays on a yes."""
     members = list(anchored)
 
-    def offer(u: int) -> bool:
-        at = bisect_left(members, u)
-        fresh = at == len(members) or members[at] != u  # u repeats a member otherwise
-        if fresh:
-            members.insert(at, u)
-        if independent(tuple(members)):
-            return True
-        if fresh:
-            del members[at]
-        return False
+    def take(order: tuple[int, ...], limit: int) -> tuple[list[int], int]:
+        kept: list[int] = []
+        if not limit:
+            return kept, 0
+        for asked, u in enumerate(order, 1):
+            at = bisect_left(members, u)
+            fresh = at == len(members) or members[at] != u  # u repeats a member otherwise
+            if fresh:
+                members.insert(at, u)
+            if independent(tuple(members)):
+                kept.append(u)
+                if len(kept) == limit:
+                    return kept, asked
+            elif fresh:
+                del members[at]
+        return kept, len(order)
 
-    return offer
+    return take
 
 
 def marginal_function(f: SetFunction, base_set: Iterable[int]) -> SetFunction:
@@ -310,7 +327,7 @@ def marginal_function(f: SetFunction, base_set: Iterable[int]) -> SetFunction:
     evaluation costs exactly one fresh oracle query.
     """
     view = object.__new__(SetFunction)
-    view.n, view.counts, view.root = f.n, f.counts, f.root
+    view.n, view.counts, view.root, view._ground_set = f.n, f.counts, f.root, f._ground_set
     view.anchored = canonical(chain(f.anchored, base_set), f.n)
     view._offset = None
     return view

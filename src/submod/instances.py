@@ -11,9 +11,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain
-from operator import or_
 from typing import Iterator
 
 from .core import Matroid, OracleCounts, SetFunction
@@ -238,9 +236,21 @@ def _integer_sum_extend(weights, finish):
     def extend(anchored):
         base = sum(map(weights.__getitem__, anchored))
         inside = frozenset(anchored)
-        return lambda u: finish(base if u in inside else base + weights[u])
+
+        def marginals(ids, offset):
+            table = {}
+            for u in ids:
+                table[u] = finish(base if u in inside else base + weights[u]) - offset
+            return table
+
+        return marginals
 
     return extend
+
+
+def _refusing(order, limit):
+    """The ``take`` of a dependent anchor: every superset of a dependent set is dependent."""
+    return [], len(order) if limit else 0
 
 
 def build(instance: Instance) -> tuple[SetFunction, Matroid]:
@@ -258,11 +268,13 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
 
     Where it provably returns the same float, the value kernel carries an
     ``extend`` hook (``evaluate.extend``) for ``SetFunction.singleton_table``:
-    ``extend(anchored)`` reads the anchor once and returns ``add``, where
-    ``add(u)`` equals ``evaluate(canonical(anchored + (u,)))`` bitwise for
-    every u in [0, n).  Both coverage kernels offer it (the same mask, then
-    the same count or walk); modular and concave-of-modular kernels offer it
-    only when every weight is an ``int``, whose sum is exact.
+    ``extend(anchored)`` reads the anchor once and returns ``marginals``,
+    where ``marginals(ids, offset)`` answers a whole row in one call, as the
+    dict of ``evaluate(canonical(anchored + (u,))) - offset`` over the ids u
+    in [0, n), each value bitwise equal to that expression.  Both coverage
+    kernels offer it (the same mask, then the same count or walk); modular
+    and concave-of-modular kernels offer it only when every weight is an
+    ``int``, whose sum is exact.
 
     Every independence kernel carries two hooks, ``independent.exchange``
     for ``Matroid.exchange_test`` and ``independent.scan`` for
@@ -270,17 +282,21 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
     ``base`` once and returns ``swap``, where ``swap(add, drop)`` equals
     ``independent(canonical(base - {drop} + {add}))`` for ``add`` None or
     outside ``base`` and ``drop`` None or in it, whether or not ``base`` is
-    independent.  ``scan(anchored)`` returns ``offer``, where ``offer(u)``
-    equals ``independent`` on the members so far plus u and keeps u as a
-    member on a yes; the members start as ``anchored``.  Uniform hooks
+    independent.  ``scan(anchored)`` returns ``take``, where ``take(order,
+    limit)`` offers the ids of the sequence ``order`` in turn until ``limit``
+    are kept and returns ``(kept, asked)``: the kept ids in order and the
+    number of ids offered.  Each offer equals ``independent`` on the members
+    so far plus u and keeps u as a member on a yes; the members start as
+    ``anchored``, and a dependent ``anchored`` keeps nothing.  Uniform hooks
     compare a size and partition hooks keep part counts; the graphic
     ``exchange`` keeps a union-find of ``base`` and answers a swap whose
     added edge closes a cycle from the tree path between its ends, rooting
     ``base``'s spanning forest once, on the first such swap (a ``base``
     that holds a cycle is answered by a kernel call per swap), and the
-    graphic ``scan`` keeps a union-find of the members.  Under either hook
-    one answer is one billed query, as a kernel call is; a callable put in
-    a kernel's place carries no hooks, so it answers every query itself.
+    graphic ``scan`` keeps a union-find of the members.  One entry of a
+    ``marginals`` row, one ``swap`` and one offer of a ``take`` row are each
+    one billed query, as a kernel call is; a callable put in a kernel's
+    place carries no hooks, so it answers every query itself.
     """
     instance.validate()
     counts = OracleCounts()
@@ -312,6 +328,13 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
             sum(1 << item for item in set(cover)) for cover in fspec.covers
         )
 
+        def mask_of(anchored):
+            """The OR-mask of the anchor's items, by a loop: ``reduce`` costs more on anchors of any size."""
+            covered = 0
+            for u in anchored:
+                covered |= masks[u]
+            return covered
+
         if all(w == 1 for w in universe):
             # Adding 1 per covered item in ascending order is exact, so the
             # count is the same float.
@@ -322,8 +345,15 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
                 return float(covered.bit_count())
 
             def extend(anchored):
-                covered = reduce(or_, map(masks.__getitem__, anchored), 0)
-                return lambda u: float((covered | masks[u]).bit_count())
+                covered = mask_of(anchored)
+
+                def marginals(ids, offset):
+                    table = {}
+                    for u in ids:
+                        table[u] = float((covered | masks[u]).bit_count()) - offset
+                    return table
+
+                return marginals
 
         else:
             # Visit only the set bits, lowest item first: a fixed ascending
@@ -343,8 +373,15 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
                 return weigh(covered)
 
             def extend(anchored):
-                covered = reduce(or_, map(masks.__getitem__, anchored), 0)
-                return lambda u: weigh(covered | masks[u])
+                covered = mask_of(anchored)
+
+                def marginals(ids, offset):
+                    table = {}
+                    for u in ids:
+                        table[u] = weigh(covered | masks[u]) - offset
+                    return table
+
+                return marginals
 
         evaluate.extend = extend
 
@@ -363,17 +400,25 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
             return lambda add, drop: size + (add is not None) - (drop is not None) <= k
 
         def scan(anchored):
+            if len(anchored) > k:
+                return _refusing
             members = set(anchored)
 
-            def offer(u):
-                if u in members:
-                    return len(members) <= k
-                if len(members) < k:
-                    members.add(u)
-                    return True
-                return False
+            def take(order, limit):
+                kept = []
+                if not limit:
+                    return kept, 0
+                for asked, u in enumerate(order, 1):
+                    if u not in members:
+                        if len(members) >= k:
+                            continue
+                        members.add(u)
+                    kept.append(u)
+                    if len(kept) == limit:
+                        return kept, asked
+                return kept, len(order)
 
-            return offer
+            return take
 
     elif mspec.kind == "partition":
         part_of = [0] * n
@@ -414,22 +459,31 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
             return swap
 
         def scan(anchored):
-            spare = room(anchored)
-            if min(spare, default=0) < 0:
-                return lambda u: False  # every superset of a dependent set is dependent
+            spare = list(caps)
+            for u in anchored:
+                i = part_of[u]
+                if not spare[i]:
+                    return _refusing
+                spare[i] -= 1
             members = set(anchored)
 
-            def offer(u):
-                if u in members:
-                    return True
-                i = part_of[u]
-                if spare[i] == 0:
-                    return False
-                spare[i] -= 1
-                members.add(u)
-                return True
+            def take(order, limit):
+                kept = []
+                if not limit:
+                    return kept, 0
+                for asked, u in enumerate(order, 1):
+                    if u not in members:
+                        i = part_of[u]
+                        if not spare[i]:
+                            continue
+                        spare[i] -= 1
+                        members.add(u)
+                    kept.append(u)
+                    if len(kept) == limit:
+                        return kept, asked
+                return kept, len(order)
 
-            return offer
+            return take
 
     else:
         edges, num_touched = _touched_edges(mspec.edges)
@@ -527,18 +581,24 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
             parent = identity.copy()
             for u in anchored:
                 if not _link(parent, *edges[u]):
-                    return lambda u: False  # every superset of a dependent set is dependent
+                    return _refusing
             members = set(anchored)
 
-            def offer(u):
-                if u in members:
-                    return True
-                if _link(parent, *edges[u]):
-                    members.add(u)
-                    return True
-                return False
+            def take(order, limit):
+                kept = []
+                if not limit:
+                    return kept, 0
+                for asked, u in enumerate(order, 1):
+                    if u not in members:
+                        if not _link(parent, *edges[u]):
+                            continue
+                        members.add(u)
+                    kept.append(u)
+                    if len(kept) == limit:
+                        return kept, asked
+                return kept, len(order)
 
-            return offer
+            return take
 
     independent.exchange = exchange
     independent.scan = scan

@@ -73,7 +73,7 @@ class WeightedBipartiteGraph:
             raise ValueError(f"left vertex {left} out of range")
         if not 0 <= right < self.right_size:
             raise ValueError(f"right vertex {right} out of range")
-        if not math.isfinite(weight) or weight < 0:
+        if not 0.0 <= weight < math.inf:  # NaN fails every comparison
             raise ValueError(f"edge weight must be finite and non-negative, got {weight}")
         row = self._rows[left]
         current = row.get(right)

@@ -11,7 +11,7 @@ from submod import canonical
 
 
 def logged_evaluator(evaluate, log, hooked):
-    """A value kernel's wrapper; a hooked one logs each ``add(u)`` as ``canonical(anchored + (u,))``."""
+    """A value kernel's wrapper; a hooked one logs each entry u of a row as ``canonical(anchored + (u,))``."""
 
     def wrapper(members):
         log(members, False)
@@ -21,24 +21,27 @@ def logged_evaluator(evaluate, log, hooked):
         extend = evaluate.extend  # every kernel of a random_instance has one: its weights are ints
 
         def logged_extend(anchored):
-            add = extend(anchored)
+            marginals = extend(anchored)
 
-            def logged_add(u):
-                log(canonical(anchored + (u,)), True)
-                return add(u)
+            def logged_marginals(ids, offset):
+                for u in ids:
+                    log(canonical(anchored + (u,)), True)
+                return marginals(ids, offset)
 
-            return logged_add
+            return logged_marginals
 
         wrapper.extend = logged_extend
     return wrapper
 
 
 def logged_independence(independent, log, hooked):
-    """An independence kernel's wrapper; a hooked one logs each ``swap`` and ``offer`` answer.
+    """An independence kernel's wrapper; a hooked one logs each ``swap`` answer and each offer of a row.
 
-    ``swap(add, drop)`` answers for ``base - {drop} + {add}``, and
-    ``offer(u)`` for the scan's members plus u; the logged scan keeps u as
-    a member exactly when the kernel's ``offer`` says yes.
+    ``swap(add, drop)`` answers for ``base - {drop} + {add}``, and each id u
+    a ``take(order, limit)`` row asks about for the scan's members plus u.
+    The logged scan asks the kernel's ``take`` one id at a time, so it logs
+    each offer before it is answered and keeps u as a member exactly when
+    the kernel keeps it.
     """
 
     def wrapper(members):
@@ -58,17 +61,21 @@ def logged_independence(independent, log, hooked):
             return logged_swap
 
         def logged_scan(anchored):
-            offer = scan(anchored)
+            take = scan(anchored)
             members = set(anchored)
 
-            def logged_offer(u):
-                log(canonical(members | {u}), True)
-                if offer(u):
-                    members.add(u)
-                    return True
-                return False
+            def logged_take(order, limit):
+                kept = []
+                for asked, u in enumerate(order):
+                    if len(kept) == limit:
+                        return kept, asked
+                    log(canonical(members | {u}), True)
+                    if take((u,), 1) == ([u], 1):
+                        members.add(u)
+                        kept.append(u)
+                return kept, len(order)
 
-            return logged_offer
+            return logged_take
 
         wrapper.exchange, wrapper.scan = logged_exchange, logged_scan
     return wrapper

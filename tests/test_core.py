@@ -18,7 +18,7 @@ from submod import (
     marginal_function,
 )
 
-from oracle_logs import logged_independence
+from oracle_logs import logged_evaluator, logged_independence
 
 
 def modular_instance(weights, k=None):
@@ -195,15 +195,27 @@ class TestSingletonTable:
 
     @pytest.mark.parametrize("bad", [-1, 8, 20])
     def test_out_of_range_id_is_the_call_error(self, bad):
-        f, calls = counting_coverage()
-        view = marginal_function(f, (1,))
+        """The entries before the bad id are billed and answered, by the plain and by the hooked path."""
+        plain, plain_calls = counting_coverage()
         with pytest.raises(ValueError) as expected:
-            marginal_function(f, (1,))((bad,))
-        assert f.queries == 0
-        with pytest.raises(ValueError) as raised:
-            view.singleton_table((0, bad, 2))
-        assert str(raised.value) == str(expected.value)
-        assert f.queries == 2 and len(calls) == 2  # the entry before the bad id was billed
+            marginal_function(plain, (1,))((bad,))
+        assert plain.queries == 0
+        hooked = coverage_instance(tuple((u, u + 1) for u in range(8)), 8)[0]
+        hooked_calls = []
+        hooked._evaluate = logged_evaluator(hooked._evaluate, lambda members, _: hooked_calls.append(members), True)
+        for f, calls in ((plain, plain_calls), (hooked, hooked_calls)):
+            for at in (0, 2, 4):  # first, in the middle and last
+                ids = [0, 3, 2, 5]
+                ids.insert(at, bad)
+                for row in (tuple(ids), ids, (u for u in ids)):
+                    start = f.queries
+                    calls.clear()
+                    with pytest.raises(ValueError) as raised:
+                        marginal_function(f, (1,)).singleton_table(row)
+                    assert str(raised.value) == str(expected.value)
+                    answered = [canonical((1, u)) for u in ids[:at]]
+                    assert calls == ([(1,)] + answered if at else [])  # the offset, then the prefix
+                    assert f.queries - start == len(calls)
 
     def test_evaluator_is_looked_up_at_call_time(self):
         f, _ = counting_coverage()
@@ -458,20 +470,34 @@ class TestIndependencePrimitives:
     @pytest.mark.parametrize("kind", sorted(PRIMITIVE_SPECS))
     def test_hooks_equal_the_kernel_on_every_set(self, kind):
         """Dependent bases and anchors too, which no view of an oracle hands a hook."""
-        kernel = primitive_root(PRIMITIVE_SPECS[kind])._is_independent
+        root = primitive_root(PRIMITIVE_SPECS[kind])
+        kernel = root._is_independent
         ids = range(5)
+
+        def kernel_take(members, order, limit):
+            """The row ``take`` answers, from one kernel call per offered id."""
+            kept = []
+            for asked, u in enumerate(order):
+                if len(kept) == limit:
+                    return kept, asked
+                if kernel(canonical(members | {u})):
+                    members.add(u)
+                    kept.append(u)
+            return kept, len(order)
+
         for base in subsets(ids):
             swap = kernel.exchange(base)
             for add in (None, *(u for u in ids if u not in base)):
                 for drop in (None, *base):
                     assert swap(add, drop) is kernel(canonical({*base, add} - {drop, None})), (base, add, drop)
             for order in itertools.permutations(ids):
-                offer, members = kernel.scan(base), set(base)
-                for u in order + order[:2]:  # the repeats offer members
-                    answer = kernel(canonical(members | {u}))
-                    assert offer(u) is answer, (base, order, u)
-                    if answer:
-                        members.add(u)
+                order += order[:2]  # the repeats offer members
+                for limit in range(root.rank + 2):
+                    assert kernel.scan(base)(order, limit) == kernel_take(set(base), order, limit), (base, order, limit)
+                # a take keeps its members from one row to the next
+                take, members = kernel.scan(base), set(base)
+                for row in (order[:3], order[3:]):
+                    assert take(row, len(row)) == kernel_take(members, row, len(row)), (base, order, row)
 
     def test_root_cells_keep_dependent_sets(self):
         for kind, dependent in DEPENDENT.items():
@@ -513,6 +539,26 @@ class TestIndependencePrimitives:
                 view.greedy_scan((0, bad, 3))
             assert str(raised.value) == str(expected.value)
             assert root.queries == start + 1 == len(log)  # the id before the bad one was billed
+
+
+    @pytest.mark.parametrize("bad", [-1, 5, 9, 1])  # 1 is contracted away, so outside ground
+    def test_bad_id_after_the_rank_stop_is_never_reached(self, bad):
+        for hooked in (False, True):
+            root, log = logged_matroid(PRIMITIVE_SPECS["uniform"], hooked)
+            view = contract(root, (1,))  # rank 2
+            start = root.queries
+            with pytest.raises(ValueError) as expected:
+                view.is_independent((bad,))
+            for order in ((0, 2, bad), [0, 2, bad, 3], (u for u in (0, 3, bad))):
+                assert len(view.greedy_scan(order)) == view.rank
+                assert root.queries == start + 2 == len(log)
+                start = root.queries
+            for order, prefix in (((bad, 0, 2), 0), ([0, bad, 2, 3], 1), ((u for u in (3, bad, 0)), 1)):
+                with pytest.raises(ValueError) as raised:
+                    view.greedy_scan(order)
+                assert str(raised.value) == str(expected.value)
+                assert root.queries == start + prefix == len(log)  # exactly the ids before it were billed
+                start = root.queries
 
 
 class TestConstruction:

@@ -316,7 +316,10 @@ HOOK_COVERS = ((0, 1), (1, 2), (2, 3, 4), (4,), (), (0, 4), (3, 1))
 
 
 class TestExtendHook:
-    """Where a value kernel offers ``extend``, ``extend(anchored)(u)`` is its own float for anchored + (u,)."""
+    """Where a value kernel offers ``extend``, each entry of ``extend(anchored)(ids, offset)`` is its own float.
+
+    The entry for u is the kernel's float for anchored + (u,), less ``offset``.
+    """
 
     @staticmethod
     def evaluator(kind, weights):
@@ -353,9 +356,16 @@ class TestExtendHook:
             tuple(sorted(rng.sample(range(n), rng.randint(1, n - 1)))) for _ in range(40)
         ]
         for anchored in anchors:
-            add = evaluate.extend(anchored)
-            for u in range(n):
-                assert add(u).hex() == evaluate(tuple(sorted({*anchored, u}))).hex(), (anchored, u)
+            marginals = evaluate.extend(anchored)
+            row = tuple(rng.sample(range(n), n))
+            row += row[:3]  # anchored ids are among these, and the repeats
+            for offset in (0, 0.1, evaluate(anchored)):
+                table = marginals(row, offset)
+                assert list(table) == list(dict.fromkeys(row))
+                for u in row:
+                    kernel = evaluate(tuple(sorted({*anchored, u}))) - offset
+                    assert table[u].hex() == kernel.hex(), (anchored, u, offset)
+                assert marginals((), offset) == {}
 
     @pytest.mark.parametrize("weights", [FRACTIONAL, MIXED, (1.0,) * 7], ids=["fractional", "mixed", "float-ones"])
     @pytest.mark.parametrize("kind", ["modular", "concave_of_modular"])
