@@ -176,15 +176,19 @@ def rr_greedy(f: SetFunction, matroid: Matroid, rng_seed: int) -> ElementSet:
     Each iteration recomputes the maximum-marginal-weight base of the
     matroid contracted by the current solution and adds one of its elements
     uniformly at random.  Reproducible: the same seed yields the same set.
+    The contracted matroid and the marginal view move forward by each pick,
+    asking the root what contracting and anchoring afresh would ask.
     """
     rng = random.Random(rng_seed)
     current: ElementSet = ()
+    residual, view, step = matroid, f, ()
     for _ in range(matroid.rank):
-        residual = contract(matroid, current)
-        gains = marginal_table(f, current, residual.ground)
+        residual, view = contract(residual, step), marginal_function(view, step)
+        gains = view.singleton_table(residual.ground)
         candidate_base = max_weight_base(residual, gains)
         pick = candidate_base[rng.randrange(len(candidate_base))]
         current = canonical(current + (pick,))
+        step = (pick,)
     return current
 
 
@@ -205,6 +209,10 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
     and never a base.  Every other swap, solution + residue - {v} + {u}
     with u in neither, has full size, so an edge test is one independence
     query on it and needs no size check.
+
+    Each copy's contracted matroid and marginal view move forward by its
+    gain where the next round would contract and anchor afresh, asking
+    the root the same sets in the same order.
     """
     base = canonical(residue, matroid.n)
     if not is_base(matroid, base):
@@ -215,13 +223,18 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
     left_of = {v: idx for idx, v in enumerate(base)}
     solutions: list[ElementSet] = [() for _ in range(k)]
     residues: list[set[int]] = [set(base) for _ in range(k)]
+    # each copy's contracted matroid and marginal view, moved forward by its step, its last gain
+    residuals: list[Matroid] = [matroid] * k
+    views: list[SetFunction] = [f] * k
+    steps: list[ElementSet] = [()] * k
 
     for _ in range(k):
         tables: list[dict[int, float]] = []
         candidates: list[ElementSet] = []
         for j in range(k):
-            residual = contract(matroid, solutions[j])
-            gains = marginal_table(f, solutions[j], residual.ground)
+            residual = residuals[j] = contract(residuals[j], steps[j])
+            views[j] = marginal_function(views[j], steps[j])
+            gains = views[j].singleton_table(residual.ground)
             tables.append(gains)
             candidates.append(max_weight_base(residual, gains))
 
@@ -246,6 +259,7 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
         for right, left, gained, _weight in matching.pairs:
             solutions[right] = canonical(solutions[right] + (gained,))
             residues[right].remove(base[left])
+            steps[right] = (gained,)
 
     return max(solutions, key=f)  # the first copy of the largest value
 

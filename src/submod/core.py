@@ -48,10 +48,11 @@ class SetFunction:
 
     Calling the oracle with any iterable of element ids canonicalizes the
     set, bumps the shared counter by exactly one, and evaluates.  The
-    object is immutable apart from the counter and a view's cached offset,
-    so a single function may be shared by concurrent runs that own
-    separate counters.  ``root`` owns the evaluator (``root is self`` on a
-    root); ``anchored`` is the set a derived view is relative to.
+    object is immutable apart from the counter, a view's cached offset and
+    the cached row function of ``singleton_table``, so a single function
+    may be shared by concurrent runs that own separate counters.  ``root``
+    owns the evaluator (``root is self`` on a root); ``anchored`` is the set
+    a derived view is relative to.
 
     One billed value query is one kernel answer: a call of
     ``root._evaluate``, or one entry of a row answered by the evaluator's
@@ -62,6 +63,14 @@ class SetFunction:
     replacing ``root._evaluate`` with a plain wrapper drops it and every
     answer then goes through the wrapper, which is enough to observe all of
     them.
+
+    The rows of an exact kernel (``instances.build``: unit coverage, or
+    all-``int`` coverage or modular weights with a total below 2**53, on at
+    least ``GROW_MIN_N`` ids) also carry ``grow(u)``, the row function of
+    ``anchored + (u,)``; its first row, if asked for the parent's last ids
+    less u, is derived from the parent's last row.  A view that
+    ``marginal_function`` grows by one id from a view that has answered a
+    row gets its row function from that ``grow``.
     """
 
     def __init__(
@@ -79,6 +88,7 @@ class SetFunction:
         self.root = self
         self.anchored: ElementSet = ()
         self._offset: float | None = 0  # a root reports f(S) itself, not f(S) - f(())
+        self._row: tuple | None = None  # (evaluator, marginals) of the rows this function answers
 
     @property
     def queries(self) -> int:
@@ -103,9 +113,10 @@ class SetFunction:
         answers each entry bitwise equal to the evaluator's value for that
         set.  Otherwise, a replaced evaluator included, each entry is one
         evaluator call on ``anchored`` with u inserted (not a sort: the
-        anchor is already canonical).  If an id lies outside [0, n), the
-        entries before the first such id are billed and answered, then the
-        call's error is raised.
+        anchor is already canonical).  The row function is kept while the
+        root's evaluator stays the same object, for a view grown from this
+        one.  If an id lies outside [0, n), the entries before the first
+        such id are billed and answered, then the call's error is raised.
         """
         ids = tuple(candidates)
         if not ids:
@@ -117,9 +128,12 @@ class SetFunction:
             raise _out_of_range(ids[at], self.n)
         offset = self._bill(len(ids))
         evaluate = self.root._evaluate
-        extend = getattr(evaluate, "extend", None)
-        marginals = _inserting(evaluate, self.anchored) if extend is None else extend(self.anchored)
-        return marginals(ids, offset)
+        row = self._row
+        if row is None or row[0] is not evaluate:
+            extend = getattr(evaluate, "extend", None)
+            marginals = _inserting(evaluate, self.anchored) if extend is None else extend(self.anchored)
+            row = self._row = evaluate, marginals
+        return row[1](ids, offset)
 
     def _bill(self, queries: int) -> float:
         """Bill ``queries`` and return the offset root(anchored), billing it once more on first use.
@@ -324,12 +338,19 @@ def marginal_function(f: SetFunction, base_set: Iterable[int]) -> SetFunction:
     A flat view on ``f.root`` anchored at ``f.anchored + base_set``: a call
     costs one root evaluation however deep the derivation.  root(anchored)
     is evaluated lazily on the first call and cached, so each later
-    evaluation costs exactly one fresh oracle query.
+    evaluation costs exactly one fresh oracle query.  A view that adds one
+    id to an ``f`` whose row function carries ``grow`` takes its row
+    function from that ``grow``.
     """
     view = object.__new__(SetFunction)
     view.n, view.counts, view.root, view._ground_set = f.n, f.counts, f.root, f._ground_set
     view.anchored = canonical(chain(f.anchored, base_set), f.n)
     view._offset = None
+    view._row = None
+    if f._row is not None and len(view.anchored) == len(f.anchored) + 1:
+        grow = getattr(f._row[1], "grow", None)
+        if grow is not None:  # the anchors differ by one id, so their sums differ by it
+            view._row = f._row[0], grow(sum(view.anchored) - sum(f.anchored))
     return view
 
 
@@ -339,7 +360,8 @@ def contract(matroid: Matroid, independent_set: Iterable[int]) -> Matroid:
     A flat view on ``matroid.root`` anchored at ``matroid.anchored + A``.
     The dependence check is ``is_independent(A)``'s query: the same
     validation and billing, and the root is asked about the view's sorted
-    anchor, which is that query's tuple.
+    anchor, which is that query's tuple.  The view's ground keeps the
+    ascending order of ``matroid.ground``.
     """
     away = frozenset(canonical(independent_set, matroid.n))
     if not away <= matroid._ground_set:
@@ -352,7 +374,14 @@ def contract(matroid: Matroid, independent_set: Iterable[int]) -> Matroid:
     view.n, view.counts, view.root = matroid.n, matroid.counts, matroid.root
     view.anchored = anchored
     view.rank = matroid.rank - len(away)
-    view.ground = tuple(filterfalse(away.__contains__, matroid.ground))
+    if not away:
+        view.ground, view._ground_set = matroid.ground, matroid._ground_set
+        return view
+    if len(away) == 1:  # ground is ascending: cut the one id out
+        at = bisect_left(matroid.ground, *away)
+        view.ground = matroid.ground[:at] + matroid.ground[at + 1:]
+    else:
+        view.ground = tuple(filterfalse(away.__contains__, matroid.ground))
     view._ground_set = matroid._ground_set - away
     return view
 

@@ -11,6 +11,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Iterator
 
@@ -225,27 +226,94 @@ class Instance:
         return self.matroid.rank(self.n)
 
 
-def _integer_sum_extend(weights, finish):
+EXACT_TOTAL = 2**53  # every integer below it is a float, and so is every sum or difference of two
+# A derived row costs about as much as 20 to 40 full-row entries (its checks,
+# two dict copies and the refresh), so a kernel on fewer ids answers every
+# row in full: with derived rows, msg-det ran up to 9% slower below n = 40
+# and gained from n = 48 on.
+GROW_MIN_N = 48
+
+
+def _growing_rows(start, row, value, step, refresh):
+    """The ``extend`` hook of an exact kernel: rows whose ``grow`` derives a grown anchor's row.
+
+    The kernel reads an anchor into a state, ``start(anchored)``, and
+    ``row(state, ids, offset)`` answers a full row from it.  ``value(state)``
+    is the kernel's float for the anchor and ``step(state, u)`` the state of
+    the anchor plus u.  ``refresh(table, before, state, u, offset)``, if
+    given, answers again each entry of ``table`` whose marginal may differ
+    between the anchor of ``before`` and that anchor plus u, whose state is
+    ``state``.  Every value of an exact kernel is an integer below
+    EXACT_TOTAL, so every marginal is exact, and an entry that u does not
+    change is the same float in both rows.
+    """
+
+    def derive(origin, state, ids, offset):
+        """The row from the parent's last row, or None unless asked for its ids less u."""
+        before, last, u = origin
+        if last is None:
+            return None
+        parent_ids, parent_offset, parent_table = last
+        if u not in parent_table or len(parent_table) != len(parent_ids):  # u absent or an id repeated
+            return None
+        at = parent_ids.index(u)
+        if ids != parent_ids[:at] + parent_ids[at + 1:]:
+            return None
+        if offset != value(state) or parent_offset != value(before):
+            return None
+        table = parent_table.copy()
+        del table[u]
+        if refresh is not None:
+            refresh(table, before, state, u, offset)
+        return table
+
+    def rows(state, origin):
+        last = None  # (ids, offset, table) of the last row answered
+
+        def marginals(ids, offset):
+            nonlocal origin, last
+            ids = tuple(ids)
+            table = None if origin is None else derive(origin, state, ids, offset)
+            origin = None  # only the first row may derive: drop the parent's row
+            if table is None:
+                table = row(state, ids, offset)
+            last = ids, offset, table
+            return table.copy()  # the kept row stays as answered, whatever the caller does to its copy
+
+        marginals.grow = lambda u: rows(step(state, u), (state, last, u))
+        return marginals
+
+    return lambda anchored: rows(start(anchored), None)
+
+
+def _sum_extend(weights, finish, grows):
     """The ``extend`` hook of a sum kernel whose weights are all ``int``.
 
     An integer sum is exact in any order, so ``finish(base + weights[u])`` is
     the float the kernel returns for ``anchored`` plus u; an anchored u adds
-    nothing.
+    nothing.  If ``grows`` (a modular kernel, ``finish`` ``float``, on at
+    least GROW_MIN_N ids, whose total is below EXACT_TOTAL), the rows grow:
+    an added id changes no other id's marginal.
     """
 
-    def extend(anchored):
-        base = sum(map(weights.__getitem__, anchored))
-        inside = frozenset(anchored)
+    def start(anchored):
+        return sum(map(weights.__getitem__, anchored)), frozenset(anchored)
 
-        def marginals(ids, offset):
-            table = {}
-            for u in ids:
-                table[u] = finish(base if u in inside else base + weights[u]) - offset
-            return table
+    def row(state, ids, offset):
+        base, inside = state
+        table = {}
+        for u in ids:
+            table[u] = finish(base if u in inside else base + weights[u]) - offset
+        return table
 
-        return marginals
+    if not grows:
+        return lambda anchored: partial(row, start(anchored))
 
-    return extend
+    def step(state, u):
+        base, inside = state
+        return state if u in inside else (base + weights[u], inside | {u})
+
+    return _growing_rows(start, row, lambda state: float(state[0]), step, None)
 
 
 def _refusing(order, limit):
@@ -257,7 +325,7 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
     """Realize the instance as a (value oracle, independence oracle) pair.
 
     Both oracles share one counter so a run's total query footprint can be
-    read off a single object.
+    read off a single object, and one frozenset of the ground set.
 
     Each kernel returns the bitwise-same value for the same set: a modular
     kernel is one ``sum`` of the weights in ascending member order, a
@@ -275,6 +343,17 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
     kernels offer it (the same mask, then the same count or walk); modular
     and concave-of-modular kernels offer it only when every weight is an
     ``int``, whose sum is exact.
+
+    The rows of an exact kernel on at least GROW_MIN_N ids also carry
+    ``grow(u)``, the row function of ``anchored + (u,)``.  Exact means unit
+    coverage, or coverage or modular weights that are all ``int`` with a
+    total below 2**53, so every value and every marginal is an integer a
+    float holds.  A grown function's first row, if asked for exactly its
+    parent's last ids less u with each offset its own anchor's value, is
+    the parent's last row less u with only the ids u can change answered
+    again (coverage: the ids covering an item u newly covers, from an
+    index built on first use; modular: none); every other row is answered
+    in full.  Concave and fractional kernels have no ``grow``.
 
     Every independence kernel carries two hooks, ``independent.exchange``
     for ``Matroid.exchange_test`` and ``independent.scan`` for
@@ -310,7 +389,7 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
             return float(sum(map(weights.__getitem__, members)))
 
         if all(map(_is_int, weights)):
-            evaluate.extend = _integer_sum_extend(weights, float)
+            evaluate.extend = _sum_extend(weights, float, grows=n >= GROW_MIN_N and sum(weights) < EXACT_TOTAL)
 
     elif fspec.kind == "concave_of_modular":
         weights = fspec.weights
@@ -320,7 +399,7 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
             return float(sum(map(weights.__getitem__, members))) ** gamma
 
         if all(map(_is_int, weights)):
-            evaluate.extend = _integer_sum_extend(weights, lambda total: float(total) ** gamma)
+            evaluate.extend = _sum_extend(weights, lambda total: float(total) ** gamma, grows=False)
 
     else:
         universe = fspec.universe_weights
@@ -335,7 +414,8 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
                 covered |= masks[u]
             return covered
 
-        if all(w == 1 for w in universe):
+        unit = all(w == 1 for w in universe)
+        if unit:
             # Adding 1 per covered item in ascending order is exact, so the
             # count is the same float.
             def evaluate(members):
@@ -344,21 +424,19 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
                     covered |= masks[u]
                 return float(covered.bit_count())
 
-            def extend(anchored):
-                covered = mask_of(anchored)
+            def value(covered):
+                return float(covered.bit_count())
 
-                def marginals(ids, offset):
-                    table = {}
-                    for u in ids:
-                        table[u] = float((covered | masks[u]).bit_count()) - offset
-                    return table
-
-                return marginals
+            def row(covered, ids, offset):
+                table = {}
+                for u in ids:
+                    table[u] = float((covered | masks[u]).bit_count()) - offset
+                return table
 
         else:
             # Visit only the set bits, lowest item first: a fixed ascending
             # order keeps sums of fractional weights reproducible.
-            def weigh(covered):
+            def value(covered):
                 total = 0.0
                 while covered:
                     low = covered & -covered
@@ -370,20 +448,37 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
                 covered = 0
                 for u in members:
                     covered |= masks[u]
-                return weigh(covered)
+                return value(covered)
 
-            def extend(anchored):
-                covered = mask_of(anchored)
+            def row(covered, ids, offset):
+                table = {}
+                for u in ids:
+                    table[u] = value(covered | masks[u]) - offset
+                return table
 
-                def marginals(ids, offset):
-                    table = {}
-                    for u in ids:
-                        table[u] = weigh(covered | masks[u]) - offset
-                    return table
+        if n >= GROW_MIN_N and (unit or (all(map(_is_int, universe)) and sum(universe) < EXACT_TOTAL)):
+            holders = None  # item -> the ids that cover it, built for the first grown row
 
-                return marginals
+            def refresh(table, before, covered, u, offset):
+                """Answer again the ids that cover an item u newly covers: only their marginals drop."""
+                nonlocal holders
+                if holders is None:
+                    lists = [[] for _ in universe]
+                    for v, cover in enumerate(fspec.covers):
+                        for item in set(cover):
+                            lists[item].append(v)
+                    holders = tuple(map(tuple, lists))
+                fresh = masks[u] & ~before
+                while fresh:
+                    low = fresh & -fresh
+                    for v in holders[low.bit_length() - 1]:
+                        if v in table:
+                            table[v] = value(covered | masks[v]) - offset
+                    fresh ^= low
 
-        evaluate.extend = extend
+            evaluate.extend = _growing_rows(mask_of, row, value, lambda covered, u: covered | masks[u], refresh)
+        else:
+            evaluate.extend = lambda anchored: partial(row, mask_of(anchored))
 
     f = SetFunction(n, evaluate, counts=counts)
 
@@ -603,6 +698,7 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
     independent.exchange = exchange
     independent.scan = scan
     matroid = Matroid(n, independent, rank, counts=counts)
+    matroid._ground_set = f._ground_set  # one frozenset of the ground set for both roots
     return f, matroid
 
 

@@ -11,26 +11,30 @@ from submod import canonical
 
 
 def logged_evaluator(evaluate, log, hooked):
-    """A value kernel's wrapper; a hooked one logs each entry u of a row as ``canonical(anchored + (u,))``."""
+    """A value kernel's wrapper; a hooked one logs each entry u of a row as ``canonical(anchored + (u,))``.
+
+    A row function that carries ``grow`` keeps it, wrapped: ``grow(u)``
+    returns the logged row function of ``anchored + (u,)``, so derived rows
+    log each entry as full rows do.
+    """
 
     def wrapper(members):
         log(members, False)
         return evaluate(members)
 
+    def logged_rows(marginals, anchored):
+        def logged_marginals(ids, offset):
+            for u in ids:
+                log(canonical(anchored + (u,)), True)
+            return marginals(ids, offset)
+
+        if hasattr(marginals, "grow"):
+            logged_marginals.grow = lambda u: logged_rows(marginals.grow(u), canonical(anchored + (u,)))
+        return logged_marginals
+
     if hooked:
         extend = evaluate.extend  # every kernel of a random_instance has one: its weights are ints
-
-        def logged_extend(anchored):
-            marginals = extend(anchored)
-
-            def logged_marginals(ids, offset):
-                for u in ids:
-                    log(canonical(anchored + (u,)), True)
-                return marginals(ids, offset)
-
-            return logged_marginals
-
-        wrapper.extend = logged_extend
+        wrapper.extend = lambda anchored: logged_rows(extend(anchored), anchored)
     return wrapper
 
 

@@ -231,6 +231,23 @@ def test_hard_fixture_cover9_partition(verdicts):
     assert violations == []
 
 
+def test_hard_fixture_cover10_partition(verdicts):
+    """Five solvers stop at 24 of OPT 40 (ratio 0.600) on this instance; rpgreedy reaches 40."""
+    instance = load(HARD / "cover10-partition.json")
+    opt, solution = brute_force_opt(*build(instance))
+    rows, violations = next((rows, violations) for checked, rows, violations in verdicts if checked == instance)
+    assert (opt, solution) == (40, (1, 3, 6, 9))
+    assert {row["algorithm"]: row["value"] for row in rows} == {
+        "greedy": 24,
+        "split": 24,
+        "rrgreedy": 24,
+        "rpgreedy": 40,
+        "msg": 24,
+        "msg-det": 24,
+    }
+    assert violations == []
+
+
 def _report_with(**changes):
     return lambda real: lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), **changes)
 

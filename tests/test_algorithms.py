@@ -454,8 +454,10 @@ class TestRootCallLog:
     each call were rewritten; a change that keeps them removes only work
     that no oracle sees.  Each cell runs twice: with plain wrappers, which
     answer every query by a kernel call, and with the kernels' hooks (the
-    value kernel's ``extend``, the independence kernel's ``exchange`` and
-    ``scan``), each of whose answers is for the same set as that call.
+    value kernel's ``extend`` and its rows' ``grow``, whose derived rows run
+    in the cells on at least GROW_MIN_N ids, and the independence kernel's
+    ``exchange`` and ``scan``), each of whose answers is for the same set as
+    that call.
     """
 
     @pytest.mark.parametrize(

@@ -18,6 +18,8 @@ from submod import (
     marginal_function,
 )
 
+from submod.instances import GROW_MIN_N
+
 from oracle_logs import logged_evaluator, logged_independence
 
 
@@ -247,6 +249,53 @@ class TestSingletonTable:
         assert view.singleton_table(candidates) == twin_view.singleton_table(candidates)
         assert len(seen) == f.queries == twin.queries
         assert seen[-3:] == [canonical((*(anchor or ()), u)) for u in (1, 3, 1)]
+
+
+class TestGrownViews:
+    """A view grown by one id from a view that answered a row: same tables, billing and root questions as a fresh one."""
+
+    @staticmethod
+    def twins(kind):
+        n = GROW_MIN_N + 8
+        if kind == "modular":
+            return [modular_instance([(7 * u) % 10 for u in range(n)])[0] for _ in range(2)]
+        covers = tuple((u % 20, (3 * u) % 20) for u in range(n))
+        return [coverage_instance(covers, n)[0] for _ in range(2)]
+
+    @pytest.mark.parametrize("kind", ["modular", "coverage"])
+    def test_same_rows_as_fresh_views(self, kind):
+        f, twin = self.twins(kind)
+        log, twin_log = [], []
+        f._evaluate = logged_evaluator(f._evaluate, lambda members, _: log.append(members), True)
+        twin._evaluate = logged_evaluator(twin._evaluate, lambda members, _: twin_log.append(members), True)
+        ids = tuple(range(f.n))
+        view = marginal_function(f, (4,))
+        view.singleton_table(ids)
+        twin_view = marginal_function(twin, (4,))
+        twin_view.singleton_table(ids)
+        for u in (9, 4, 30, 2, 51):  # 4 is already anchored: no id is added
+            view = marginal_function(view, (u,))
+            assert (view._row is not None) == (u != 4)  # a row function from the parent's grow
+            twin_view = marginal_function(twin, twin_view.anchored + (u,))
+            ids = tuple(v for v in ids if v != u)
+            table = view.singleton_table(ids)
+            assert [(v, x.hex()) for v, x in table.items()] == [
+                (v, x.hex()) for v, x in twin_view.singleton_table(ids).items()
+            ]
+        assert f.queries == twin.queries
+        assert log == twin_log
+
+    def test_a_replaced_evaluator_answers_the_grown_view(self):
+        f, _ = self.twins("coverage")
+        ids = tuple(range(f.n))
+        view = marginal_function(f, ())
+        view.singleton_table(ids)
+        inner, seen = f._evaluate, []
+        f._evaluate = lambda members: seen.append(members) or inner(members)
+        grown = marginal_function(view, (5,))
+        grown.singleton_table(ids[:5] + ids[6:])
+        assert seen == [(5,)] + [canonical((5, u)) for u in ids if u != 5]
+        assert len(seen) == f.queries - (len(ids) + 1)  # after the first row and its offset
 
 
 class TestContract:

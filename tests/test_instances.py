@@ -10,12 +10,14 @@ import tracemalloc
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import submod.instances as instances
 from submod import (
     FunctionSpec,
     Instance,
     InstanceFormatError,
     MatroidSpec,
     build,
+    canonical,
     enumerate_small_instances,
     iter_bases,
     load,
@@ -25,6 +27,7 @@ from submod import (
     validate_matroid_axioms,
     validate_monotone_submodular,
 )
+from submod.instances import GROW_MIN_N
 
 TRIANGLE = Instance(
     n=3,
@@ -371,6 +374,150 @@ class TestExtendHook:
     @pytest.mark.parametrize("kind", ["modular", "concave_of_modular"])
     def test_no_hook_unless_every_weight_is_an_int(self, kind, weights):
         assert not hasattr(self.evaluator(kind, weights), "extend")
+
+
+def count_full_rows(call):
+    """Return ``call()`` and the number of full rows a kernel answered during it (calls of a ``row``)."""
+    rows = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code.co_name == "row" and frame.f_code.co_filename == instances.__file__:
+            rows.append(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = call()
+    finally:
+        sys.setprofile(previous)
+    return result, len(rows)
+
+
+def growing_evaluator(kind, weights, n=GROW_MIN_N + 12, seed=0):
+    """A built value kernel on n ids: modular with these weights, or coverage of these item weights."""
+    if kind == "modular":
+        function = FunctionSpec(kind="modular", weights=weights[:n])
+    else:
+        rng = random.Random(seed)
+        m = len(weights)
+        # 0 to 3 items per element, one of them sometimes twice, so covers overlap
+        covers = tuple(tuple(rng.choices(range(m), k=rng.randint(0, 3))) for _ in range(n))
+        function = FunctionSpec(kind=kind, universe_weights=weights, covers=covers)
+    f, _ = build(Instance(n=n, matroid=MatroidSpec(kind="uniform", k=n), function=function))
+    return f._evaluate
+
+
+def as_hex(table):
+    return [(u, x.hex()) for u, x in table.items()]
+
+
+DIGITS = tuple(random.Random(1).randint(0, 9) for _ in range(80))
+GROWING = {
+    "unit-coverage": ("coverage", (1,) * 40),
+    "int-coverage": ("weighted_coverage", DIGITS[:40]),
+    "int-modular": ("modular", DIGITS),
+    # 60 weights whose total, 2**53 - 1, is the largest that grows
+    "near-limit-modular": ("modular", (2**52, 2**51, 2**50) + DIGITS[3:59] + (2**50 - 1 - sum(DIGITS[3:59]),)),
+}
+
+
+class TestGrowHook:
+    """``grow(u)`` on the rows of an exact kernel: a derived row is bitwise the full row of anchored + (u,)."""
+
+    @pytest.mark.parametrize("name", GROWING)
+    def test_derived_entries_are_the_full_rows(self, name):
+        evaluate = growing_evaluator(*GROWING[name])
+        n = GROW_MIN_N + 12
+        rng = random.Random(name)
+        for trial in range(6):
+            anchored = () if trial == 0 else canonical(rng.sample(range(n), rng.randint(1, 4)))
+            ids = tuple(rng.sample(range(n), rng.randint(n // 2, n)))  # any order, anchored ids included
+            offset = 0 if trial == 0 else evaluate(anchored)  # a root's row is offset by the int 0
+            marginals = evaluate.extend(anchored)
+            marginals(ids, offset)
+            for _ in range(10):
+                u = rng.choice(ids)
+                ids = tuple(v for v in ids if v != u)
+                anchored = canonical(anchored + (u,))
+                offset = evaluate(anchored)
+                marginals = marginals.grow(u)
+                table, full = count_full_rows(lambda: marginals(ids, offset))
+                assert full == 0, "derived"
+                assert as_hex(table) == as_hex(evaluate.extend(anchored)(ids, offset))
+                assert as_hex(table) == [(v, (evaluate(canonical(anchored + (v,))) - offset).hex()) for v in ids]
+
+    @pytest.mark.parametrize("name", ["unit-coverage", "int-modular"])
+    def test_other_rows_are_answered_in_full(self, name):
+        evaluate = growing_evaluator(*GROWING[name])
+        n = GROW_MIN_N + 12
+        ids = tuple(range(n))
+        u = 7
+        less = ids[:u] + ids[u + 1:]
+        right = evaluate((u,))
+        asked = {
+            "ids less u, reordered": (less[::-1], right),
+            "ids less u and another": (less[1:], right),
+            "ids with u": (ids, right),
+            "ids less u, one repeated": (less + less[:1], right),
+            "offset not the anchor's value": (less, right + 1),
+            "offset off by a fraction": (less, right - 0.5),
+        }
+        for case, (row, offset) in asked.items():
+            marginals = evaluate.extend(())
+            marginals(ids, 0)
+            grown = marginals.grow(u)
+            table, full = count_full_rows(lambda: grown(row, offset))
+            assert full == 1, case
+            assert as_hex(table) == as_hex(evaluate.extend((u,))(row, offset)), case
+            assert grown(less, right) == evaluate.extend((u,))(less, right)  # only the first row may derive
+
+    @pytest.mark.parametrize("name", ["unit-coverage", "int-modular"])
+    def test_a_parent_offset_off_its_anchor_value_is_not_derived(self, name):
+        evaluate = growing_evaluator(*GROWING[name])
+        ids = tuple(range(GROW_MIN_N + 12))
+        marginals = evaluate.extend((3,))
+        marginals(ids, evaluate((3,)) + 0.25)
+        grown = marginals.grow(7)
+        less = tuple(v for v in ids if v != 7)
+        table, full = count_full_rows(lambda: grown(less, evaluate((3, 7))))
+        assert full == 1
+        assert as_hex(table) == as_hex(evaluate.extend((3, 7))(less, evaluate((3, 7))))
+
+    def test_the_caller_may_change_its_row(self):
+        evaluate = growing_evaluator(*GROWING["unit-coverage"])
+        ids = tuple(range(GROW_MIN_N + 12))
+        marginals = evaluate.extend(())
+        marginals(ids, 0).update({v: -1.0 for v in ids if v != 7})  # u's entry, 7's, is checked against the offset
+        less = ids[:7] + ids[8:]
+        assert marginals.grow(7)(less, evaluate((7,))) == evaluate.extend((7,))(less, evaluate((7,)))
+
+    @pytest.mark.parametrize(
+        "kind, weights, n",
+        [
+            pytest.param("concave_of_modular", DIGITS, GROW_MIN_N, id="concave"),
+            pytest.param("weighted_coverage", (0.5,) * 40, GROW_MIN_N, id="fractional-coverage"),
+            pytest.param("weighted_coverage", (1, 2.0) * 20, GROW_MIN_N, id="mixed-coverage"),
+            pytest.param("modular", (2**53 - 1, 1) + (0,) * 58, GROW_MIN_N, id="modular-total-2**53"),
+            pytest.param("weighted_coverage", (2**52, 2**52) + (0,) * 38, GROW_MIN_N, id="coverage-total-2**53"),
+            pytest.param("coverage", (1,) * 40, GROW_MIN_N - 1, id="unit-coverage-below-GROW_MIN_N"),
+            pytest.param("modular", DIGITS, GROW_MIN_N - 1, id="modular-below-GROW_MIN_N"),
+        ],
+    )
+    def test_no_grow_unless_exact_and_large_enough(self, kind, weights, n):
+        if kind == "concave_of_modular":
+            function = FunctionSpec(kind=kind, weights=weights[:n], exponent=0.5)
+            f, _ = build(Instance(n=n, matroid=MatroidSpec(kind="uniform", k=n), function=function))
+            evaluate = f._evaluate
+        else:
+            evaluate = growing_evaluator(kind, weights, n=n)
+        marginals = evaluate.extend((1, 2))
+        assert not hasattr(marginals, "grow")
+        ids = tuple(range(n))
+        assert as_hex(marginals(ids, 0.5)) == [(u, (evaluate(canonical((1, 2, u))) - 0.5).hex()) for u in ids]
+
+    def test_exact_kernels_at_the_limits_grow(self):
+        assert hasattr(growing_evaluator("coverage", (1,) * 40, n=GROW_MIN_N).extend(()), "grow")
+        assert hasattr(growing_evaluator("modular", (2**53 - 2, 1) + (0,) * 58).extend(()), "grow")
 
 
 def coverage_reference(universe_weights, covers, members):
