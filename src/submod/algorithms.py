@@ -15,7 +15,9 @@ from __future__ import annotations
 import math
 import random
 import time
+from bisect import insort
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
@@ -113,11 +115,20 @@ def _argmax_by_id(candidates: Iterable[int], gains: Mapping[int, float]) -> int:
 
 def max_weight_base(matroid: Matroid, weights: Mapping[int, float] | Sequence[float]) -> ElementSet:
     """Greedy maximum-weight base: descending weight, ascending id scan."""
+    return canonical(_base_in_order(matroid, _by_weight(matroid.ground, weights)))
+
+
+def _by_weight(ground: Sequence[int], weights: Mapping[int, float] | Sequence[float]) -> list[int]:
     # ground is ascending and the sort is stable, so ties keep the smallest id first
-    chosen = matroid.greedy_scan(sorted(matroid.ground, key=weights.__getitem__, reverse=True))
+    return sorted(ground, key=weights.__getitem__, reverse=True)
+
+
+def _base_in_order(matroid: Matroid, order: Sequence[int]) -> list[int]:
+    """The ids of ``order`` that a greedy scan keeps, which must be a full base."""
+    chosen = matroid.greedy_scan(order)
     if len(chosen) != matroid.rank:
         raise InternalInvariantError("independence oracle did not extend to a full base")
-    return canonical(chosen)
+    return chosen
 
 
 def _feasible_pool(matroid: Matroid, used: set[int]) -> list[int]:
@@ -170,6 +181,51 @@ def split(f: SetFunction, matroid: Matroid, p: float) -> SplitResult:
     return SplitResult(a=canonical(side_a), b=canonical(side_b))
 
 
+class _GrownCopy:
+    """One copy of a residual greedy grower: its solution and its maximum-gain bases round by round.
+
+    The copy keeps its contracted matroid and marginal view and moves them
+    forward by each gained id where contracting and anchoring afresh would
+    ask the root the same sets in the same order.  It also keeps its last
+    gain table and that table's scan order.  If the next table equals the
+    last one less the gained id, as it always does on a modular objective,
+    the scan order is the last order less that id: exactly what the stable
+    sort by gain would return.  One dict comparison decides, and it fails
+    on any changed entry and on a NaN (a row's NaN is always a fresh float,
+    which equals nothing).  Otherwise the ground is sorted afresh.
+    """
+
+    __slots__ = ("solution", "residual", "view", "step", "gains", "order")
+
+    def __init__(self, f: SetFunction, matroid: Matroid):
+        self.solution: list[int] = []  # ascending
+        self.residual, self.view = matroid, f
+        self.step: ElementSet = ()  # the id gained since the last base, to contract and anchor by
+        self.gains: dict[int, float] = {}
+        self.order: list[int] = []
+
+    def gain(self, u: int) -> None:
+        insort(self.solution, u)
+        self.step = (u,)
+
+    def base(self) -> tuple[dict[int, float], list[int]]:
+        """Move forward by the last gain; return the gain table and the maximum-gain base, ascending."""
+        step, last, order = self.step, self.gains, self.order
+        residual = self.residual = contract(self.residual, step)
+        self.view = marginal_function(self.view, step)
+        gains = self.view.singleton_table(residual.ground)
+        if step:
+            del last[step[0]]
+        if step and gains == last:
+            order.remove(step[0])
+        else:
+            order = self.order = _by_weight(residual.ground, gains)
+        self.gains = gains
+        chosen = _base_in_order(residual, order)
+        chosen.sort()
+        return gains, chosen
+
+
 def rr_greedy(f: SetFunction, matroid: Matroid, rng_seed: int) -> ElementSet:
     """Residual random greedy: draw uniformly from the best residual base.
 
@@ -177,19 +233,16 @@ def rr_greedy(f: SetFunction, matroid: Matroid, rng_seed: int) -> ElementSet:
     matroid contracted by the current solution and adds one of its elements
     uniformly at random.  Reproducible: the same seed yields the same set.
     The contracted matroid and the marginal view move forward by each pick,
-    asking the root what contracting and anchoring afresh would ask.
+    asking the root what contracting and anchoring afresh would ask, and
+    the scan order is last round's order less the pick whenever the gains
+    are last round's gains less the pick (see ``_GrownCopy``).
     """
     rng = random.Random(rng_seed)
-    current: ElementSet = ()
-    residual, view, step = matroid, f, ()
+    copy = _GrownCopy(f, matroid)
     for _ in range(matroid.rank):
-        residual, view = contract(residual, step), marginal_function(view, step)
-        gains = view.singleton_table(residual.ground)
-        candidate_base = max_weight_base(residual, gains)
-        pick = candidate_base[rng.randrange(len(candidate_base))]
-        current = canonical(current + (pick,))
-        step = (pick,)
-    return current
+        _gains, candidate_base = copy.base()
+        copy.gain(candidate_base[rng.randrange(len(candidate_base))])
+    return tuple(copy.solution)
 
 
 def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> ElementSet:
@@ -210,9 +263,13 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
     with u in neither, has full size, so an edge test is one independence
     query on it and needs no size check.
 
-    Each copy's contracted matroid and marginal view move forward by its
-    gain where the next round would contract and anchor afresh, asking
-    the root the same sets in the same order.
+    Each copy (a ``_GrownCopy``) moves its contracted matroid and marginal
+    view forward by its gain, asking the root the same sets in the same
+    order as contracting and anchoring afresh, and reuses last round's
+    scan order less the gain whenever its gains are last round's gains
+    less the gain.  Its solution is kept ascending by insertion and its
+    residue as a dict in ascending id order, from which each given-up id
+    is deleted.
     """
     base = canonical(residue, matroid.n)
     if not is_base(matroid, base):
@@ -221,32 +278,18 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
     if k == 0:
         return ()
     left_of = {v: idx for idx, v in enumerate(base)}
-    solutions: list[ElementSet] = [() for _ in range(k)]
-    residues: list[set[int]] = [set(base) for _ in range(k)]
-    # each copy's contracted matroid and marginal view, moved forward by its step, its last gain
-    residuals: list[Matroid] = [matroid] * k
-    views: list[SetFunction] = [f] * k
-    steps: list[ElementSet] = [()] * k
+    copies = [_GrownCopy(f, matroid) for _ in range(k)]
+    residues = [dict.fromkeys(base) for _ in range(k)]  # ascending, as base is
 
     for _ in range(k):
-        tables: list[dict[int, float]] = []
-        candidates: list[ElementSet] = []
-        for j in range(k):
-            residual = residuals[j] = contract(residuals[j], steps[j])
-            views[j] = marginal_function(views[j], steps[j])
-            gains = views[j].singleton_table(residual.ground)
-            tables.append(gains)
-            candidates.append(max_weight_base(residual, gains))
-
+        rounds = [copy.base() for copy in copies]
         graph = WeightedBipartiteGraph(k, k)
-        for j in range(k):
-            gains = tables[j]
+        for j, (gains, candidates) in enumerate(rounds):
             residue = residues[j]
-            swap = matroid.exchange_test(residue.union(solutions[j]))  # the parts are disjoint
-            residue_order = sorted(residue)
-            for u in candidates[j]:
+            swap = matroid.exchange_test(chain(residue, copies[j].solution))  # the parts are disjoint
+            for u in candidates:
                 gain_u = gains[u]
-                for v in (u,) if u in residue else residue_order:
+                for v in (u,) if u in residue else residue:
                     if gain_u >= gains[v] and swap(u, v):
                         graph.add_edge(left_of[v], j, gain_u, payload=u)
         try:
@@ -257,11 +300,10 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
             ) from exc
 
         for right, left, gained, _weight in matching.pairs:
-            solutions[right] = canonical(solutions[right] + (gained,))
-            residues[right].remove(base[left])
-            steps[right] = (gained,)
+            copies[right].gain(gained)
+            del residues[right][base[left]]
 
-    return max(solutions, key=f)  # the first copy of the largest value
+    return tuple(max((copy.solution for copy in copies), key=f))  # the first copy of the largest value
 
 
 def _meter(f: SetFunction, matroid: Matroid) -> Callable[..., RunReport]:

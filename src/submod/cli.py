@@ -348,6 +348,11 @@ def _parse_grid(text: str) -> list[int]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    try:
+        parameters(args.x)  # every algorithm, rank-1 instances included, rejects a bad x before any work
+    except ValueError as exc:
+        _err(str(exc))
+        return 2
     if args.max_bases < 1:
         _err(f"max-bases must be at least 1, got {args.max_bases}")
         return 2

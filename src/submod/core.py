@@ -338,19 +338,35 @@ def marginal_function(f: SetFunction, base_set: Iterable[int]) -> SetFunction:
     A flat view on ``f.root`` anchored at ``f.anchored + base_set``: a call
     costs one root evaluation however deep the derivation.  root(anchored)
     is evaluated lazily on the first call and cached, so each later
-    evaluation costs exactly one fresh oracle query.  A view that adds one
-    id to an ``f`` whose row function carries ``grow`` takes its row
-    function from that ``grow``.
+    evaluation costs exactly one fresh oracle query.  A one-id
+    ``base_set`` is inserted into the canonical anchor by bisect, with
+    ``canonical``'s range check and message; the view is the same.  A view
+    that adds one id to an ``f`` whose row function carries ``grow`` takes
+    its row function from that ``grow``.
     """
+    members = tuple(base_set)
+    anchored = f.anchored
+    added = None  # the one id the view adds to f's anchor, if it adds exactly one
+    if len(members) == 1:
+        u = members[0]
+        if not 0 <= u < f.n:
+            raise _out_of_range(u, f.n)
+        at = bisect_left(anchored, u)
+        if at == len(anchored) or anchored[at] != u:
+            anchored, added = anchored[:at] + members + anchored[at:], u
+    else:
+        anchored = canonical(chain(anchored, members), f.n)
+        if len(anchored) == len(f.anchored) + 1:  # the anchors differ by one id, so their sums differ by it
+            added = sum(anchored) - sum(f.anchored)
     view = object.__new__(SetFunction)
     view.n, view.counts, view.root, view._ground_set = f.n, f.counts, f.root, f._ground_set
-    view.anchored = canonical(chain(f.anchored, base_set), f.n)
+    view.anchored = anchored
     view._offset = None
     view._row = None
-    if f._row is not None and len(view.anchored) == len(f.anchored) + 1:
+    if added is not None and f._row is not None:
         grow = getattr(f._row[1], "grow", None)
-        if grow is not None:  # the anchors differ by one id, so their sums differ by it
-            view._row = f._row[0], grow(sum(view.anchored) - sum(f.anchored))
+        if grow is not None:
+            view._row = f._row[0], grow(added)
     return view
 
 
@@ -360,13 +376,24 @@ def contract(matroid: Matroid, independent_set: Iterable[int]) -> Matroid:
     A flat view on ``matroid.root`` anchored at ``matroid.anchored + A``.
     The dependence check is ``is_independent(A)``'s query: the same
     validation and billing, and the root is asked about the view's sorted
-    anchor, which is that query's tuple.  The view's ground keeps the
-    ascending order of ``matroid.ground``.
+    anchor, which is that query's tuple.  A one-id A is checked against
+    ``ground`` and inserted into the anchor by bisect, not canonicalised;
+    the checks, their messages and the root's question are the same.  The
+    view's ground keeps the ascending order of ``matroid.ground``.
     """
-    away = frozenset(canonical(independent_set, matroid.n))
-    if not away <= matroid._ground_set:
-        matroid._reject(set(away))
-    anchored = tuple(sorted(away.union(matroid.anchored)))
+    members = tuple(independent_set)
+    if len(members) == 1:
+        u = members[0]
+        if u not in matroid._ground_set:
+            matroid._reject({u})
+        at = bisect_left(matroid.anchored, u)
+        anchored = matroid.anchored[:at] + members + matroid.anchored[at:]
+        away = frozenset(members)
+    else:
+        away = frozenset(canonical(members, matroid.n))
+        if not away <= matroid._ground_set:
+            matroid._reject(set(away))
+        anchored = tuple(sorted(away.union(matroid.anchored)))
     matroid.counts.independence_queries += 1
     if not matroid.root._is_independent(anchored):
         raise ValueError("cannot contract a dependent set")

@@ -1,6 +1,7 @@
 """Solver tests: parameter chain, greedy variants, split, grow, dispatch."""
 
 import hashlib
+import math
 import random
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from submod import (
     MATROID_KINDS,
     FunctionSpec,
     Instance,
+    Matroid,
     MatroidSpec,
     SetFunction,
     WeightedBipartiteGraph,
@@ -37,6 +39,8 @@ from submod import (
     split_and_grow,
     split_and_grow_deterministic,
 )
+
+from submod.instances import GROW_MIN_N
 
 from oracle_logs import logged_evaluator, logged_independence
 
@@ -567,3 +571,75 @@ class TestFloatTies:
                 assert is_base(m, report.solution), (seed, algorithm)
                 assert report.value == f(report.solution)
         assert len(grown) == 6 * 3  # one rp_greedy per rpgreedy run, two per msg-det run
+
+
+@pytest.fixture
+def checked_orders(monkeypatch):
+    """Check every grown copy's scan order against a fresh stable sort by its gains.
+
+    Returns a tally of the copies' bases, those that reused last round's
+    order, and those whose table or previous table held a NaN, each of which
+    must have sorted afresh.
+    """
+    tally = {"bases": 0, "reused": 0, "nan": 0, "sorts": 0}
+    scans = []
+    real_scan, real_base, real_sort = Matroid.greedy_scan, algorithms._GrownCopy.base, algorithms._by_weight
+
+    def recording_scan(matroid, order):
+        scans.append(tuple(order))
+        return real_scan(matroid, order)
+
+    def counted_sort(ground, weights):
+        tally["sorts"] += 1
+        return real_sort(ground, weights)
+
+    def checked_base(copy):
+        last, sorts = list(copy.gains.values()), tally["sorts"]
+        gains, chosen = real_base(copy)
+        assert list(scans[-1]) == sorted(copy.residual.ground, key=gains.__getitem__, reverse=True)
+        assert chosen == sorted(chosen)
+        tally["bases"] += 1
+        tally["reused"] += tally["sorts"] == sorts
+        if any(map(math.isnan, [*last, *gains.values()])):
+            assert tally["sorts"] == sorts + 1
+            tally["nan"] += 1
+        return gains, chosen
+
+    monkeypatch.setattr(Matroid, "greedy_scan", recording_scan)
+    monkeypatch.setattr(algorithms, "_by_weight", counted_sort)
+    monkeypatch.setattr(algorithms._GrownCopy, "base", checked_base)
+    return tally
+
+
+class TestReusedOrder:
+    """A grown copy scans in the order a fresh sort by gain gives, whether it reuses last round's or sorts."""
+
+    @pytest.mark.parametrize(
+        "function_kind", ["coverage", "weighted_coverage", "fractional", "concave_of_modular", "modular"]
+    )
+    @pytest.mark.parametrize("matroid_kind", ["uniform", "partition", "graphic"])
+    def test_every_order_is_the_stable_sort(self, checked_orders, matroid_kind, function_kind):
+        rng = random.Random(f"{matroid_kind}-{function_kind}")
+        kind = "weighted_coverage" if function_kind == "fractional" else function_kind
+        for seed in range(2):
+            instance = random_instance(seed, GROW_MIN_N, matroid_kind, kind, rank=5)
+            if function_kind == "fractional":
+                instance = fractional(instance, rng)
+            f, m = build(instance)
+            for algorithm in ("msg-det", "msg", "rpgreedy"):
+                report = solve(f, m, algorithm, seed=seed)
+                assert is_base(m, report.solution), (seed, algorithm)
+        if function_kind == "modular":  # rows never change: each copy sorts in its first round only
+            assert checked_orders["reused"] > checked_orders["bases"] / 2
+        else:
+            assert checked_orders["bases"] > checked_orders["reused"]
+
+    def test_a_nan_entry_sorts_afresh(self, checked_orders):
+        f, m = build(random_instance(5, 16, "partition", "modular", rank=5))
+        inner = f._evaluate
+        f._evaluate = lambda members: math.nan if members == (9, 11) else inner(members)
+        report = solve(f, m, "rpgreedy")
+        # pinned from the grower that sorted every round afresh
+        assert (report.solution, report.value) == ((3, 4, 5, 7, 11), 35.0)
+        assert (report.counts.value_queries, report.counts.independence_queries) == (381, 358)
+        assert checked_orders["nan"] >= 2  # the round with the NaN and the round after it

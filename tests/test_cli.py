@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import submod.cli as cli
-from submod import FunctionSpec, Instance, InternalInvariantError, MatroidSpec, parameters, save
+from submod import ALGORITHMS, FunctionSpec, Instance, InternalInvariantError, MatroidSpec, parameters, save
 from submod.cli import main
 
 TRIANGLE = Instance(
@@ -123,6 +123,34 @@ class TestRun:
         payload = json.loads(capsys.readouterr().out)
         assert payload["parameters"]["x"] == 0.5
         assert payload["parameters"]["p"] == parameters(0.5).p
+
+    @pytest.mark.parametrize("x", ["1.5", "1.0", "-0.25", "nan"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_x_outside_range_is_usage_error(self, triangle_path, capsys, monkeypatch, algorithm, x):
+        def no_load(*args, **kwargs):
+            raise AssertionError("the instance was loaded")
+
+        monkeypatch.setattr(cli, "load", no_load)
+        assert main(["run", "--instance", triangle_path, "--algorithm", algorithm, "--x", x]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: x must lie in [0, 1), got {float(x)}\n"
+
+    def test_rank_one_instance_checks_x(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        rank_one = Instance(
+            n=2,
+            matroid=MatroidSpec(kind="uniform", k=1),
+            function=FunctionSpec(kind="modular", weights=(2, 1)),
+            label="one",
+        )
+        save(rank_one, path)
+        assert main(["run", "--instance", str(path), "--algorithm", "msg-det", "--x", "1.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: x must lie in [0, 1), got 1.5\n"
+        assert main(["run", "--instance", str(path), "--algorithm", "msg-det", "--x", "0.5"]) == 0
+        assert json.loads(capsys.readouterr().out)["solution"] == [0]
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from submod import (
     contract,
     is_base,
     marginal_function,
+    random_instance,
 )
 
 from submod.instances import GROW_MIN_N
@@ -372,6 +373,92 @@ class TestContract:
             for s in itertools.combinations(direct.ground, r):
                 assert deepest.is_independent(s) == direct.is_independent(s)
         assert len(calls) - start_calls == m.queries - start_queries
+
+
+# ids outside [0, n), ids outside ground (anchored ones included) and dependent contractions
+ERROR_KINDS = ("out of range for ground set", "is not in the matroid ground set", "cannot contract a dependent set")
+
+
+class TestOneIdPaths:
+    """``contract`` and ``marginal_function`` by one id equal the general path on every outcome.
+
+    The one-id path inserts the id into the anchor by bisect; ``(u, u)`` is
+    the same set spelled with two ids, which takes the general path.  Twin
+    oracles built from one instance log every root question, so each pair of
+    calls must leave the same views, the same errors, the same billing and
+    the same root questions.
+    """
+
+    @staticmethod
+    def twins(matroid_kind, n):
+        """Two logged builds of one instance: (f, m, log) each."""
+        instance = random_instance(7, n, matroid_kind, "coverage", rank=5)
+        pairs = []
+        for _ in range(2):
+            f, m = build(instance)
+            log = []
+            f._evaluate = logged_evaluator(f._evaluate, lambda members, _, log=log: log.append(("value", members)), True)
+            m._is_independent = logged_independence(
+                m._is_independent, lambda members, _, log=log: log.append(("indep", members)), False
+            )
+            pairs.append((f, m, log))
+        return pairs
+
+    @staticmethod
+    def outcome(call):
+        """("ok", result) or ("error", message) of a call that may raise ValueError."""
+        try:
+            return "ok", call()
+        except ValueError as exc:
+            return "error", str(exc)
+
+    @pytest.mark.parametrize("matroid_kind", ["uniform", "partition", "graphic"])
+    def test_contract(self, matroid_kind):
+        (_, m, log), (_, twin, twin_log) = self.twins(matroid_kind, 12)
+        full = m.greedy_scan(m.ground)
+        twin.greedy_scan(twin.ground)
+        chains = [(), (full[1],), (full[3], full[0]), tuple(full)]  # the last one leaves rank 0
+        errors = set()
+        for chain in chains:
+            view, twin_view = contract(m, chain), contract(twin, chain)
+            for u in (-1, *range(m.n), m.n, m.n + 3):
+                one = self.outcome(lambda: contract(view, (u,)))
+                general = self.outcome(lambda: contract(twin_view, (u, u)))
+                if one[0] == "ok":
+                    one = one[0], (one[1].anchored, one[1].ground, one[1]._ground_set, one[1].rank)
+                    general = general[0], (general[1].anchored, general[1].ground, general[1]._ground_set,
+                                           general[1].rank)
+                else:
+                    errors.add(next(kind for kind in ERROR_KINDS if kind in one[1]))
+                assert one == general, (chain, u)
+                assert m.counts == twin.counts and log == twin_log, (chain, u)
+        assert errors == set(ERROR_KINDS)
+
+    @pytest.mark.parametrize("matroid_kind", ["uniform", "graphic"])
+    def test_marginal_function(self, matroid_kind):
+        (f, _, log), (twin, _, twin_log) = self.twins(matroid_kind, GROW_MIN_N)
+        errors = 0
+        for chain in [(), (4,), (4, 17), (0, 4, 17, GROW_MIN_N - 1)]:
+            view, twin_view = marginal_function(f, chain), marginal_function(twin, chain)
+            ids = tuple(u for u in range(f.n) if u not in chain)
+            view.singleton_table(ids)  # a row, so that a view grown from this one derives its first row
+            twin_view.singleton_table(ids)
+            for u in (-1, 0, 4, 5, 17, 30, GROW_MIN_N - 1, GROW_MIN_N, GROW_MIN_N + 3):
+                one = self.outcome(lambda: marginal_function(view, (u,)))
+                general = self.outcome(lambda: marginal_function(twin_view, (u, u)))
+                assert one[0] == general[0], (chain, u)
+                if one[0] == "error":
+                    assert one == general, (chain, u)
+                    errors += 1
+                    continue
+                one, general = one[1], general[1]
+                assert one.anchored == general.anchored == canonical((*chain, u)), (chain, u)
+                assert (one._row is None) == (general._row is None) == (u in chain), (chain, u)
+                rest = tuple(v for v in ids if v != u)
+                table, twin_table = one.singleton_table(rest), general.singleton_table(rest)
+                assert [(v, x.hex()) for v, x in table.items()] == [(v, x.hex()) for v, x in twin_table.items()]
+                assert f.counts == twin.counts and log == twin_log, (chain, u)
+        assert errors == 4 * 3  # -1, n and n + 3 on each chain
 
 
 class TestIsBase:
