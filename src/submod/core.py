@@ -340,9 +340,10 @@ def marginal_function(f: SetFunction, base_set: Iterable[int]) -> SetFunction:
     is evaluated lazily on the first call and cached, so each later
     evaluation costs exactly one fresh oracle query.  A one-id
     ``base_set`` is inserted into the canonical anchor by bisect, with
-    ``canonical``'s range check and message; the view is the same.  A view
-    that adds one id to an ``f`` whose row function carries ``grow`` takes
-    its row function from that ``grow``.
+    ``canonical``'s range check and message; the view, and so every root
+    question it asks, is the same.  A view that adds one id to an ``f``
+    whose row function carries ``grow`` takes its row function from that
+    ``grow``.
     """
     members = tuple(base_set)
     anchored = f.anchored
