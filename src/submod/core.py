@@ -69,8 +69,8 @@ class SetFunction:
     least ``GROW_MIN_N`` ids) also carry ``grow(u)``, the row function of
     ``anchored + (u,)``; its first row, if asked for the parent's last ids
     less u, is derived from the parent's last row.  A view that
-    ``marginal_function`` grows by one id from a view that has answered a
-    row gets its row function from that ``grow``.
+    ``marginal_function`` grows by a one-id ``base_set`` from a view that
+    has answered a row gets its row function from that ``grow``.
     """
 
     def __init__(
@@ -236,10 +236,11 @@ class Matroid:
         difference.  If the root's kernel carries an ``exchange`` hook
         (``instances.build`` gives one to every kernel it builds),
         ``exchange(base)`` reads ``base`` once and each answer is its
-        ``swap(add, drop)``, equal to the kernel's answer for that set.
-        Otherwise, a replaced kernel included, each answer is one kernel call
-        with the tuple built from ``base`` by at most one removal and one
-        insertion, the tuple ``is_independent`` would pass.
+        ``swap(add, drop)``, equal to the kernel's answer for that set; the
+        hook returns None for a dependent ``base``.  Otherwise, a declined or
+        replaced kernel included, each answer is one kernel call with the
+        tuple built from ``base`` by at most one removal and one insertion,
+        the tuple ``is_independent`` would pass.
         """
         kept = set(kept)
         if not kept <= self._ground_set:
@@ -248,7 +249,9 @@ class Matroid:
         ground, counts = self._ground_set, self.counts
         independent = self.root._is_independent
         exchange = getattr(independent, "exchange", None)
-        swap = _swapping(independent, base) if exchange is None else exchange(base)
+        swap = None if exchange is None else exchange(base)
+        if swap is None:
+            swap = _swapping(independent, base)
 
         def test(u: int, v: int | None = None) -> bool:
             if u not in ground:
@@ -264,18 +267,22 @@ class Matroid:
 
         The test for ``u`` is one billed query and one kernel answer for
         ``anchored + kept + [u]``; the scan stops, without a query, once
-        ``rank`` ids are kept.  ``order`` is checked once, then scanned as one
-        row by ``take(order, rank)``, which returns the kept ids and the
-        number of ids it asked about, and those are billed together.  If the
-        root's kernel carries a ``scan`` hook (``instances.build`` gives one
-        to every kernel it builds), ``take`` is ``scan(anchored)``, which reads
-        the anchor once and answers each id equal to the kernel.  Otherwise, a
+        ``rank`` ids are kept (at rank 0, before it asks any hook).  ``order``
+        is checked once, then scanned as one row by ``take(order, rank)``,
+        which returns the kept ids and the number of ids it asked about, and
+        those are billed together.  If the root's kernel carries a ``scan``
+        hook (``instances.build`` gives one to every kernel it builds),
+        ``take`` is ``scan(anchored)``, which reads the anchor once and
+        answers each id equal to the kernel; the anchor is always independent
+        (``contract`` checked it) and the limit at least 1.  Otherwise, a
         replaced kernel included, each answer is one kernel call with the
         tuple ``is_independent`` would pass.  If an id lies outside
         ``ground``, the ids before the first such one are scanned and billed,
         and ``is_independent``'s error is raised unless the scan stopped
         before reaching it.  Returns the kept ids in scan order.
         """
+        if not self.rank:
+            return []
         order = tuple(order)
         ground = self._ground_set
         if not ground.issuperset(order):
@@ -314,8 +321,6 @@ def _offering(independent: Callable[[ElementSet], bool], anchored: ElementSet) -
 
     def take(order: tuple[int, ...], limit: int) -> tuple[list[int], int]:
         kept: list[int] = []
-        if not limit:
-            return kept, 0
         for asked, u in enumerate(order, 1):
             at = bisect_left(members, u)
             fresh = at == len(members) or members[at] != u  # u repeats a member otherwise
@@ -341,13 +346,13 @@ def marginal_function(f: SetFunction, base_set: Iterable[int]) -> SetFunction:
     evaluation costs exactly one fresh oracle query.  A one-id
     ``base_set`` is inserted into the canonical anchor by bisect, with
     ``canonical``'s range check and message; the view, and so every root
-    question it asks, is the same.  A view that adds one id to an ``f``
-    whose row function carries ``grow`` takes its row function from that
-    ``grow``.
+    question it asks, is the same.  A one-id ``base_set`` outside the anchor
+    of an ``f`` whose row function carries ``grow`` gives the view its row
+    function from that ``grow``.
     """
     members = tuple(base_set)
     anchored = f.anchored
-    added = None  # the one id the view adds to f's anchor, if it adds exactly one
+    added = None  # the id a one-id base_set adds to f's anchor
     if len(members) == 1:
         u = members[0]
         if not 0 <= u < f.n:
@@ -357,8 +362,6 @@ def marginal_function(f: SetFunction, base_set: Iterable[int]) -> SetFunction:
             anchored, added = anchored[:at] + members + anchored[at:], u
     else:
         anchored = canonical(chain(anchored, members), f.n)
-        if len(anchored) == len(f.anchored) + 1:  # the anchors differ by one id, so their sums differ by it
-            added = sum(anchored) - sum(f.anchored)
     view = object.__new__(SetFunction)
     view.n, view.counts, view.root, view._ground_set = f.n, f.counts, f.root, f._ground_set
     view.anchored = anchored

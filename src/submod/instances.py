@@ -234,16 +234,16 @@ EXACT_TOTAL = 2**53  # every integer below it is a float, and so is every sum or
 GROW_MIN_N = 48
 
 
-def _growing_rows(start, row, value, step, refresh):
+def _growing_rows(start, row, step, refresh):
     """The ``extend`` hook of an exact kernel: rows whose ``grow`` derives a grown anchor's row.
 
     The kernel reads an anchor into a state, ``start(anchored)``, and
-    ``row(state, ids, offset)`` answers a full row from it.  ``value(state)``
-    is the kernel's float for the anchor and ``step(state, u)`` the state of
-    the anchor plus u.  ``refresh(table, before, state, u, offset)``, if
-    given, answers again each entry of ``table`` whose marginal may differ
-    between the anchor of ``before`` and that anchor plus u, whose state is
-    ``state``.  Every value of an exact kernel is an integer below
+    ``row(state, ids, offset)`` answers a full row from it; ``step(state,
+    u)`` is the state of the anchor plus u.  ``refresh(table, before, state,
+    u, offset)``, if given, answers again each entry of ``table`` whose
+    marginal may differ between the anchor of ``before`` and that anchor
+    plus u, whose state is ``state``.  Every offset is the kernel's value of
+    its row's anchor, and every value of an exact kernel is an integer below
     EXACT_TOTAL, so every marginal is exact, and an entry that u does not
     change is the same float in both rows.
     """
@@ -253,13 +253,11 @@ def _growing_rows(start, row, value, step, refresh):
         before, last, u = origin
         if last is None:
             return None
-        parent_ids, parent_offset, parent_table = last
+        parent_ids, parent_table = last
         if u not in parent_table or len(parent_table) != len(parent_ids):  # u absent or an id repeated
             return None
         at = parent_ids.index(u)
         if ids != parent_ids[:at] + parent_ids[at + 1:]:
-            return None
-        if offset != value(state) or parent_offset != value(before):
             return None
         table = parent_table.copy()
         del table[u]
@@ -268,7 +266,7 @@ def _growing_rows(start, row, value, step, refresh):
         return table
 
     def rows(state, origin):
-        last = None  # (ids, offset, table) of the last row answered
+        last = None  # (ids, table) of the last row answered
 
         def marginals(ids, offset):
             nonlocal origin, last
@@ -277,7 +275,7 @@ def _growing_rows(start, row, value, step, refresh):
             origin = None  # only the first row may derive: drop the parent's row
             if table is None:
                 table = row(state, ids, offset)
-            last = ids, offset, table
+            last = ids, table
             return table.copy()  # the kept row stays as answered, whatever the caller does to its copy
 
         marginals.grow = lambda u: rows(step(state, u), (state, last, u))
@@ -313,12 +311,7 @@ def _sum_extend(weights, finish, grows):
         base, inside = state
         return state if u in inside else (base + weights[u], inside | {u})
 
-    return _growing_rows(start, row, lambda state: float(state[0]), step, None)
-
-
-def _refusing(order, limit):
-    """The ``take`` of a dependent anchor: every superset of a dependent set is dependent."""
-    return [], len(order) if limit else 0
+    return _growing_rows(start, row, step, None)
 
 
 def build(instance: Instance) -> tuple[SetFunction, Matroid]:
@@ -348,34 +341,37 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
     ``grow(u)``, the row function of ``anchored + (u,)``.  Exact means unit
     coverage, or coverage or modular weights that are all ``int`` with a
     total below 2**53, so every value and every marginal is an integer a
-    float holds.  A grown function's first row, if asked for exactly its
-    parent's last ids less u with each offset its own anchor's value, is
-    the parent's last row less u with only the ids u can change answered
-    again (coverage: the ids covering an item u newly covers, from an
-    index built on first use; modular: none); every other row is answered
-    in full.  Concave and fractional kernels have no ``grow``.
+    float holds.  Every row is asked with its anchor's value as the offset
+    (``SetFunction`` passes ``evaluate(anchored)``, or 0 on a root).  A
+    grown function's first row, if asked for exactly its parent's last ids
+    less u, is the parent's last row less u with only the ids u can change
+    answered again (coverage: the ids covering an item u newly covers, from
+    an index built on first use; modular: none); every other row is
+    answered in full.  Concave and fractional kernels have no ``grow``.
 
     Every independence kernel carries two hooks, ``independent.exchange``
     for ``Matroid.exchange_test`` and ``independent.scan`` for
     ``Matroid.greedy_scan``.  ``exchange(base)`` reads the canonical
-    ``base`` once and returns ``swap``, where ``swap(add, drop)`` equals
+    ``base`` once and returns None if ``base`` is dependent (``exchange_test``
+    then asks the kernel), else ``swap``, where ``swap(add, drop)`` equals
     ``independent(canonical(base - {drop} + {add}))`` for ``add`` None or
-    outside ``base`` and ``drop`` None or in it, whether or not ``base`` is
-    independent.  ``scan(anchored)`` returns ``take``, where ``take(order,
-    limit)`` offers the ids of the sequence ``order`` in turn until ``limit``
-    are kept and returns ``(kept, asked)``: the kept ids in order and the
-    number of ids offered.  Each offer equals ``independent`` on the members
-    so far plus u and keeps u as a member on a yes; the members start as
-    ``anchored``, and a dependent ``anchored`` keeps nothing.  Uniform hooks
-    compare a size and partition hooks keep part counts; the graphic
-    ``exchange`` keeps a union-find of ``base`` and answers a swap whose
-    added edge closes a cycle from the tree path between its ends, rooting
-    ``base``'s spanning forest once, on the first such swap (a ``base``
-    that holds a cycle is answered by a kernel call per swap), and the
-    graphic ``scan`` keeps a union-find of the members.  One entry of a
-    ``marginals`` row, one ``swap`` and one offer of a ``take`` row are each
-    one billed query, as a kernel call is; a callable put in a kernel's
-    place carries no hooks, so it answers every query itself.
+    outside ``base`` and ``drop`` None or in it.  ``scan(anchored)``, for an
+    independent ``anchored``, returns ``take``, where ``take(order, limit)``,
+    for a ``limit`` from 1 to the rank less ``len(anchored)``, offers the
+    ids of the sequence ``order`` in turn until ``limit`` are kept and
+    returns ``(kept, asked)``: the kept ids in order and the number of ids
+    offered.  Each offer equals ``independent`` on the members so far plus u
+    and keeps u as a member on a yes; the members start as ``anchored``.
+    The uniform ``exchange`` compares a size and the uniform ``take`` keeps
+    the first ``limit`` ids, all of which fit; partition hooks keep part
+    counts; the graphic ``exchange`` keeps a union-find of ``base`` and
+    answers a swap whose added edge closes a cycle from the tree path
+    between its ends, rooting ``base``'s spanning forest once, on the first
+    such swap, and the graphic ``scan`` keeps a union-find of the members.
+    One entry of a ``marginals`` row, one ``swap`` and one offer of a
+    ``take`` row are each one billed query, as a kernel call is; a callable
+    put in a kernel's place carries no hooks, so it answers every query
+    itself.
     """
     instance.validate()
     counts = OracleCounts()
@@ -418,20 +414,8 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
         if unit:
             # Adding 1 per covered item in ascending order is exact, so the
             # count is the same float.
-            def evaluate(members):
-                covered = 0
-                for u in members:
-                    covered |= masks[u]
-                return float(covered.bit_count())
-
             def value(covered):
                 return float(covered.bit_count())
-
-            def row(covered, ids, offset):
-                table = {}
-                for u in ids:
-                    table[u] = float((covered | masks[u]).bit_count()) - offset
-                return table
 
         else:
             # Visit only the set bits, lowest item first: a fixed ascending
@@ -444,17 +428,17 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
                     covered ^= low
                 return total
 
-            def evaluate(members):
-                covered = 0
-                for u in members:
-                    covered |= masks[u]
-                return value(covered)
+        def evaluate(members):
+            covered = 0
+            for u in members:
+                covered |= masks[u]
+            return value(covered)
 
-            def row(covered, ids, offset):
-                table = {}
-                for u in ids:
-                    table[u] = value(covered | masks[u]) - offset
-                return table
+        def row(covered, ids, offset):
+            table = {}
+            for u in ids:
+                table[u] = value(covered | masks[u]) - offset
+            return table
 
         if n >= GROW_MIN_N and (unit or (all(map(_is_int, universe)) and sum(universe) < EXACT_TOTAL)):
             holders = None  # item -> the ids that cover it, built for the first grown row
@@ -476,7 +460,7 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
                             table[v] = value(covered | masks[v]) - offset
                     fresh ^= low
 
-            evaluate.extend = _growing_rows(mask_of, row, value, lambda covered, u: covered | masks[u], refresh)
+            evaluate.extend = _growing_rows(mask_of, row, lambda covered, u: covered | masks[u], refresh)
         else:
             evaluate.extend = lambda anchored: partial(row, mask_of(anchored))
 
@@ -492,28 +476,17 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
 
         def exchange(base):
             size = len(base)
+            if size > k:
+                return None
             return lambda add, drop: size + (add is not None) - (drop is not None) <= k
 
+        def prefix(order, limit):
+            """Below the rank every offer is kept, so a row keeps its first ``limit`` ids."""
+            kept = list(order[:limit])
+            return kept, len(kept)
+
         def scan(anchored):
-            if len(anchored) > k:
-                return _refusing
-            members = set(anchored)
-
-            def take(order, limit):
-                kept = []
-                if not limit:
-                    return kept, 0
-                for asked, u in enumerate(order, 1):
-                    if u not in members:
-                        if len(members) >= k:
-                            continue
-                        members.add(u)
-                    kept.append(u)
-                    if len(kept) == limit:
-                        return kept, asked
-                return kept, len(order)
-
-            return take
+            return prefix
 
     elif mspec.kind == "partition":
         part_of = [0] * n
@@ -531,41 +504,28 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
                     return False
             return True
 
-        def room(members):
-            """Each part's capacity less its members (negative when over capacity)."""
-            spare = list(caps)
-            for u in members:
-                spare[part_of[u]] -= 1
-            return spare
-
         def exchange(base):
-            spare = room(base)
-            over = sum(s < 0 for s in spare)  # the parts over capacity
+            spare = list(caps)
+            for u in base:
+                i = part_of[u]
+                if not spare[i]:
+                    return None
+                spare[i] -= 1
 
             def swap(add, drop):
-                relieved = False  # dropping brings the one part over capacity back to it
-                if drop is not None:
-                    j = part_of[drop]
-                    if add is not None and part_of[add] == j:
-                        return over == 0
-                    relieved = spare[j] == -1
-                return over == relieved and (add is None or spare[part_of[add]] > 0)
+                # add fits if its part has room or drop frees a place in it
+                return add is None or spare[part_of[add]] > 0 or (drop is not None and part_of[drop] == part_of[add])
 
             return swap
 
         def scan(anchored):
             spare = list(caps)
             for u in anchored:
-                i = part_of[u]
-                if not spare[i]:
-                    return _refusing
-                spare[i] -= 1
+                spare[part_of[u]] -= 1
             members = set(anchored)
 
             def take(order, limit):
                 kept = []
-                if not limit:
-                    return kept, 0
                 for asked, u in enumerate(order, 1):
                     if u not in members:
                         i = part_of[u]
@@ -600,26 +560,11 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
                 parent[b] = a
             return True
 
-        def asking(base):
-            """The ``swap`` of a base that holds a cycle: one kernel call per answer.
-
-            Whether edges form a forest does not depend on their order, so
-            the members need no sort.
-            """
-
-            def swap(add, drop):
-                members = [u for u in base if u != drop]
-                if add is not None:
-                    members.append(add)
-                return independent(members)
-
-            return swap
-
         def exchange(base):
             parent = identity.copy()
             for u in base:
                 if not _link(parent, *edges[u]):
-                    return asking(base)
+                    return None
             up, depth, joins, cycles = {}, {}, {}, {}
 
             def root_forest():
@@ -675,14 +620,11 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
         def scan(anchored):
             parent = identity.copy()
             for u in anchored:
-                if not _link(parent, *edges[u]):
-                    return _refusing
+                _link(parent, *edges[u])
             members = set(anchored)
 
             def take(order, limit):
                 kept = []
-                if not limit:
-                    return kept, 0
                 for asked, u in enumerate(order, 1):
                     if u not in members:
                         if not _link(parent, *edges[u]):

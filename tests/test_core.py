@@ -453,7 +453,7 @@ class TestOneIdPaths:
                     continue
                 one, general = one[1], general[1]
                 assert one.anchored == general.anchored == canonical((*chain, u)), (chain, u)
-                assert (one._row is None) == (general._row is None) == (u in chain), (chain, u)
+                assert (one._row is None) == (u in chain), (chain, u)  # only a one-id step grows a row
                 rest = tuple(v for v in ids if v != u)
                 table, twin_table = one.singleton_table(rest), general.singleton_table(rest)
                 assert [(v, x.hex()) for v, x in table.items()] == [(v, x.hex()) for v, x in twin_table.items()]
@@ -579,9 +579,13 @@ class TestIndependencePrimitives:
     @pytest.mark.parametrize("contractions", PRIMITIVE_VIEWS)
     @pytest.mark.parametrize("kind", sorted(PRIMITIVE_SPECS))
     def test_exchange_test_equals_is_independent(self, kind, contractions):
+        """Every ``kept``, dependent ones too; the hook answers exactly when ``kept + anchored`` is independent."""
+        kernel = primitive_root(PRIMITIVE_SPECS[kind])._is_independent
         for hooked in (False, True):
             (view, log), (plain, plain_log) = primitive_twins(kind, contractions, hooked)
             for kept in subsets(view.ground):
+                by_hook = hooked and kernel(canonical(kept + view.anchored))
+                start = len(log)
                 test = view.exchange_test(kept)
                 assert len(log) == view.queries == plain.queries  # building a test costs nothing
                 for u in view.ground:  # u in kept, v == u and v outside kept are all among these
@@ -589,7 +593,8 @@ class TestIndependencePrimitives:
                         answer = test(u, v) if v is not None else test(u)
                         assert answer is plain.is_independent((set(kept) - {v}) | {u}), (kept, u, v, hooked)
                         assert view.queries == plain.queries == len(log)
-                assert_same_answers(log, plain_log, hooked)
+                assert all(answered is by_hook for _, answered in log[start:]), (kept, hooked)
+            assert [members for members, _ in log] == [members for members, _ in plain_log]
 
     @pytest.mark.parametrize("contractions", PRIMITIVE_VIEWS)
     @pytest.mark.parametrize("kind", sorted(PRIMITIVE_SPECS))
@@ -605,7 +610,7 @@ class TestIndependencePrimitives:
 
     @pytest.mark.parametrize("kind", sorted(PRIMITIVE_SPECS))
     def test_hooks_equal_the_kernel_on_every_set(self, kind):
-        """Dependent bases and anchors too, which no view of an oracle hands a hook."""
+        """Every set core can hand a hook; ``exchange`` declines each dependent base."""
         root = primitive_root(PRIMITIVE_SPECS[kind])
         kernel = root._is_independent
         ids = range(5)
@@ -623,17 +628,16 @@ class TestIndependencePrimitives:
 
         for base in subsets(ids):
             swap = kernel.exchange(base)
+            if not kernel(base):
+                assert swap is None, base
+                continue
             for add in (None, *(u for u in ids if u not in base)):
                 for drop in (None, *base):
                     assert swap(add, drop) is kernel(canonical({*base, add} - {drop, None})), (base, add, drop)
             for order in itertools.permutations(ids):
                 order += order[:2]  # the repeats offer members
-                for limit in range(root.rank + 2):
+                for limit in range(1, root.rank - len(base) + 1):
                     assert kernel.scan(base)(order, limit) == kernel_take(set(base), order, limit), (base, order, limit)
-                # a take keeps its members from one row to the next
-                take, members = kernel.scan(base), set(base)
-                for row in (order[:3], order[3:]):
-                    assert take(row, len(row)) == kernel_take(members, row, len(row)), (base, order, row)
 
     def test_root_cells_keep_dependent_sets(self):
         for kind, dependent in DEPENDENT.items():

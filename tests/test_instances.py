@@ -6,21 +6,29 @@ import random
 import re
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import submod.instances as instances
 from submod import (
+    ALGORITHMS,
+    DEFAULT_X,
+    FUNCTION_KINDS,
+    MATROID_KINDS,
     FunctionSpec,
     Instance,
     InstanceFormatError,
     MatroidSpec,
     build,
     canonical,
+    cli,
+    contract,
     enumerate_small_instances,
     iter_bases,
     load,
+    marginal_function,
     random_instance,
     save,
     solve,
@@ -459,8 +467,6 @@ class TestGrowHook:
             "ids less u and another": (less[1:], right),
             "ids with u": (ids, right),
             "ids less u, one repeated": (less + less[:1], right),
-            "offset not the anchor's value": (less, right + 1),
-            "offset off by a fraction": (less, right - 0.5),
         }
         for case, (row, offset) in asked.items():
             marginals = evaluate.extend(())
@@ -471,23 +477,11 @@ class TestGrowHook:
             assert as_hex(table) == as_hex(evaluate.extend((u,))(row, offset)), case
             assert grown(less, right) == evaluate.extend((u,))(less, right)  # only the first row may derive
 
-    @pytest.mark.parametrize("name", ["unit-coverage", "int-modular"])
-    def test_a_parent_offset_off_its_anchor_value_is_not_derived(self, name):
-        evaluate = growing_evaluator(*GROWING[name])
-        ids = tuple(range(GROW_MIN_N + 12))
-        marginals = evaluate.extend((3,))
-        marginals(ids, evaluate((3,)) + 0.25)
-        grown = marginals.grow(7)
-        less = tuple(v for v in ids if v != 7)
-        table, full = count_full_rows(lambda: grown(less, evaluate((3, 7))))
-        assert full == 1
-        assert as_hex(table) == as_hex(evaluate.extend((3, 7))(less, evaluate((3, 7))))
-
     def test_the_caller_may_change_its_row(self):
         evaluate = growing_evaluator(*GROWING["unit-coverage"])
         ids = tuple(range(GROW_MIN_N + 12))
         marginals = evaluate.extend(())
-        marginals(ids, 0).update({v: -1.0 for v in ids if v != 7})  # u's entry, 7's, is checked against the offset
+        marginals(ids, 0).update({v: -1.0 for v in ids if v != 7})  # every entry the grown row keeps
         less = ids[:7] + ids[8:]
         assert marginals.grow(7)(less, evaluate((7,))) == evaluate.extend((7,))(less, evaluate((7,)))
 
@@ -519,6 +513,102 @@ class TestGrowHook:
         assert hasattr(growing_evaluator("coverage", (1,) * 40, n=GROW_MIN_N).extend(()), "grow")
         assert hasattr(growing_evaluator("modular", (2**53 - 2, 1) + (0,) * 58).extend(()), "grow")
 
+
+def guarded_build(instance, asked):
+    """``build``, with each kernel hook wrapped to assert the contract ``build``'s docstring states.
+
+    Every ``scan`` anchor is independent, every ``take`` limit lies in [1,
+    rank - len(anchored)], every row's offset is bitwise the kernel's value
+    of its anchor, and every ``exchange`` base is canonical.  ``asked``
+    counts the calls of each wrapped hook.
+    """
+    f, m = build(instance)
+    evaluate, independent = f._evaluate, m._is_independent
+    extend, exchange, scan = evaluate.extend, independent.exchange, independent.scan
+
+    def guarded_rows(marginals, anchored):
+        def guarded_marginals(ids, offset):
+            asked["row"] += 1
+            assert float(offset).hex() == evaluate(anchored).hex(), (anchored, offset)
+            return marginals(ids, offset)
+
+        if hasattr(marginals, "grow"):
+            guarded_marginals.grow = lambda u: guarded_rows(marginals.grow(u), canonical(anchored + (u,)))
+        return guarded_marginals
+
+    def guarded_exchange(base):
+        asked["exchange"] += 1
+        assert base == canonical(base), base
+        return exchange(base)
+
+    def guarded_scan(anchored):
+        assert independent(anchored), anchored
+        take = scan(anchored)
+
+        def guarded_take(order, limit):
+            asked["take"] += 1
+            assert 1 <= limit <= m.rank - len(anchored), (anchored, limit)
+            return take(order, limit)
+
+        return guarded_take
+
+    evaluate.extend = lambda anchored: guarded_rows(extend(anchored), anchored)
+    independent.exchange, independent.scan = guarded_exchange, guarded_scan
+    return f, m
+
+
+class TestHookContract:
+    """Core asks ``build``'s hooks only within their narrowed contract.
+
+    The hooks answer no dependent scan anchor, no zero limit and no offset
+    other than the anchor's value, and they decline a dependent exchange
+    base; core's checks and per-call forms keep such inputs away.  If core
+    ever asks outside the contract, these runs fail.
+    """
+
+    @pytest.mark.parametrize("function_kind", FUNCTION_KINDS)
+    @pytest.mark.parametrize("matroid_kind", MATROID_KINDS)
+    def test_every_algorithm_asks_within_the_contract(self, matroid_kind, function_kind):
+        instance = random_instance(5, GROW_MIN_N, matroid_kind, function_kind, rank=6)
+        asked = Counter()
+        f, m = guarded_build(instance, asked)
+        plain_f, plain_m = build(instance)
+        for algorithm in ALGORITHMS:
+            report = solve(f, m, algorithm, x=DEFAULT_X, seed=0)
+            plain = solve(plain_f, plain_m, algorithm, x=DEFAULT_X, seed=0)
+            assert (report.solution, report.value, report.counts) == (plain.solution, plain.value, plain.counts)
+        assert asked["row"] and asked["exchange"] and asked["take"], asked
+
+    @pytest.mark.parametrize("matroid_kind", MATROID_KINDS)
+    def test_the_primitives_ask_within_the_contract_down_to_rank_0(self, matroid_kind):
+        instance = random_instance(5, GROW_MIN_N, matroid_kind, "coverage", rank=6)
+        asked = Counter()
+        f, m = guarded_build(instance, asked)
+        plain_f, plain_m = build(instance)
+        base = m.greedy_scan(m.ground)
+        assert base == plain_m.greedy_scan(plain_m.ground)
+        for i in range(len(base) + 1):  # the last contraction leaves rank 0
+            anchored = base[:i]
+            view, plain = contract(m, anchored), contract(plain_m, anchored)
+            order = view.ground[::-1]
+            kept = view.greedy_scan(order)
+            assert kept == plain.greedy_scan(order) and len(kept) == view.rank
+            test, plain_test = view.exchange_test(kept), plain.exchange_test(kept)
+            assert [test(u, v) for u in order for v in (None, *kept)] == [
+                plain_test(u, v) for u in order for v in (None, *kept)
+            ]
+            row = marginal_function(f, anchored).singleton_table(order)
+            assert as_hex(row) == as_hex(marginal_function(plain_f, anchored).singleton_table(order))
+        assert f.counts == plain_f.counts
+        assert asked["row"] and asked["exchange"] and asked["take"], asked
+
+    def test_check_instance_asks_within_the_contract(self, monkeypatch):
+        asked = Counter()
+        monkeypatch.setattr(cli, "build", lambda instance: guarded_build(instance, asked))
+        for instance in itertools.islice(enumerate_small_instances(8, 3), 0, None, 8):
+            _, violations = cli.check_instance(instance)
+            assert violations == [], instance.label
+        assert asked["row"] and asked["exchange"] and asked["take"], asked
 
 def coverage_reference(universe_weights, covers, members):
     """Add the weight of every covered item, lowest item first."""
