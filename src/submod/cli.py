@@ -1,8 +1,10 @@
 """Command line front end: solve instances, verify, measure query scaling.
 
-Exit codes: 0 success, 1 suite violations, 2 usage or input error (an
-unwritable ``--out`` path included), 3 enumeration budget exceeded,
-4 inconsistent oracles.
+Commands return 0 on success and 1 when the suite finds violations; every
+other outcome is an exception, which ``main`` reports as one ``error:`` line
+and maps by type to an exit code (``EXIT_CODES``): 3 enumeration budget
+exceeded, 4 inconsistent oracles (from any command), 2 usage or input error
+(an unwritable ``--out`` path included).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .instances import (
     FUNCTION_KINDS,
     MATROID_KINDS,
     Instance,
-    InstanceFormatError,
     build,
     enumerate_small_instances,
     load,
@@ -82,9 +83,8 @@ COMPLEXITY_FIELDS = (
     "elapsed_s",
 )
 
-
-def _err(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
+# checked in order; the first type that matches decides the exit code
+EXIT_CODES = {BudgetExceededError: 3, InternalInvariantError: 4, ValueError: 2, OSError: 2}
 
 
 def _ratio(value: float, opt: float) -> float:
@@ -272,8 +272,8 @@ def _csv_text(fields: tuple[str, ...], rows: list[dict]) -> str:
     return buffer.getvalue()
 
 
-def _writable(path: str) -> bool:
-    """Whether ``path``'s directory exists and is writable; if not, print ``_write``'s error line.
+def _check_writable(path: str) -> None:
+    """Raise ``_write``'s ``OSError`` unless ``path``'s directory exists and is writable.
 
     Commands check this before any work, so a bad ``--out`` fails fast and
     creates no file; ``_write`` still reports a write that fails later.
@@ -284,20 +284,17 @@ def _writable(path: str) -> bool:
     elif not os.access(directory, os.W_OK):
         code = errno.EACCES
     else:
-        return True
-    _err(f"cannot write {path}: {os.strerror(code)}")
-    return False
+        return
+    raise OSError(f"cannot write {path}: {os.strerror(code)}")
 
 
-def _write(path: str, text: str) -> bool:
-    """Write ``text`` to ``path``; if that fails, print one error line and return False."""
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a failure raises ``OSError("cannot write <path>: <reason>")``."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
     except OSError as exc:
-        _err(f"cannot write {path}: {exc.strerror or exc}")
-        return False
-    return True
+        raise OSError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def measure_complexity(
@@ -348,72 +345,35 @@ def _parse_grid(text: str) -> list[int]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    try:
-        parameters(args.x)  # every algorithm, rank-1 instances included, rejects a bad x before any work
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    parameters(args.x)  # every algorithm, rank-1 instances included, rejects a bad x before any work
     if args.max_bases < 1:
-        _err(f"max-bases must be at least 1, got {args.max_bases}")
-        return 2
-    if args.out and not _writable(args.out):
-        return 2
-    try:
-        instance = load(args.instance)
-    except (OSError, InstanceFormatError) as exc:
-        _err(str(exc))
-        return 2
+        raise ValueError(f"max-bases must be at least 1, got {args.max_bases}")
+    if args.out:
+        _check_writable(args.out)
+    instance = load(args.instance)
     f, matroid = build(instance)
-    try:
-        report = solve(f, matroid, args.algorithm, x=args.x, seed=args.seed)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
-    except InternalInvariantError as exc:
-        _err(str(exc))
-        return 4
+    report = solve(f, matroid, args.algorithm, x=args.x, seed=args.seed)
     payload = report.to_dict()
     payload["instance"] = {"path": args.instance, "label": instance.label, "n": instance.n, "k": matroid.rank}
     if args.opt:
-        try:
-            opt_value, opt_base = brute_force_opt(f, matroid, max_bases=args.max_bases)
-        except BudgetExceededError as exc:
-            _err(str(exc))
-            return 3
-        except InternalInvariantError as exc:
-            _err(str(exc))
-            return 4
+        opt_value, opt_base = brute_force_opt(f, matroid, max_bases=args.max_bases)
         payload["opt"] = opt_value
         payload["opt_witness"] = list(opt_base)
         payload["ratio"] = _ratio(report.value, opt_value)
     text = json.dumps(payload, indent=2, sort_keys=True)
-    if args.out and not _write(args.out, text + "\n"):
-        return 2
+    if args.out:
+        _write(args.out, text + "\n")
     print(text)
     return 0
 
 
 def cmd_suite(args: argparse.Namespace) -> int:
-    if args.max_k < 2:
-        _err("the suite needs max-k >= 2; rank-1 instances are excluded by design")
-        return 2
-    if args.max_n < 2 or args.max_n > 10 or args.max_k > 4:
-        _err("suite budgets are limited to 2 <= max-n <= 10 and 2 <= max-k <= 4")
-        return 2
     csv_path, json_path = f"{args.out}.csv", f"{args.out}.json"
-    if not _writable(csv_path):  # the JSON file goes to the same directory
-        return 2
-    try:
-        report = run_suite(args.max_n, args.max_k, jobs=args.jobs)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    _check_writable(csv_path)  # the JSON file goes to the same directory
+    report = run_suite(args.max_n, args.max_k, jobs=args.jobs)
     document = {"rows": report.rows, "summary": report.summary, "violations": report.violations}
-    if not (
-        _write(csv_path, _csv_text(ROW_FIELDS, report.rows))
-        and _write(json_path, json.dumps(document, indent=2, sort_keys=True) + "\n")
-    ):
-        return 2
+    _write(csv_path, _csv_text(ROW_FIELDS, report.rows))
+    _write(json_path, json.dumps(document, indent=2, sort_keys=True) + "\n")
     print(f"instances: {report.summary['instances']}")
     for algorithm, stats in report.summary["per_algorithm"].items():
         print(
@@ -430,18 +390,13 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_complexity(args: argparse.Namespace) -> int:
-    try:
-        n_grid = _parse_grid(args.n_grid)
-        k_grid = _parse_grid(args.k_grid)
-        parameters(args.x)
-    except ValueError as exc:
-        _err(str(exc))
-        return 2
+    n_grid = _parse_grid(args.n_grid)
+    k_grid = _parse_grid(args.k_grid)
+    parameters(args.x)
     if not n_grid or not k_grid or args.seeds < 1:
-        _err("complexity needs non-empty n and k grids and at least one seed")
-        return 2
-    if args.out and not _writable(args.out):
-        return 2
+        raise ValueError("complexity needs non-empty n and k grids and at least one seed")
+    if args.out:
+        _check_writable(args.out)
     rows = measure_complexity(
         n_grid,
         k_grid,
@@ -451,8 +406,8 @@ def cmd_complexity(args: argparse.Namespace) -> int:
         x=args.x,
     )
     measured = [row for row in rows if "skipped" not in row]
-    if args.out and not _write(args.out, _csv_text(COMPLEXITY_FIELDS, measured)):
-        return 2
+    if args.out:
+        _write(args.out, _csv_text(COMPLEXITY_FIELDS, measured))
     print(f"{'n':>5} {'k':>3} {'seed':>6} {'value_q':>9} {'indep_q':>9} {'value_fit':>10} {'elapsed_s':>10}")
     for row in rows:
         if "skipped" in row:
@@ -512,9 +467,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.handler(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except tuple(EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -248,6 +248,23 @@ def test_hard_fixture_cover10_partition(verdicts):
     assert violations == []
 
 
+def test_hard_fixture_cover9_graphic(verdicts):
+    """Greedy and rpgreedy reach OPT 44; split, rrgreedy, msg and msg-det stop at 34 (ratio 0.773)."""
+    instance = load(HARD / "cover9-graphic.json")
+    opt, solution = brute_force_opt(*build(instance))
+    rows, violations = next((rows, violations) for checked, rows, violations in verdicts if checked == instance)
+    assert (opt, solution) == (44, (0, 4, 8))
+    assert {row["algorithm"]: row["value"] for row in rows} == {
+        "greedy": 44,
+        "split": 34,
+        "rrgreedy": 34,
+        "rpgreedy": 44,
+        "msg": 34,
+        "msg-det": 34,
+    }
+    assert violations == []
+
+
 def _report_with(**changes):
     return lambda real: lambda *args, **kwargs: dataclasses.replace(real(*args, **kwargs), **changes)
 

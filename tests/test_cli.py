@@ -77,17 +77,6 @@ class TestRun:
             assert captured.out == ""
             assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
 
-    @pytest.mark.parametrize("target, flags", [("solve", []), ("brute_force_opt", ["--opt"])])
-    def test_inconsistent_oracle_exits_4(self, triangle_path, capsys, monkeypatch, target, flags):
-        def lying(*args, **kwargs):
-            raise InternalInvariantError("the oracles are inconsistent")
-
-        monkeypatch.setattr(f"submod.cli.{target}", lying)
-        assert main(["run", "--instance", triangle_path, *flags]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
-
     def test_opt_budget_exceeded(self, triangle_path, capsys):
         assert main(["run", "--instance", triangle_path, "--opt", "--max-bases", "1"]) == 3
 
@@ -178,6 +167,29 @@ def test_unwritable_out_is_usage_error(tmp_path, triangle_path, capsys, monkeypa
 
 
 @pytest.mark.parametrize(
+    "target, command",
+    [
+        ("solve", ["run", "--instance", "TRIANGLE"]),
+        ("brute_force_opt", ["run", "--instance", "TRIANGLE", "--opt"]),
+        ("solve", ["suite", "--max-n", "3", "--max-k", "2"]),
+        ("solve", ["complexity", "--n-grid", "12", "--k-grid", "2", "--seeds", "1"]),
+    ],
+    ids=["run", "run-opt", "suite", "complexity"],
+)
+def test_inconsistent_oracle_exits_4(tmp_path, triangle_path, capsys, monkeypatch, target, command):
+    def lying(*args, **kwargs):
+        raise InternalInvariantError("the oracles are inconsistent")
+
+    monkeypatch.setattr(cli, target, lying)
+    args = [triangle_path if arg == "TRIANGLE" else arg for arg in command]
+    assert main([*args, "--out", str(tmp_path / "report")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the oracles are inconsistent\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["tri.json"]  # no report was written
+
+
+@pytest.mark.parametrize(
     "value, opt, verdict",
     [
         (5_008, 10_000, True),
@@ -232,11 +244,21 @@ class TestSuite:
         assert report["summary"]["violations"] == 1
         assert report["violations"] == [{"label": "n2-unif2-modv", "check": "planted", "detail": "a planted fault"}]
 
-    def test_rank_one_budget_rejected(self, capsys):
-        assert main(["suite", "--max-k", "1"]) == 2
+    @staticmethod
+    def assert_rejected(flags, message, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the default --out is relative to the working directory
+        assert main(["suite", *flags]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
-    def test_oversized_budget_rejected(self, capsys):
-        assert main(["suite", "--max-n", "12"]) == 2
+    def test_rank_one_budget_rejected(self, tmp_path, capsys, monkeypatch):
+        message = "the requested budgets produce no instances (rank >= 2 required)"
+        self.assert_rejected(["--max-k", "1"], message, tmp_path, capsys, monkeypatch)
+
+    def test_oversized_budget_rejected(self, tmp_path, capsys, monkeypatch):
+        message = "enumeration budget is capped at max_n <= 10, max_k <= 4"
+        self.assert_rejected(["--max-n", "12"], message, tmp_path, capsys, monkeypatch)
 
     def test_parallel_jobs_match_serial(self, tmp_path, capsys):
         serial = tmp_path / "serial"
@@ -407,7 +429,7 @@ class TestModuleEntryPoint:
     """``python -m submod`` runs the same front end and passes its exit code on."""
 
     @staticmethod
-    def run_module(*args):
+    def run_module(*args, cwd=None):
         src = str(Path(__file__).resolve().parent.parent / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         return subprocess.run(
@@ -415,6 +437,7 @@ class TestModuleEntryPoint:
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": path},
+            cwd=cwd,
             timeout=120,
         )
 
@@ -434,6 +457,12 @@ class TestModuleEntryPoint:
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1, done.stderr
+
+    def test_suite_budget_error_exits_2(self, tmp_path):
+        done = self.run_module("suite", "--max-k", "1", cwd=tmp_path)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "error: the requested budgets produce no instances (rank >= 2 required)\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_usage_error_exits_2(self, triangle_path):
         done = self.run_module("run", "--instance", triangle_path, "--p", "0.3")
