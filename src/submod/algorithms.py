@@ -275,8 +275,6 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
     if not is_base(matroid, base):
         raise ValueError("residue argument must be a base of the matroid")
     k = matroid.rank
-    if k == 0:
-        return ()
     left_of = {v: idx for idx, v in enumerate(base)}
     copies = [_GrownCopy(f, matroid) for _ in range(k)]
     residues = [dict.fromkeys(base) for _ in range(k)]  # ascending, as base is
@@ -303,7 +301,7 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
             copies[right].gain(gained)
             del residues[right][base[left]]
 
-    return tuple(max((copy.solution for copy in copies), key=f))  # the first copy of the largest value
+    return tuple(max((copy.solution for copy in copies), key=f, default=()))  # the first copy of the largest value
 
 
 def _meter(f: SetFunction, matroid: Matroid) -> Callable[..., RunReport]:
@@ -333,8 +331,6 @@ def _split_and_grow(
     """Split; grow each half h as grow(f(. | h), M / h, other half, side 0 or 1); keep the better."""
     report = _meter(f, matroid)
     params = parameters(x)
-    if matroid.rank < 2:
-        raise ValueError("split-and-grow needs rank >= 2; use solve() for rank-1 problems")
     half = split(f, matroid, params.p)
     grown_a = grow(marginal_function(f, half.a), contract(matroid, half.a), half.b, 0)
     grown_b = grow(marginal_function(f, half.b), contract(matroid, half.b), half.a, 1)
@@ -358,8 +354,6 @@ def split_and_grow(
     """Randomized split-and-grow: split, then grow each half randomly.
 
     The two growing runs use seeds ``rng_seed`` and ``rng_seed + 1``.
-    Rank-1 problems should go through :func:`solve`, which answers them by
-    exhaustive search.
     """
     return _split_and_grow(f, matroid, "msg", x, rng_seed,
                            lambda g, contracted, _other, side: rr_greedy(g, contracted, rng_seed + side))
@@ -380,14 +374,6 @@ def split_and_grow_deterministic(
                            lambda g, contracted, other, _side: rp_greedy(g, contracted, other))
 
 
-def _best_singleton(f: SetFunction, matroid: Matroid) -> ElementSet:
-    singletons = ((u,) for u in matroid.ground if matroid.is_independent((u,)))
-    best = max(singletons, key=f, default=None)  # the smallest id of the largest value
-    if best is None:
-        raise InternalInvariantError("rank-1 matroid without an independent singleton")
-    return best
-
-
 def solve(
     f: SetFunction,
     matroid: Matroid,
@@ -395,10 +381,12 @@ def solve(
     x: float = DEFAULT_X,
     seed: int = 0,
 ) -> RunReport:
-    """Dispatch to a solver by name; rank-1 problems are solved exhaustively.
+    """Dispatch to a solver by name; every rank from 1 up takes the same path.
 
     Algorithm names: greedy, split, rrgreedy, rpgreedy, msg, msg-det.  The
-    split bias is always the one ``parameters(x)`` derives from x.
+    split bias is always the one ``parameters(x)`` derives from x.  At rank
+    1 every solver returns the best independent singleton, the smallest id
+    on ties, since a greedy step is exact when every base is one element.
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; choose one of {', '.join(ALGORITHMS)}")
@@ -407,9 +395,7 @@ def solve(
 
     report = _meter(f, matroid)
     params = used_seed = None
-    if matroid.rank == 1:
-        solution = _best_singleton(f, matroid)  # no randomness on the exhaustive path
-    elif algorithm == "msg":
+    if algorithm == "msg":
         return split_and_grow(f, matroid, x=x, rng_seed=seed)
     elif algorithm == "msg-det":
         return split_and_grow_deterministic(f, matroid, x=x)

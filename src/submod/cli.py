@@ -273,13 +273,15 @@ def _csv_text(fields: tuple[str, ...], rows: list[dict]) -> str:
 
 
 def _check_writable(path: str) -> None:
-    """Raise ``_write``'s ``OSError`` unless ``path``'s directory exists and is writable.
+    """Raise ``_write``'s ``OSError`` if ``path`` is a directory or its directory is missing or read-only.
 
     Commands check this before any work, so a bad ``--out`` fails fast and
     creates no file; ``_write`` still reports a write that fails later.
     """
     directory = os.path.dirname(path) or "."
-    if not os.path.isdir(directory):
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(directory):
         code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
     elif not os.access(directory, os.W_OK):
         code = errno.EACCES
@@ -345,7 +347,7 @@ def _parse_grid(text: str) -> list[int]:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    parameters(args.x)  # every algorithm, rank-1 instances included, rejects a bad x before any work
+    parameters(args.x)  # every algorithm rejects a bad x before any work, those that never read it included
     if args.max_bases < 1:
         raise ValueError(f"max-bases must be at least 1, got {args.max_bases}")
     if args.out:
@@ -369,7 +371,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_suite(args: argparse.Namespace) -> int:
     csv_path, json_path = f"{args.out}.csv", f"{args.out}.json"
-    _check_writable(csv_path)  # the JSON file goes to the same directory
+    _check_writable(csv_path)
+    _check_writable(json_path)
     report = run_suite(args.max_n, args.max_k, jobs=args.jobs)
     document = {"rows": report.rows, "summary": report.summary, "violations": report.violations}
     _write(csv_path, _csv_text(ROW_FIELDS, report.rows))

@@ -115,17 +115,15 @@ class SetFunction:
         evaluator call on ``anchored`` with u inserted (not a sort: the
         anchor is already canonical).  The row function is kept while the
         root's evaluator stays the same object, for a view grown from this
-        one.  If an id lies outside [0, n), the entries before the first
-        such id are billed and answered, then the call's error is raised.
+        one.  If an id lies outside [0, n), the call's error for the first
+        such id is raised before anything is billed or answered.
         """
         ids = tuple(candidates)
         if not ids:
             return {}
         ground = self._ground_set
         if not ground.issuperset(ids):  # one check per row, cheaper than min and max
-            at = next(i for i, u in enumerate(ids) if u not in ground)
-            self.singleton_table(ids[:at])
-            raise _out_of_range(ids[at], self.n)
+            raise _out_of_range(next(u for u in ids if u not in ground), self.n)
         offset = self._bill(len(ids))
         evaluate = self.root._evaluate
         row = self._row
@@ -177,12 +175,11 @@ class Matroid:
     hook (see ``exchange_test``), or one offer of a row its ``scan`` hook
     takes (see ``greedy_scan``), on every path (``is_independent``,
     ``is_base``, ``contract``, ``exchange_test`` and ``greedy_scan``, on
-    roots and on views).  Ids
-    outside [0, n), then ids outside ``ground``, raise before the query
-    that would hold them is billed, with ``is_independent``'s message.
-    The hooks are attributes of the kernel object, so replacing
-    ``root._is_independent`` with a plain wrapper drops them and every
-    answer then goes through the wrapper.
+    roots and on views).  Every primitive checks its ids before it bills or
+    asks anything: ids outside [0, n), then ids outside ``ground``, raise
+    with ``is_independent``'s message.  The hooks are attributes of the
+    kernel object, so replacing ``root._is_independent`` with a plain
+    wrapper drops them and every answer then goes through the wrapper.
     """
 
     def __init__(
@@ -267,30 +264,27 @@ class Matroid:
 
         The test for ``u`` is one billed query and one kernel answer for
         ``anchored + kept + [u]``; the scan stops, without a query, once
-        ``rank`` ids are kept (at rank 0, before it asks any hook).  ``order``
-        is checked once, then scanned as one row by ``take(order, rank)``,
-        which returns the kept ids and the number of ids it asked about, and
-        those are billed together.  If the root's kernel carries a ``scan``
-        hook (``instances.build`` gives one to every kernel it builds),
-        ``take`` is ``scan(anchored)``, which reads the anchor once and
-        answers each id equal to the kernel; the anchor is always independent
-        (``contract`` checked it) and the limit at least 1.  Otherwise, a
-        replaced kernel included, each answer is one kernel call with the
-        tuple ``is_independent`` would pass.  If an id lies outside
-        ``ground``, the ids before the first such one are scanned and billed,
-        and ``is_independent``'s error is raised unless the scan stopped
-        before reaching it.  Returns the kept ids in scan order.
+        ``rank`` ids are kept (at rank 0, before it asks any hook).  Every id
+        of ``order`` is checked once, then ``order`` is scanned as one row by
+        ``take(order, rank)``, which returns the kept ids and the number of
+        ids it asked about, and those are billed together.  If the root's
+        kernel carries a ``scan`` hook (``instances.build`` gives one to
+        every kernel it builds), ``take`` is ``scan(anchored)``, which reads
+        the anchor once and answers each id equal to the kernel; the anchor
+        is always independent (``contract`` checked it) and the limit at
+        least 1.  Otherwise, a replaced kernel included, each answer is one
+        kernel call with the tuple ``is_independent`` would pass.  If an id
+        lies outside ``ground``, ``is_independent``'s error for the first
+        such id is raised before anything is billed or asked, even where the
+        scan would stop at ``rank`` before reaching it.  Returns the kept ids
+        in scan order.
         """
-        if not self.rank:
-            return []
         order = tuple(order)
         ground = self._ground_set
         if not ground.issuperset(order):
-            at = next(i for i, u in enumerate(order) if u not in ground)
-            kept = self.greedy_scan(order[:at])
-            if len(kept) < self.rank:
-                self._reject({order[at]})
-            return kept
+            self._reject({next(u for u in order if u not in ground)})
+        if not self.rank:
+            return []
         independent = self.root._is_independent
         scan = getattr(independent, "scan", None)
         take = _offering(independent, self.anchored) if scan is None else scan(self.anchored)

@@ -89,12 +89,6 @@ class WeightedBipartiteGraph:
             for right in sorted(row)
         )
 
-    def weight_of(self, left: int, right: int) -> float | None:
-        if not 0 <= left < self.left_size:
-            return None
-        entry = self._rows[left].get(right)
-        return None if entry is None else entry[0]
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -112,9 +106,6 @@ def max_weight_perfect_matching(graph: WeightedBipartiteGraph) -> Matching:
     if graph.left_size != graph.right_size:
         raise ValueError("perfect matching requires a square graph")
     k = graph.left_size
-    if k == 0:
-        return Matching(pairs=(), total_weight=0.0)
-
     inf = math.inf
     stored = graph._rows
     if not all(stored):

@@ -26,6 +26,7 @@ from submod import (
     enumerate_small_instances,
     gain_curve,
     is_base,
+    marginal_function,
     marginal_table,
     max_weight_base,
     max_weight_perfect_matching,
@@ -246,6 +247,17 @@ class TestRPGreedy:
         with pytest.raises(ValueError):
             rp_greedy(f, m, (0,))
 
+    def test_rank_zero_view(self):
+        """A fully contracted view has the one base (); rp_greedy and both split-and-grow solvers return it."""
+        for matroid in (uniform(2), MatroidSpec(kind="graphic", num_vertices=3, edges=((0, 1), (1, 1), (1, 2)))):
+            f, m = make(3, matroid, modular(1, 5, 2))
+            base = max_weight_base(m, [1, 5, 2])
+            g, m0 = marginal_function(f, base), contract(m, base)
+            assert m0.rank == 0
+            assert rp_greedy(g, m0, ()) == ()
+            assert split_and_grow(g, m0).solution == ()
+            assert split_and_grow_deterministic(g, m0).solution == ()
+
 
 class TestSplitAndGrow:
     def test_unique_base(self):
@@ -269,10 +281,14 @@ class TestSplitAndGrow:
             checked += 1
         assert checked > 0
 
-    def test_rank_one_rejected(self):
+    def test_rank_one(self):
         f, m = make(3, uniform(1), modular(1, 5, 2))
-        with pytest.raises(ValueError):
-            split_and_grow(f, m)
+        report = split_and_grow(f, m, x=0.5, rng_seed=4)
+        assert (report.solution, report.value) == ((1,), 5.0)
+        assert (report.algorithm, report.parameters, report.seed) == ("msg", parameters(0.5), 4)
+        assert report.counts.value_queries > 0 and report.counts.independence_queries > 0
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\)"):
+            split_and_grow(f, m, x=1.5)
 
     def test_same_seed_reproduces(self):
         f, m = make(6, uniform(3), coverage((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)))
@@ -286,6 +302,14 @@ class TestSplitAndGrowDeterministic:
     def test_unique_base(self):
         f, m = make(2, uniform(2), modular(3, 4))
         assert split_and_grow_deterministic(f, m).solution == (0, 1)
+
+    def test_rank_one(self):
+        f, m = make(3, uniform(1), modular(1, 5, 2))
+        report = split_and_grow_deterministic(f, m, x=0.5)
+        assert (report.solution, report.value) == ((1,), 5.0)
+        assert (report.algorithm, report.parameters, report.seed) == ("msg-det", parameters(0.5), None)
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\)"):
+            split_and_grow_deterministic(f, m, x=1.5)
 
     def test_repeat_runs_identical_apart_from_elapsed(self):
         f, m = make(6, uniform(3), coverage((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)))
@@ -405,6 +429,57 @@ class TestSolve:
             assert used.pop() == parameters(x).p and used == []
         with pytest.raises(TypeError):
             solve(f, m, algorithm, p=0.3)
+
+
+def rank_one_instance(rng, matroid_kind, function_kind, fractional_weights):
+    """A random rank-1 instance: zero-capacity parts, graphic self-loops and weight ties included."""
+    n = rng.choice((2, 3, 5, 7, GROW_MIN_N))
+    if matroid_kind == "uniform":
+        matroid = uniform(1)
+    elif matroid_kind == "partition":
+        ids = list(range(n))
+        rng.shuffle(ids)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(n - 1, 4))))
+        parts = tuple(tuple(sorted(ids[a:b])) for a, b in zip([0, *cuts], [*cuts, n]))
+        capacities = [0] * len(parts)
+        capacities[rng.randrange(len(parts))] = 1
+        matroid = MatroidSpec(kind="partition", parts=parts, capacities=tuple(capacities))
+    else:  # every edge is a self-loop or parallel to (0, 1)
+        edges = [rng.choice(((0, 1), (1, 0), (0, 0), (1, 1), (2, 2))) for _ in range(n)]
+        edges[rng.randrange(n)] = (0, 1)
+        matroid = MatroidSpec(kind="graphic", num_vertices=3, edges=tuple(edges))
+
+    def draw():
+        return rng.randint(0, 6) / 3 if fractional_weights else rng.randint(0, 3)
+
+    if function_kind in ("modular", "concave_of_modular"):
+        exponent = 0.5 if function_kind == "concave_of_modular" else None
+        function = FunctionSpec(kind=function_kind, weights=tuple(draw() for _ in range(n)), exponent=exponent)
+    else:
+        items = rng.randint(1, 4)
+        weights = tuple(draw() for _ in range(items)) if function_kind == "weighted_coverage" else (1,) * items
+        covers = tuple(tuple(sorted(rng.sample(range(items), rng.randint(0, items)))) for _ in range(n))
+        function = FunctionSpec(kind=function_kind, universe_weights=weights, covers=covers)
+    return Instance(n=n, matroid=matroid, function=function)
+
+
+class TestRankOne:
+    """Greedy is exact when every base is one element, so every solver returns the optimum's witness."""
+
+    @pytest.mark.parametrize("function_kind", FUNCTION_KINDS)
+    @pytest.mark.parametrize("matroid_kind", MATROID_KINDS)
+    def test_every_algorithm_returns_the_brute_force_witness(self, matroid_kind, function_kind):
+        rng = random.Random(f"rank-one-{matroid_kind}-{function_kind}")
+        for trial in range(24):
+            instance = rank_one_instance(rng, matroid_kind, function_kind, fractional_weights=trial % 2 == 1)
+            f, m = build(instance)
+            assert m.rank == 1
+            opt_value, witness = brute_force_opt(f, m)  # the smallest id of the largest value
+            for algorithm in ALGORITHMS:
+                report = solve(f, m, algorithm)
+                assert (report.solution, report.value) == (witness, opt_value), (instance, algorithm)
+            for report in (split_and_grow(f, m, rng_seed=trial), split_and_grow_deterministic(f, m)):
+                assert (report.solution, report.value) == (witness, opt_value), (instance, report.algorithm)
 
 
 class TestAccounting:

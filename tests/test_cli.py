@@ -167,6 +167,30 @@ def test_unwritable_out_is_usage_error(tmp_path, triangle_path, capsys, monkeypa
 
 
 @pytest.mark.parametrize(
+    "command, out, directory",
+    [
+        (["suite", "--max-n", "3", "--max-k", "2"], "d", "d.csv"),
+        (["suite", "--max-n", "3", "--max-k", "2"], "e", "e.json"),  # e.csv alone would be writable
+        (["run", "--instance", "TRIANGLE"], "r.json", "r.json"),
+        (["complexity", "--n-grid", "12", "--k-grid", "2", "--seeds", "1"], "c.csv", "c.csv"),
+    ],
+    ids=["suite-csv", "suite-json", "run", "complexity"],
+)
+def test_out_that_is_a_directory_is_usage_error(tmp_path, triangle_path, capsys, monkeypatch, command, out, directory):
+    built = []
+    monkeypatch.setattr(cli, "build", built.append)  # every check and solve builds its oracles first
+    (tmp_path / directory).mkdir()
+    args = [triangle_path if arg == "TRIANGLE" else arg for arg in command]
+    assert main([*args, "--out", str(tmp_path / out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {tmp_path / directory}: Is a directory\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(["tri.json", directory])
+    assert list((tmp_path / directory).iterdir()) == []
+    assert built == []  # no instance was checked or solved
+
+
+@pytest.mark.parametrize(
     "target, command",
     [
         ("solve", ["run", "--instance", "TRIANGLE"]),
