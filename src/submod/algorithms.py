@@ -158,6 +158,7 @@ def split(f: SetFunction, matroid: Matroid, p: float) -> SplitResult:
     Each iteration scans the elements that can still extend the union, takes
     the best marginal candidate relative to each half, and routes the winner
     of ``p * gain_a >= (1 - p) * gain_b`` to the first half (ties included).
+    While both halves are empty the two tables are one, asked once.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
@@ -169,7 +170,7 @@ def split(f: SetFunction, matroid: Matroid, p: float) -> SplitResult:
         if not pool:
             raise InternalInvariantError("split ran out of feasible elements before a base")
         gains_a = marginal_table(f, side_a, pool)
-        gains_b = marginal_table(f, side_b, pool)
+        gains_b = marginal_table(f, side_b, pool) if used else gains_a  # both halves empty: one table
         u_a = _argmax_by_id(pool, gains_a)
         u_b = _argmax_by_id(pool, gains_b)
         if p * gains_a[u_a] >= (1.0 - p) * gains_b[u_b]:
@@ -257,11 +258,15 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
 
     solution + residue keeps exactly ``rank`` elements every round: each
     copy gains one element and gives up one.  A candidate u still in copy
-    j's residue is tested only against v = u, because for any other v the
-    swapped set is solution + residue - {v}, one element short of the rank,
-    and never a base.  Every other swap, solution + residue - {v} + {u}
-    with u in neither, has full size, so an edge test is one independence
-    query on it and needs no size check.
+    j's residue pairs only with v = u, because for any other v the swapped
+    set is solution + residue - {v}, one element short of the rank, and
+    never a base; every such pair asks about solution + residue itself, so
+    a round asks that at most once.  Every other swap, solution + residue
+    - {v} + {u} with u in neither, has full size, so an edge test is one
+    independence query on it and needs no size check.  The graph keeps one
+    edge per (v, j), the largest gain and then the smallest u, so a round
+    offers the candidates by (-gain, id), NaN gains dropped, and stops
+    asking about v once v has its edge.
 
     Each copy (a ``_GrownCopy``) moves its contracted matroid and marginal
     view forward by its gain, asking the root the same sets in the same
@@ -285,11 +290,21 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
         for j, (gains, candidates) in enumerate(rounds):
             residue = residues[j]
             swap = matroid.exchange_test(chain(residue, copies[j].solution))  # the parts are disjoint
-            for u in candidates:
+            waiting = {v: gains[v] for v in residue}  # the residue ids still without an edge, to their gains
+            own = None  # whether solution + residue is independent, asked once if some u needs it
+            # by (-gain, id), NaN dropped: the first u that passes with v is the edge the graph keeps
+            for u in sorted([u for u in candidates if gains[u] == gains[u]], key=gains.__getitem__, reverse=True):
                 gain_u = gains[u]
-                for v in (u,) if u in residue else residue:
-                    if gain_u >= gains[v] and swap(u, v):
+                if u not in residue:
+                    for v in [v for v, gain_v in waiting.items() if gain_u >= gain_v and swap(u, v)]:
                         graph.add_edge(left_of[v], j, gain_u, payload=u)
+                        del waiting[v]
+                elif u in waiting:  # pairs only with v = u
+                    if own is None:
+                        own = swap(u, u)
+                    if own:
+                        graph.add_edge(left_of[u], j, gain_u, payload=u)
+                        del waiting[u]
         try:
             matching = max_weight_perfect_matching(graph)
         except InfeasibleMatchingError as exc:

@@ -15,19 +15,25 @@ in the same order, so both return the same matching:
   ``cost - row_potential[i] - col_potential[j]`` are computed the first
   time a search reaches the row and reused until a nonzero dual update
   changes a potential, which drops every cached row.  Until then the
-  operands are the same, so the floats are the same.
-- A heap of tight columns.  Within one root's search, a min-heap holds
-  the free columns whose least slack is exactly zero.  No free slack is
+  operands are the same, so the floats are the same.  A row keeps its
+  zero-slack columns as a bitmask and its other (column, slack) pairs as
+  a list; a zero is recorded as 0.0, whose sign nothing below sees.
+- A bitmask of tight columns.  Within one root's search, ``tight`` holds
+  the free columns whose least slack is exactly zero, and ``low`` every
+  column whose least slack is at most zero (tight, in the tree, or
+  negative), which no zero slack lowers, so a row scan visits only its
+  zero columns outside ``low`` and its other pairs.  No free slack is
   negative when the search starts (all are +inf) or after a dual update
   (each is its old value minus the minimum).  So while no negative slack
-  has been recorded since, a nonempty heap means the minimum is zero,
-  and the heap's smallest column is the first minimum in ascending
-  column order.  The dense form would then update by a zero delta, which
-  could flip only the sign of a zero, and no comparison sees that, so
-  the step skips it.  Otherwise the step takes the first minimum over
-  the free columns, updates the tree's potentials and the free slacks by
-  it (a nonzero delta, as the heap serves every zero) and rebuilds the
-  heap from the shifted slacks, leaving out the column just taken.
+  has been recorded since, a nonempty ``tight`` means the minimum is
+  zero, and its lowest bit is the first minimum in ascending column
+  order.  The dense form would then update by a zero delta, which could
+  flip only the sign of a zero, and no comparison sees that, so the step
+  skips it.  Otherwise the step takes the minimum over the free columns,
+  updates the tree's potentials and the free slacks by it (a nonzero
+  delta, as ``tight`` serves every zero) and rebuilds ``tight`` from the
+  shifted slacks, whose zeros are exactly the minima, so its lowest bit
+  is again the first minimum.
 
 A column that joins the alternating tree has its slack set to -inf, so no
 later slack lowers it, the minimum skips it and the row scan needs no
@@ -45,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from heapq import heappop, heappush
 
 
 class InfeasibleMatchingError(ValueError):
@@ -119,49 +124,69 @@ def max_weight_perfect_matching(graph: WeightedBipartiteGraph) -> Matching:
     row_potential = [min(costs) for costs in row_costs]  # row extrema, per the tie-break contract
     col_potential = [0.0] * k
     col_match: list[int] = [-1] * (k + 1)  # col_match[j] = row matched to column j
-    # Each row's (column, slack) pairs, in ascending column order, valid until a potential changes.
-    row_slacks: list[list[tuple[int, float]] | None] = [None] * k
+    # Each row's zero-slack columns as a bitmask and its other (column, slack) pairs, in ascending
+    # column order, valid until a potential changes.
+    row_slacks: list[tuple[int, list[tuple[int, float]]] | None] = [None] * k
     for root in range(k):
         col_match[k] = root  # virtual column holds the row being inserted
         j0 = k
         min_slack = [inf] * k  # a tree column's entry is -inf, so no slack lowers it
         prev_col = [-1] * k
-        tight: list[int] = []  # heap of the free columns whose min_slack is exactly zero
+        tight = 0  # bitmask of the free columns whose min_slack is exactly zero
+        low = 0  # bitmask of the columns whose min_slack is at most zero: tight, tree or negative
         negative = False  # whether some free column's min_slack is below zero
         while True:
             i0 = col_match[j0]
-            slacks = row_slacks[i0]
-            if slacks is None:
+            cached = row_slacks[i0]
+            if cached is None:
                 potential = row_potential[i0]
-                slacks = row_slacks[i0] = [
-                    (j, cost - potential - col_potential[j]) for j, cost in zip(row_cols[i0], row_costs[i0])
-                ]
-            for j, slack in slacks:  # an absent edge's slack is +inf and lowers nothing
+                zero, others = 0, []
+                for j, cost in zip(row_cols[i0], row_costs[i0]):
+                    slack = cost - potential - col_potential[j]
+                    if slack == 0:
+                        zero |= 1 << j
+                    else:
+                        others.append((j, slack))
+                cached = row_slacks[i0] = zero, others
+            zero, others = cached
+            reached = zero & ~low  # a zero slack lowers exactly the columns still above zero
+            tight |= reached
+            low |= reached
+            while reached:
+                bit = reached & -reached
+                reached ^= bit
+                j = bit.bit_length() - 1
+                min_slack[j] = 0.0
+                prev_col[j] = j0
+            for j, slack in others:  # an absent edge's slack is +inf and lowers nothing
                 if slack < min_slack[j]:
                     min_slack[j] = slack
                     prev_col[j] = j0
-                    if slack == 0:
-                        heappush(tight, j)
-                    elif slack < 0:
+                    if slack < 0:
                         negative = True
-            if tight and not negative:
-                j1 = heappop(tight)  # the minimum is zero: its first column in ascending order
-            else:
+                        low |= 1 << j
+            if negative or not tight:
                 delta = min([slack for slack in min_slack if slack > -inf])  # over the free columns
                 if delta == inf:
                     raise InfeasibleMatchingError("graph has no perfect matching")
-                j1 = min_slack.index(delta)  # the first minimum in ascending column order
                 row_potential[root] += delta
+                tight = low = 0
                 for j, slack in enumerate(min_slack):
                     if slack == -inf:  # a tree column and the row it brought into the tree
                         row_potential[col_match[j]] += delta
                         col_potential[j] -= delta
-                min_slack = [slack - delta for slack in min_slack]
+                        low |= 1 << j
+                    else:
+                        slack = min_slack[j] = slack - delta
+                        if slack == 0:  # exactly the minima, since a - b == 0 only when a == b
+                            tight |= 1 << j
+                low |= tight
                 row_slacks = [None] * k  # a new potential epoch
-                tight = [j for j, slack in enumerate(min_slack) if slack == 0 and j != j1]  # sorted: a heap
                 negative = False
-            min_slack[j1] = -inf
-            j0 = j1
+            bit = tight & -tight  # the first zero in ascending column order joins the tree
+            tight ^= bit
+            j0 = bit.bit_length() - 1
+            min_slack[j0] = -inf
             if col_match[j0] == -1:
                 break
         while j0 != k:  # flip the alternating path back to the virtual column

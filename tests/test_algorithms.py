@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,7 @@ from submod import (
     MATROID_KINDS,
     FunctionSpec,
     Instance,
+    InternalInvariantError,
     Matroid,
     MatroidSpec,
     SetFunction,
@@ -26,6 +28,7 @@ from submod import (
     enumerate_small_instances,
     gain_curve,
     is_base,
+    load,
     marginal_function,
     marginal_table,
     max_weight_base,
@@ -332,30 +335,32 @@ class TestSplitAndGrowDeterministic:
                 assert split(scaled, m, 0.425822) == split_reference
 
     # Exact reports pinned from an earlier version of the solver: a refactor
-    # must reproduce them, query counts included.
+    # must reproduce them, query counts included.  The counts were re-pinned
+    # when split's first round shared its one table and the exchange round
+    # stopped asking a set twice; the solutions and values never moved.
     @pytest.mark.parametrize(
         "cell, solution, value, value_queries, independence_queries",
         [
-            ((3, 12, "partition", "coverage", 3), (0, 1, 8), 6.0, 162, 109),
-            ((5, 12, "graphic", "modular", 4), (0, 3, 4, 11), 31.0, 267, 172),
-            ((11, 10, "uniform", "concave_of_modular", 3), (1, 4, 5), 5.291502622129181, 114, 50),
-            ((13, 14, "partition", "weighted_coverage", 4), (0, 1, 2, 11), 44.0, 193, 156),
-            ((17, 20, "uniform", "modular", 8), (0, 1, 6, 11, 12, 14, 16, 18), 64.0, 1411, 776),
-            ((19, 16, "uniform", "weighted_coverage", 5), (3, 4, 7, 8, 13), 61.0, 339, 148),
-            ((23, 14, "graphic", "concave_of_modular", 5), (3, 4, 6, 7, 12), 6.4031242374328485, 275, 125),
+            ((3, 12, "partition", "coverage", 3), (0, 1, 8), 6.0, 149, 100),
+            ((5, 12, "graphic", "modular", 4), (0, 3, 4, 11), 31.0, 254, 148),
+            ((11, 10, "uniform", "concave_of_modular", 3), (1, 4, 5), 5.291502622129181, 103, 48),
+            ((13, 14, "partition", "weighted_coverage", 4), (0, 1, 2, 11), 44.0, 178, 152),
+            ((17, 20, "uniform", "modular", 8), (0, 1, 6, 11, 12, 14, 16, 18), 64.0, 1390, 552),
+            ((19, 16, "uniform", "weighted_coverage", 5), (3, 4, 7, 8, 13), 61.0, 322, 135),
+            ((23, 14, "graphic", "concave_of_modular", 5), (3, 4, 6, 7, 12), 6.4031242374328485, 260, 114),
             (
                 (29, 48, "uniform", "modular", 24),
                 (0, 3, 4, 7, 9, 10, 14, 18, 20, 21, 22, 24, 27, 28, 29, 30, 32, 33, 36, 39, 40, 44, 45, 47),
                 205.0,
-                23427,
-                15856,
+                23378,
+                9232,
             ),
             (
                 (31, 40, "partition", "coverage", 12),
                 (4, 5, 8, 9, 15, 16, 17, 19, 22, 28, 29, 39),
                 23.0,
-                3535,
-                3611,
+                3494,
+                2907,
             ),
         ],
     )
@@ -531,7 +536,9 @@ class TestRootCallLog:
 
     The digests were recorded before the oracle kernels and the work around
     each call were rewritten; a change that keeps them removes only work
-    that no oracle sees.  Each cell runs twice: with plain wrappers, which
+    that no oracle sees.  They were re-recorded when split's first round
+    shared its one table and the exchange round began to offer candidates
+    by gain and to ask each set once.  Each cell runs twice: with plain wrappers, which
     answer every query by a kernel call, and with the kernels' hooks (the
     value kernel's ``extend`` and its rows' ``grow``, whose derived rows run
     in the cells on at least GROW_MIN_N ids, and the independence kernel's
@@ -542,25 +549,25 @@ class TestRootCallLog:
     @pytest.mark.parametrize(
         "cell, expected",
         [
-            ((1, 20, "graphic", "modular", 6), "09662b1e4f7be6841b6fa17caae372500cfcadf12dfea90c24f7c185adf1563f"),
-            ((2, 16, "uniform", "modular", 8), "dba747f3dc65370b91f43a9b23cfed1e6f154ceb9dc8c2473d896a794dece4b7"),
-            ((3, 20, "partition", "coverage", 6), "2b6be2ac1f7a6fbfa935c508c63e0f12ceb2bcba16143151dafaddd87787b942"),
+            ((1, 20, "graphic", "modular", 6), "8cb94520c5ff59775dfca8eb5caffac28d476d2909037de2d1ae25276d5227d6"),
+            ((2, 16, "uniform", "modular", 8), "192a5b8a8e8421ea0c5e93df8e6e0535b347ed522f33fd18f2a3cd278ee26f56"),
+            ((3, 20, "partition", "coverage", 6), "2e0ad63ff1fc6363b37ae68e789b9e7ffa0b84cf9ac715e6b112dd61d2ca60d2"),
             (
                 (4, 16, "graphic", "concave_of_modular", 5),
-                "900c57f2ae5289393f568710b22c8dacac0fab062fd847951c767ee74a3a0101",
+                "cae3c3c12890c6a75f49edec317ad3a4f6433f085798693fbe61794977218daf",
             ),
             (
                 (5, 20, "partition", "weighted_coverage", 6),
-                "dce40ff69197f74862f2acab117ae92be3d66eee2488bb6468517805b450f1bb",
+                "91068c37ce268e883360ff7c9d1381c5137b9889d93b77ab4fea3e5a13a8df4c",
             ),
             # the benchmark's uniform-dense and coverage-partition shapes
             (
                 (100, 48, "uniform", "modular", 24),
-                "1cfe8fd146678414a8fcf34827e50b920e1533a2386989f4e9bb7fde91a74dcc",
+                "60430da562c431ead88c96b046731caae0b8c241fd7fc4b00ce6b5ddcd91b726",
             ),
             (
                 (101, 120, "partition", "coverage", 12),
-                "8eb363acc732b623fc97775a870d871879873afd3908585692ffc32c83bea8d4",
+                "0026241426fd683393720631ec187155e6624d4ceedac44f99e61ca1f8bedb0f",
             ),
         ],
         ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple) else None,
@@ -647,6 +654,119 @@ class TestFloatTies:
                 assert report.value == f(report.solution)
         assert len(grown) == 6 * 3  # one rp_greedy per rpgreedy run, two per msg-det run
 
+    @pytest.mark.parametrize("function_kind", ["coverage", "modular"])
+    @pytest.mark.parametrize("matroid_kind", ["uniform", "partition", "graphic"])
+    def test_integer_weight_graph_equals_full_scan(self, monkeypatch, matroid_kind, function_kind):
+        """Unit coverage and integer modular weights tie exactly; every round's graph is the full scan's."""
+        seen = []
+        grown = []
+
+        def recording_matcher(graph):
+            seen.append(graph.edges)
+            return max_weight_perfect_matching(graph)
+
+        def checked_rp_greedy(f, matroid, residue):
+            expected = full_scan_exchange_graphs(f, matroid, residue)
+            seen.clear()
+            grown.append(rp_greedy(f, matroid, residue))
+            assert seen == expected
+            return grown[-1]
+
+        monkeypatch.setattr(algorithms, "max_weight_perfect_matching", recording_matcher)
+        monkeypatch.setattr(algorithms, "rp_greedy", checked_rp_greedy)
+        for seed in range(3):
+            f, m = build(random_instance(seed, 20, matroid_kind, function_kind, rank=8))
+            for algorithm in ("rpgreedy", "msg-det"):
+                report = solve(f, m, algorithm)
+                assert is_base(m, report.solution), (seed, algorithm)
+        assert len(grown) == 3 * 3
+
+
+def round_logs(monkeypatch):
+    """Log the kernel sets each exchange test asks, one log per ``exchange_test`` call.
+
+    Returns ``(rounds, asking)``.  ``rounds`` gains ``(own, log)`` per call:
+    ``own`` is the set the tests start from (kept plus the view's anchor)
+    and ``log`` the sets the kernel answers while one of them runs.
+    ``asking`` holds the log of the test now running, for the kernel's
+    logging wrapper to append to.
+    """
+    rounds, asking = [], []
+    real = Matroid.exchange_test
+
+    def exchange_test(matroid, kept):
+        kept = list(kept)
+        log = []
+        rounds.append((canonical(kept + list(matroid.anchored)), log))
+        test = real(matroid, kept)
+
+        def logged_test(u, v=None):
+            asking.append(log)
+            try:
+                return test(u, v)
+            finally:
+                asking.pop()
+
+        return logged_test
+
+    monkeypatch.setattr(Matroid, "exchange_test", exchange_test)
+    return rounds, asking
+
+
+class TestExchangeRound:
+    """An exchange round asks the kernel about each set once, and about the copy's own set at most once."""
+
+    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
+    def test_no_set_is_asked_twice(self, monkeypatch, hooked):
+        rng = random.Random(22)
+        fractions = [
+            fractional(random_instance(seed, 12, matroid_kind, function_kind, rank=5), rng)
+            for matroid_kind in MATROID_KINDS
+            for function_kind in ("weighted_coverage", "modular")
+            for seed in range(3)
+        ]
+        hard = sorted((Path(__file__).parent / "data" / "hard").glob("*.json"))
+        assert len(hard) == 3
+        rounds, asking = round_logs(monkeypatch)
+        for instance in [*enumerate_small_instances(8, 3), *map(load, hard), *fractions]:
+            f, m = build(instance)
+            m._is_independent = logged_independence(
+                m._is_independent, lambda members, _: asking and asking[-1].append(members), hooked
+            )
+            for algorithm in ("rpgreedy", "msg-det"):
+                solve(f, m, algorithm)
+        for own, log in rounds:
+            assert len(set(log)) == len(log), own
+            assert log.count(own) <= 1, own
+        assert sum(own in log for own, log in rounds) > 1000  # the copy's own set is asked, once a round
+
+    @pytest.mark.parametrize("matroid_kind", ["uniform", "partition", "graphic"])
+    def test_a_kernel_that_denies_every_swap_breaks_the_matching(self, monkeypatch, matroid_kind):
+        """Once the residue is checked, every full-size set reads dependent, the copies' own sets too.
+
+        The residue is the first round's candidate base, so self pairs alone
+        would match every copy.  The kernel's greedy scans stay honest.
+        """
+        real_is_base = algorithms.is_base
+
+        def checked_then_lying(matroid, elements):
+            checked = real_is_base(matroid, elements)
+            kernel = matroid.root._is_independent
+
+            def lying(members):
+                return len(members) < matroid.rank and kernel(members)
+
+            lying.scan = kernel.scan
+            lying.exchange = lambda base: lambda add, drop: False
+            matroid.root._is_independent = lying
+            return checked
+
+        monkeypatch.setattr(algorithms, "is_base", checked_then_lying)
+        f, m = build(random_instance(3, 12, matroid_kind, "modular", rank=4))
+        residue = max_weight_base(m, [f((u,)) for u in range(m.n)])  # every first-round candidate
+        with pytest.raises(InternalInvariantError, match="exchange graph lost its perfect matching"):
+            rp_greedy(f, m, residue)
+
 
 @pytest.fixture
 def checked_orders(monkeypatch):
@@ -716,5 +836,5 @@ class TestReusedOrder:
         report = solve(f, m, "rpgreedy")
         # pinned from the grower that sorted every round afresh
         assert (report.solution, report.value) == ((3, 4, 5, 7, 11), 35.0)
-        assert (report.counts.value_queries, report.counts.independence_queries) == (381, 358)
+        assert (report.counts.value_queries, report.counts.independence_queries) == (381, 317)
         assert checked_orders["nan"] >= 2  # the round with the NaN and the round after it

@@ -358,20 +358,22 @@ class TestComplexity:
     def test_elapsed_column_is_added_and_nothing_else_moves(self, tmp_path, capsys):
         out = tmp_path / "scaling.csv"
         assert main(["complexity", "--n-grid", "12,24", "--k-grid", "2,3", "--seeds", "1", "--out", str(out)]) == 0
-        # the table and the CSV as they read before the column was added
+        # the table and the CSV as they read before the column was added, with the
+        # counts (and the fits taken from them) of the one-table split and the
+        # exchange round that asks each set once
         table = [
             "    n   k   seed   value_q   indep_q  value_fit",
-            "   12   2  12020        93        43     1.9375",
-            "   12   3  12030       168        88     1.5556",
-            "   24   2  24020       183        67     1.9062",
-            "   24   3  24030       318       174     1.4722",
+            "   12   2  12020        80        41     1.6667",
+            "   12   3  12030       155        79     1.4352",
+            "   24   2  24020       158        65     1.6458",
+            "   24   3  24030       293       165     1.3565",
         ]
         rows = [
             "n,k,seed,value_queries,independence_queries,value_fit,independence_fit",
-            "12,2,12020,93,43,1.9375,0.8958333333333334",
-            "12,3,12030,168,88,1.5555555555555556,0.8148148148148148",
-            "24,2,24020,183,67,1.90625,0.6979166666666666",
-            "24,3,24030,318,174,1.4722222222222223,0.8055555555555556",
+            "12,2,12020,80,41,1.6666666666666667,0.8541666666666666",
+            "12,3,12030,155,79,1.4351851851851851,0.7314814814814815",
+            "24,2,24020,158,65,1.6458333333333333,0.6770833333333334",
+            "24,3,24030,293,165,1.3564814814814814,0.7638888888888888",
         ]
         printed = capsys.readouterr().out.splitlines()
         assert printed[0] == table[0] + "  elapsed_s"
@@ -379,7 +381,7 @@ class TestComplexity:
             assert line[: len(before)] == before
             assert line[len(before)] == " " and len(line) == len(before) + 11
             assert float(line[len(before):]) >= 0.0
-        assert printed[5:] == ["value_fit spread: min 1.4722, max 1.9375, ratio 1.316", f"wrote {out}"]
+        assert printed[5:] == ["value_fit spread: min 1.3565, max 1.6667, ratio 1.229", f"wrote {out}"]
         written = out.read_text().splitlines()
         assert written[0] == rows[0] + ",elapsed_s"
         for line, before in zip(written[1:], rows[1:], strict=True):
