@@ -364,10 +364,9 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
     and keeps u as a member on a yes; the members start as ``anchored``.
     The uniform ``exchange`` compares a size and the uniform ``take`` keeps
     the first ``limit`` ids, all of which fit; partition hooks keep part
-    counts; the graphic ``exchange`` keeps a union-find of ``base`` and
-    answers a swap whose added edge closes a cycle from the tree path
-    between its ends, rooting ``base``'s spanning forest once, on the first
-    such swap, and the graphic ``scan`` keeps a union-find of the members.
+    counts; the graphic ``exchange`` keeps a union-find forest of ``base``
+    less each id it is asked to drop, built on that id's first swap, and
+    the graphic ``scan`` keeps a union-find of the members.
     One entry of a ``marginals`` row, one ``swap`` and one offer of a
     ``take`` row are each one billed query, as a kernel call is; a callable
     put in a kernel's place carries no hooks, so it answers every query
@@ -565,55 +564,21 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
             for u in base:
                 if not _link(parent, *edges[u]):
                     return None
-            up, depth, joins, cycles = {}, {}, {}, {}
+            forests = {None: parent}  # drop -> the union-find of base less drop
 
-            def root_forest():
-                """Root each tree of base's forest: each vertex's (parent, edge) and depth."""
-                adjacent = {}
-                for u in base:
-                    a, b = edges[u]
-                    adjacent.setdefault(a, []).append((b, u))
-                    adjacent.setdefault(b, []).append((a, u))
-                for r in adjacent:
-                    if r in depth:
-                        continue
-                    depth[r], stack = 0, [r]
-                    while stack:
-                        v = stack.pop()
-                        for w, e in adjacent[v]:
-                            if w not in depth:
-                                up[w], depth[w] = (v, e), depth[v] + 1
-                                stack.append(w)
-
-            def cycle(a, b):
-                """The base edges on the tree path between vertices a and b of one tree."""
-                if not depth:
-                    root_forest()
-                path = set()
-                while a != b:
-                    if depth[a] < depth[b]:
-                        a, b = b, a
-                    a, e = up[a]
-                    path.add(e)
-                return path
-
-            # base - drop + add is a forest iff add joins two trees or drop
-            # lies on the cycle add closes (a self-loop's cycle holds no edge
-            # of base).  Most bases get few swaps, so the forest is rooted
-            # only for the first cycle a swap needs.
+            # base - drop + add is a forest iff add's ends lie in different
+            # trees of base - drop; a self-loop's ends never do.
             def swap(add, drop):
                 if add is None:
                     return True
-                if add not in joins:
-                    a, b = edges[add]
-                    joins[add] = _root(parent, a) != _root(parent, b)
-                if joins[add]:
-                    return True
-                if drop is None:
-                    return False
-                if add not in cycles:
-                    cycles[add] = cycle(*edges[add])
-                return drop in cycles[add]
+                forest = forests.get(drop)
+                if forest is None:
+                    forest = forests[drop] = identity.copy()
+                    for u in base:
+                        if u != drop:
+                            _link(forest, *edges[u])
+                a, b = edges[add]
+                return _root(forest, a) != _root(forest, b)
 
             return swap
 

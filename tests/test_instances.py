@@ -275,6 +275,25 @@ class TestGraphicKernel:
         )
         assert spec.rank(len(edges)) == m.rank == largest
 
+    @pytest.mark.parametrize("graph", SMALL_GRAPHS.values(), ids=SMALL_GRAPHS.keys())
+    def test_exchange_hook_matches_reference(self, graph):
+        """``exchange`` declines every dependent set, and each ``swap`` is the reference on the swapped set."""
+        num_vertices, edges = graph
+        _, m = self.built(num_vertices, edges)
+        exchange = m._is_independent.exchange
+        ids = range(len(edges))
+        for size in range(len(edges) + 1):
+            for base in itertools.combinations(ids, size):
+                swap = exchange(base)
+                if not forest_reference(edges, base):
+                    assert swap is None, base
+                    continue
+                assert swap is not None, base
+                for add in (None, *(u for u in ids if u not in base)):
+                    for drop in (None, *base):
+                        swapped = {*base, add} - {drop, None}
+                        assert swap(add, drop) is forest_reference(edges, swapped), (base, add, drop)
+
 
 def sum_reference(weights, members):
     """The members' weights added left to right, lowest id first, by one ``sum``.
