@@ -73,7 +73,7 @@ def _check_total(values, start: float, field: str) -> None:
 def _link(parent: list[int], a: int, b: int) -> bool:
     """Join the trees of vertices a and b in a union-find forest; False if they share one already.
 
-    Both ends walk to their roots with path halving, as the graphic kernel's do.
+    Both ends walk to their roots with path halving, as in the graphic ``exchange`` base read.
     """
     while parent[a] != a:
         parent[a] = a = parent[parent[a]]
@@ -320,12 +320,15 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
     Both oracles share one counter so a run's total query footprint can be
     read off a single object, and one frozenset of the ground set.
 
-    Each kernel returns the bitwise-same value for the same set: a modular
-    kernel is one ``sum`` of the weights in ascending member order, a
-    coverage kernel adds the covered items' weights lowest item first, and
-    the independence tests return exact bools.  The graphic oracle's cost
-    per query depends only on the vertices some edge touches, never on
-    ``num_vertices``.
+    Each kernel returns the bitwise-same value for the same set, and each
+    value family reads a set one way, in a call and in a row alike.  A
+    modular or concave-of-modular kernel is ``finish`` of one ``sum`` of the
+    weights in ascending member order, where ``finish`` is ``float`` or
+    ``float(total) ** exponent``.  A coverage kernel ORs the members' item
+    masks (``mask_of``), then counts the covered items or adds their weights
+    lowest item first.  The independence tests return exact bools.  The
+    graphic oracle's cost per query depends only on the vertices some edge
+    touches, never on ``num_vertices``.
 
     Where it provably returns the same float, the value kernel carries an
     ``extend`` hook (``evaluate.extend``) for ``SetFunction.singleton_table``:
@@ -366,7 +369,10 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
     the first ``limit`` ids, all of which fit; partition hooks keep part
     counts; the graphic ``exchange`` keeps a union-find forest of ``base``
     less each id it is asked to drop, built on that id's first swap, and
-    the graphic ``scan`` keeps a union-find of the members.
+    the graphic ``scan`` keeps a union-find of the members.  Each kind
+    states its independence rule once, in its ``exchange`` base read: the
+    per-call kernel ``independent(members)`` is ``exchange(members) is not
+    None``.
     One entry of a ``marginals`` row, one ``swap`` and one offer of a
     ``take`` row are each one billed query, as a kernel call is; a callable
     put in a kernel's place carries no hooks, so it answers every query
@@ -377,24 +383,18 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
     n = instance.n
 
     fspec = instance.function
-    if fspec.kind == "modular":
+    if fspec.kind in ("modular", "concave_of_modular"):
         weights = fspec.weights
+        modular = fspec.kind == "modular"
+        gamma = None if modular else float(fspec.exponent)
+        finish = float if modular else (lambda total: float(total) ** gamma)
 
         def evaluate(members):
-            return float(sum(map(weights.__getitem__, members)))
+            return finish(sum(map(weights.__getitem__, members)))
 
         if all(map(_is_int, weights)):
-            evaluate.extend = _sum_extend(weights, float, grows=n >= GROW_MIN_N and sum(weights) < EXACT_TOTAL)
-
-    elif fspec.kind == "concave_of_modular":
-        weights = fspec.weights
-        gamma = float(fspec.exponent)
-
-        def evaluate(members):
-            return float(sum(map(weights.__getitem__, members))) ** gamma
-
-        if all(map(_is_int, weights)):
-            evaluate.extend = _sum_extend(weights, lambda total: float(total) ** gamma, grows=False)
+            grows = modular and n >= GROW_MIN_N and sum(weights) < EXACT_TOTAL
+            evaluate.extend = _sum_extend(weights, finish, grows)
 
     else:
         universe = fspec.universe_weights
@@ -402,10 +402,10 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
             sum(1 << item for item in set(cover)) for cover in fspec.covers
         )
 
-        def mask_of(anchored):
-            """The OR-mask of the anchor's items, by a loop: ``reduce`` costs more on anchors of any size."""
+        def mask_of(members):
+            """The OR-mask of the members' items, by a loop: ``reduce`` costs more on sets of any size."""
             covered = 0
-            for u in anchored:
+            for u in members:
                 covered |= masks[u]
             return covered
 
@@ -428,10 +428,7 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
                 return total
 
         def evaluate(members):
-            covered = 0
-            for u in members:
-                covered |= masks[u]
-            return value(covered)
+            return value(mask_of(members))
 
         def row(covered, ids, offset):
             table = {}
@@ -470,9 +467,6 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
     if mspec.kind == "uniform":
         k = int(mspec.k)
 
-        def independent(members):
-            return len(members) <= k
-
         def exchange(base):
             size = len(base)
             if size > k:
@@ -493,15 +487,6 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
             for u in part:
                 part_of[u] = i
         caps = mspec.capacities
-
-        def independent(members):
-            used = [0] * len(caps)
-            for u in members:
-                i = part_of[u]
-                used[i] += 1
-                if used[i] > caps[i]:
-                    return False
-            return True
 
         def exchange(base):
             spare = list(caps)
@@ -543,27 +528,20 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
         edges, num_touched = _touched_edges(mspec.edges)
         identity = list(range(num_touched))
 
-        # A flat union-find forest per query: walk both ends to their roots
-        # with path halving; an edge whose ends share a root (a self-loop
-        # included) closes a cycle.
-        def independent(members):
+        def exchange(base):
+            # A flat union-find forest of base: walk both ends to their roots
+            # with path halving; an edge whose ends share a root (a self-loop
+            # included) closes a cycle.
             parent = identity.copy()
-            for u in members:
+            for u in base:
                 a, b = edges[u]
                 while parent[a] != a:
                     parent[a] = a = parent[parent[a]]
                 while parent[b] != b:
                     parent[b] = b = parent[parent[b]]
                 if a == b:
-                    return False
-                parent[b] = a
-            return True
-
-        def exchange(base):
-            parent = identity.copy()
-            for u in base:
-                if not _link(parent, *edges[u]):
                     return None
+                parent[b] = a
             forests = {None: parent}  # drop -> the union-find of base less drop
 
             # base - drop + add is a forest iff add's ends lie in different
@@ -601,6 +579,9 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
                 return kept, len(order)
 
             return take
+
+    def independent(members):
+        return exchange(members) is not None
 
     independent.exchange = exchange
     independent.scan = scan

@@ -21,6 +21,7 @@ from submod import (
     Instance,
     InstanceFormatError,
     MatroidSpec,
+    SetFunction,
     build,
     canonical,
     cli,
@@ -232,6 +233,15 @@ def forest_reference(edges, members):
     return len(chosen) == len(adjacent) - components
 
 
+def independence_reference(spec, members):
+    """Independence read off the spec: at most k ids, no part over its capacity, or a forest of edges."""
+    if spec.kind == "uniform":
+        return len(members) <= spec.k
+    if spec.kind == "partition":
+        return all(sum(u in part for u in members) <= cap for part, cap in zip(spec.parts, spec.capacities))
+    return forest_reference(spec.edges, members)
+
+
 def reverse_path(length):
     """A path listed from its far end, closed into a cycle: merges build one deep tree."""
     return tuple((v, v + 1) for v in reversed(range(length))) + ((length, 0),)
@@ -293,6 +303,25 @@ class TestGraphicKernel:
                     for drop in (None, *base):
                         swapped = {*base, add} - {drop, None}
                         assert swap(add, drop) is forest_reference(edges, swapped), (base, add, drop)
+
+
+class TestUniformAndPartitionKernels:
+    """The uniform and partition oracles against the spec, on every subset of every enumerated matroid."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "partition"])
+    def test_independence_matches_reference(self, kind):
+        matroids = {}  # n and catalog label -> one instance of that matroid
+        for instance in enumerate_small_instances(8, 3):
+            if instance.matroid.kind == kind:
+                matroids.setdefault(instance.label.rsplit("-", 1)[0], instance)
+        if kind == "partition":
+            assert "n8-part02" in matroids  # a zero-capacity part, so element 0 is a loop
+        for instance in matroids.values():
+            _, m = build(instance)
+            for size in range(instance.n + 1):
+                for members in itertools.combinations(range(instance.n), size):
+                    verdict = independence_reference(instance.matroid, members)
+                    assert m.is_independent(members) is verdict, (instance.label, members)
 
 
 def sum_reference(weights, members):
@@ -448,6 +477,20 @@ GROWING = {
 }
 
 
+def ids_less(*gone):
+    """The ids below GROW_MIN_N less ``gone``, in order."""
+    return tuple(v for v in range(GROW_MIN_N) if v not in gone)
+
+
+# Steps after which a grown view's first row cannot be derived, and that row's
+# ids; a tuple step asks a row, an id step grows the view by that id.
+DECLINED = {
+    "no-parent-row": ((ids_less(), 3, 5), ids_less(3, 5)),  # no row asked between two one-id steps
+    "absent-id": ((ids_less(7), 7), ids_less(7)),  # the parent's last row never asked about the id
+    "repeated-id": (((12, 10, 12), 12), (10, 12)),  # the parent's last row asked for the id twice
+}
+
+
 class TestGrowHook:
     """``grow(u)`` on the rows of an exact kernel: a derived row is bitwise the full row of anchored + (u,)."""
 
@@ -503,6 +546,27 @@ class TestGrowHook:
         marginals(ids, 0).update({v: -1.0 for v in ids if v != 7})  # every entry the grown row keeps
         less = ids[:7] + ids[8:]
         assert marginals.grow(7)(less, evaluate((7,))) == evaluate.extend((7,))(less, evaluate((7,)))
+
+    @pytest.mark.parametrize("case", DECLINED)
+    @pytest.mark.parametrize("name", ["unit-coverage", "int-coverage", "int-modular"])
+    def test_a_grown_view_without_a_derivable_parent_row_answers_in_full(self, name, case):
+        """``derive`` declines, and the grown view's first row is the row a fresh view of its anchor answers."""
+        steps, last = DECLINED[case]
+        evaluate = growing_evaluator(*GROWING[name], n=GROW_MIN_N)
+        view = SetFunction(GROW_MIN_N, evaluate)
+        for step in steps:
+            if isinstance(step, tuple):
+                view.singleton_table(step)
+            else:
+                view = marginal_function(view, (step,))
+        assert view._row is not None  # the view's row function comes from its parent's grow
+        fresh = marginal_function(SetFunction(GROW_MIN_N, evaluate), view.anchored)
+        answered = []
+        for asking in (view, fresh):
+            start = asking.queries
+            table, full = count_full_rows(lambda: asking.singleton_table(last))
+            answered.append((asking.queries - start, full, as_hex(table)))
+        assert answered[0] == answered[1]  # billed alike, answered in full, bitwise equal
 
     @pytest.mark.parametrize(
         "kind, weights, n",
