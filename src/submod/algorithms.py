@@ -131,18 +131,30 @@ def _base_in_order(matroid: Matroid, order: Sequence[int]) -> list[int]:
     return chosen
 
 
-def _feasible_pool(matroid: Matroid, used: set[int]) -> list[int]:
-    """Elements that can extend ``used`` while staying independent."""
+def _feasible_pool(matroid: Matroid, used: set[int], candidates: Iterable[int]) -> list[int]:
+    """The ids of ``candidates`` outside ``used`` that can extend ``used`` while staying independent.
+
+    The solvers pass last round's pool as ``candidates``, not the ground:
+    an id dependent with a set stays dependent with every superset (a
+    subset of an independent set is independent), so only an id of last
+    round's pool can extend this round's larger ``used``.  The pool keeps
+    the ascending order of the ground.
+    """
     extends = matroid.exchange_test(used)
-    return [u for u in matroid.ground if u not in used and extends(u)]
+    return [u for u in candidates if u not in used and extends(u)]
 
 
 def classical_greedy(f: SetFunction, matroid: Matroid) -> ElementSet:
-    """Plain greedy: repeatedly add the feasible element of largest marginal."""
+    """Plain greedy: repeatedly add the feasible element of largest marginal.
+
+    Each round tests only last round's pool less the chosen id: the pool
+    only shrinks as the chosen set grows (see ``_feasible_pool``).
+    """
     chosen: list[int] = []
     chosen_set: set[int] = set()
+    pool = matroid.ground
     for _ in range(matroid.rank):
-        pool = _feasible_pool(matroid, chosen_set)
+        pool = _feasible_pool(matroid, chosen_set, pool)
         if not pool:
             raise InternalInvariantError("greedy ran out of feasible elements before a base")
         gains = marginal_table(f, chosen, pool)
@@ -158,15 +170,18 @@ def split(f: SetFunction, matroid: Matroid, p: float) -> SplitResult:
     Each iteration scans the elements that can still extend the union, takes
     the best marginal candidate relative to each half, and routes the winner
     of ``p * gain_a >= (1 - p) * gain_b`` to the first half (ties included).
-    While both halves are empty the two tables are one, asked once.
+    While both halves are empty the two tables are one, asked once.  Each
+    round tests only last round's pool less the routed id: the pool only
+    shrinks as the union grows (see ``_feasible_pool``).
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     side_a: list[int] = []
     side_b: list[int] = []
     used: set[int] = set()
+    pool = matroid.ground
     for _ in range(matroid.rank):
-        pool = _feasible_pool(matroid, used)
+        pool = _feasible_pool(matroid, used, pool)
         if not pool:
             raise InternalInvariantError("split ran out of feasible elements before a base")
         gains_a = marginal_table(f, side_a, pool)
@@ -188,15 +203,23 @@ class _GrownCopy:
     The copy keeps its contracted matroid and marginal view and moves them
     forward by each gained id where contracting and anchoring afresh would
     ask the root the same sets in the same order.  It also keeps its last
-    gain table and that table's scan order.  If the next table equals the
-    last one less the gained id, as it always does on a modular objective,
-    the scan order is the last order less that id: exactly what the stable
-    sort by gain would return.  One dict comparison decides, and it fails
-    on any changed entry and on a NaN (a row's NaN is always a fresh float,
-    which equals nothing).  Otherwise the ground is sorted afresh.
+    gain table, that table's scan order and the base the scan kept.  If the
+    next table equals the last one less the gained id, as it always does on
+    a modular objective, the scan order is the last order less that id:
+    exactly what the stable sort by gain would return.  One dict comparison
+    decides, and it fails on any changed entry and on a NaN (a row's NaN is
+    always a fresh float, which equals nothing).  Otherwise the ground is
+    sorted afresh and scanned.
+
+    A reused order reuses its base too: the scan is skipped, and the base is
+    last round's base B less the gained id u.  On a matroid that is exactly
+    what the scan of M/(S+u) along L-u keeps, since u lies in B: an id
+    before u in L is asked about a subset of S+B plus u where it was asked
+    about the same subset without u, and both are independent or not
+    together; an id after u is asked about the same set as before.
     """
 
-    __slots__ = ("solution", "residual", "view", "step", "gains", "order")
+    __slots__ = ("solution", "residual", "view", "step", "gains", "order", "kept")
 
     def __init__(self, f: SetFunction, matroid: Matroid):
         self.solution: list[int] = []  # ascending
@@ -204,6 +227,15 @@ class _GrownCopy:
         self.step: ElementSet = ()  # the id gained since the last base, to contract and anchor by
         self.gains: dict[int, float] = {}
         self.order: list[int] = []
+        self.kept: list[int] = []  # the last base, ascending; never handed out, only copies of it
+
+    def fork(self) -> _GrownCopy:
+        """A twin that shares this copy's contracted matroid and view and owns copies of its lists and table."""
+        twin = object.__new__(_GrownCopy)
+        twin.residual, twin.view, twin.step = self.residual, self.view, self.step
+        twin.solution, twin.order, twin.kept = self.solution[:], self.order[:], self.kept[:]
+        twin.gains = self.gains.copy()
+        return twin
 
     def gain(self, u: int) -> None:
         insort(self.solution, u)
@@ -211,20 +243,20 @@ class _GrownCopy:
 
     def base(self) -> tuple[dict[int, float], list[int]]:
         """Move forward by the last gain; return the gain table and the maximum-gain base, ascending."""
-        step, last, order = self.step, self.gains, self.order
+        step, last = self.step, self.gains
         residual = self.residual = contract(self.residual, step)
         self.view = marginal_function(self.view, step)
         gains = self.view.singleton_table(residual.ground)
         if step:
             del last[step[0]]
-        if step and gains == last:
-            order.remove(step[0])
+        if step and gains == last:  # the same order less the gain keeps the same base less the gain
+            self.order.remove(step[0])
+            self.kept.remove(step[0])
         else:
-            order = self.order = _by_weight(residual.ground, gains)
+            self.order = _by_weight(residual.ground, gains)
+            self.kept = sorted(_base_in_order(residual, self.order))
         self.gains = gains
-        chosen = _base_in_order(residual, order)
-        chosen.sort()
-        return gains, chosen
+        return gains, self.kept[:]
 
 
 def rr_greedy(f: SetFunction, matroid: Matroid, rng_seed: int) -> ElementSet:
@@ -235,8 +267,8 @@ def rr_greedy(f: SetFunction, matroid: Matroid, rng_seed: int) -> ElementSet:
     uniformly at random.  Reproducible: the same seed yields the same set.
     The contracted matroid and the marginal view move forward by each pick,
     asking the root what contracting and anchoring afresh would ask, and
-    the scan order is last round's order less the pick whenever the gains
-    are last round's gains less the pick (see ``_GrownCopy``).
+    the scan order and the base are last round's less the pick whenever
+    the gains are last round's gains less the pick (see ``_GrownCopy``).
     """
     rng = random.Random(rng_seed)
     copy = _GrownCopy(f, matroid)
@@ -271,21 +303,27 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
     Each copy (a ``_GrownCopy``) moves its contracted matroid and marginal
     view forward by its gain, asking the root the same sets in the same
     order as contracting and anchoring afresh, and reuses last round's
-    scan order less the gain whenever its gains are last round's gains
-    less the gain.  Its solution is kept ascending by insertion and its
-    residue as a dict in ascending id order, from which each given-up id
-    is deleted.
+    scan order and base less the gain whenever its gains are last round's
+    gains less the gain.  The k copies start alike, so the opening round
+    is asked once and the other copies fork from it.  A solution is kept
+    ascending by insertion and a residue as a dict in ascending id order,
+    from which each given-up id is deleted.
     """
     base = canonical(residue, matroid.n)
     if not is_base(matroid, base):
         raise ValueError("residue argument must be a base of the matroid")
     k = matroid.rank
     left_of = {v: idx for idx, v in enumerate(base)}
-    copies = [_GrownCopy(f, matroid) for _ in range(k)]
+    copies: list[_GrownCopy] = []
     residues = [dict.fromkeys(base) for _ in range(k)]  # ascending, as base is
 
     for _ in range(k):
-        rounds = [copy.base() for copy in copies]
+        if copies:
+            rounds = [copy.base() for copy in copies]
+        else:  # every copy starts alike: one opening round, read by all
+            first = _GrownCopy(f, matroid)
+            rounds = [first.base()] * k
+            copies = [first, *(first.fork() for _ in range(k - 1))]
         graph = WeightedBipartiteGraph(k, k)
         for j, (gains, candidates) in enumerate(rounds):
             residue = residues[j]

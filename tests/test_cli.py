@@ -359,21 +359,22 @@ class TestComplexity:
         out = tmp_path / "scaling.csv"
         assert main(["complexity", "--n-grid", "12,24", "--k-grid", "2,3", "--seeds", "1", "--out", str(out)]) == 0
         # the table and the CSV as they read before the column was added, with the
-        # counts (and the fits taken from them) of the one-table split and the
-        # exchange round that asks each set once
+        # counts (and the fits taken from them) of the one-table split, the
+        # exchange round that asks each set once, and the solvers that skip what
+        # the matroid axioms answer
         table = [
             "    n   k   seed   value_q   indep_q  value_fit",
-            "   12   2  12020        80        41     1.6667",
-            "   12   3  12030       155        79     1.4352",
-            "   24   2  24020       158        65     1.6458",
-            "   24   3  24030       293       165     1.3565",
+            "   12   2  12020        67        36     1.3958",
+            "   12   3  12030       129        54     1.1944",
+            "   24   2  24020       133        60     1.3854",
+            "   24   3  24030       243        94     1.1250",
         ]
         rows = [
             "n,k,seed,value_queries,independence_queries,value_fit,independence_fit",
-            "12,2,12020,80,41,1.6666666666666667,0.8541666666666666",
-            "12,3,12030,155,79,1.4351851851851851,0.7314814814814815",
-            "24,2,24020,158,65,1.6458333333333333,0.6770833333333334",
-            "24,3,24030,293,165,1.3564814814814814,0.7638888888888888",
+            "12,2,12020,67,36,1.3958333333333333,0.75",
+            "12,3,12030,129,54,1.1944444444444444,0.5",
+            "24,2,24020,133,60,1.3854166666666667,0.625",
+            "24,3,24030,243,94,1.125,0.4351851851851852",
         ]
         printed = capsys.readouterr().out.splitlines()
         assert printed[0] == table[0] + "  elapsed_s"
@@ -381,7 +382,7 @@ class TestComplexity:
             assert line[: len(before)] == before
             assert line[len(before)] == " " and len(line) == len(before) + 11
             assert float(line[len(before):]) >= 0.0
-        assert printed[5:] == ["value_fit spread: min 1.3565, max 1.6667, ratio 1.229", f"wrote {out}"]
+        assert printed[5:] == ["value_fit spread: min 1.1250, max 1.3958, ratio 1.241", f"wrote {out}"]
         written = out.read_text().splitlines()
         assert written[0] == rows[0] + ",elapsed_s"
         for line, before in zip(written[1:], rows[1:], strict=True):
