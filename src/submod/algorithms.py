@@ -18,6 +18,7 @@ import time
 from bisect import insort
 from dataclasses import asdict, dataclass
 from itertools import chain
+from operator import le
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .core import (
@@ -26,6 +27,7 @@ from .core import (
     Matroid,
     OracleCounts,
     SetFunction,
+    _contract_one,
     canonical,
     contract,
     is_base,
@@ -201,39 +203,39 @@ class _GrownCopy:
     """One copy of a residual greedy grower: its solution and its maximum-gain bases round by round.
 
     The copy keeps its contracted matroid and marginal view and moves them
-    forward by each gained id where contracting and anchoring afresh would
-    ask the root the same sets in the same order.  It also keeps its last
-    gain table, that table's scan order and the base the scan kept.  If the
-    next table equals the last one less the gained id, as it always does on
-    a modular objective, the scan order is the last order less that id:
-    exactly what the stable sort by gain would return.  One dict comparison
-    decides, and it fails on any changed entry and on a NaN (a row's NaN is
-    always a fresh float, which equals nothing).  Otherwise the ground is
-    sorted afresh and scanned.
+    forward by each gained id u.  The view asks the root the same value
+    questions in the same order as anchoring afresh would.  The contraction
+    asks nothing (``core._contract_one``): u lies in last round's base B,
+    and S + B is independent, so S + u is.  The opening round reads the
+    matroid the grower was handed, whose anchor was checked when it was
+    made.
 
-    A reused order reuses its base too: the scan is skipped, and the base is
-    last round's base B less the gained id u.  On a matroid that is exactly
-    what the scan of M/(S+u) along L-u keeps, since u lies in B: an id
-    before u in L is asked about a subset of S+B plus u where it was asked
-    about the same subset without u, and both are independent or not
-    together; an id after u is asked about the same set as before.
+    The copy also keeps its last gain table and B.  B less u is still the
+    greedy base of M/(S+u), and the sort and the scan are skipped, when the
+    new table equals the last one less u, or when no entry rose and every
+    id of B less u kept its entry exactly; a NaN compares false either way
+    (a row's NaN is always a fresh float, which equals nothing), so it
+    forces a fresh sort and scan.  The reuse is exact for any set function:
+    ids of B less u keep their (-gain, id) key and every other id's key can
+    only move later, so each id outside B, spanned in M/S by the ids of B
+    ahead of it in the old order, is spanned in M/(S+u) by the ids of B
+    less u ahead of it in the new order.
     """
 
-    __slots__ = ("solution", "residual", "view", "step", "gains", "order", "kept")
+    __slots__ = ("solution", "residual", "view", "step", "gains", "kept")
 
     def __init__(self, f: SetFunction, matroid: Matroid):
         self.solution: list[int] = []  # ascending
         self.residual, self.view = matroid, f
         self.step: ElementSet = ()  # the id gained since the last base, to contract and anchor by
         self.gains: dict[int, float] = {}
-        self.order: list[int] = []
         self.kept: list[int] = []  # the last base, ascending; never handed out, only copies of it
 
     def fork(self) -> _GrownCopy:
         """A twin that shares this copy's contracted matroid and view and owns copies of its lists and table."""
         twin = object.__new__(_GrownCopy)
         twin.residual, twin.view, twin.step = self.residual, self.view, self.step
-        twin.solution, twin.order, twin.kept = self.solution[:], self.order[:], self.kept[:]
+        twin.solution, twin.kept = self.solution[:], self.kept[:]
         twin.gains = self.gains.copy()
         return twin
 
@@ -243,18 +245,21 @@ class _GrownCopy:
 
     def base(self) -> tuple[dict[int, float], list[int]]:
         """Move forward by the last gain; return the gain table and the maximum-gain base, ascending."""
-        step, last = self.step, self.gains
-        residual = self.residual = contract(self.residual, step)
+        step, last, kept = self.step, self.gains, self.kept
+        if step:
+            self.residual = _contract_one(self.residual, step[0])
+            del last[step[0]]
+            kept.remove(step[0])
+        residual = self.residual
         self.view = marginal_function(self.view, step)
         gains = self.view.singleton_table(residual.ground)
-        if step:
-            del last[step[0]]
-        if step and gains == last:  # the same order less the gain keeps the same base less the gain
-            self.order.remove(step[0])
-            self.kept.remove(step[0])
-        else:
-            self.order = _by_weight(residual.ground, gains)
-            self.kept = sorted(_base_in_order(residual, self.order))
+        # both tables hold the ids of residual.ground; each new entry is compared with the old one of its id
+        reused = step and (
+            gains == last
+            or all(map(le, gains.values(), map(last.__getitem__, gains))) and all(gains[v] == last[v] for v in kept)
+        )
+        if not reused:
+            self.kept = sorted(_base_in_order(residual, _by_weight(residual.ground, gains)))
         self.gains = gains
         return gains, self.kept[:]
 
@@ -266,9 +271,10 @@ def rr_greedy(f: SetFunction, matroid: Matroid, rng_seed: int) -> ElementSet:
     matroid contracted by the current solution and adds one of its elements
     uniformly at random.  Reproducible: the same seed yields the same set.
     The contracted matroid and the marginal view move forward by each pick,
-    asking the root what contracting and anchoring afresh would ask, and
-    the scan order and the base are last round's less the pick whenever
-    the gains are last round's gains less the pick (see ``_GrownCopy``).
+    the view asking the root what anchoring afresh would ask and the
+    contraction asking nothing, and the base is last round's less the pick,
+    with no sort and no scan, whenever no gain rose and the gains of that
+    base less the pick held (see ``_GrownCopy``).
     """
     rng = random.Random(rng_seed)
     copy = _GrownCopy(f, matroid)
@@ -301,13 +307,14 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
     asking about v once v has its edge.
 
     Each copy (a ``_GrownCopy``) moves its contracted matroid and marginal
-    view forward by its gain, asking the root the same sets in the same
-    order as contracting and anchoring afresh, and reuses last round's
-    scan order and base less the gain whenever its gains are last round's
-    gains less the gain.  The k copies start alike, so the opening round
-    is asked once and the other copies fork from it.  A solution is kept
-    ascending by insertion and a residue as a dict in ascending id order,
-    from which each given-up id is deleted.
+    view forward by its gain, the view asking the root the same sets in the
+    same order as anchoring afresh and the contraction asking nothing, and
+    reuses last round's base less the gain, with no sort and no scan,
+    whenever no gain rose and the gains of that base less the gain held.
+    The k copies start alike, so the opening round is asked once and the
+    other copies fork from it.  A solution is kept ascending by insertion
+    and a residue as a dict in ascending id order, from which each given-up
+    id is deleted.
     """
     base = canonical(residue, matroid.n)
     if not is_base(matroid, base):

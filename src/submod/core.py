@@ -271,13 +271,14 @@ class Matroid:
         kernel carries a ``scan`` hook (``instances.build`` gives one to
         every kernel it builds), ``take`` is ``scan(anchored)``, which reads
         the anchor once and answers each id equal to the kernel; the anchor
-        is always independent (``contract`` checked it) and the limit at
-        least 1.  Otherwise, a replaced kernel included, each answer is one
-        kernel call with the tuple ``is_independent`` would pass.  If an id
-        lies outside ``ground``, ``is_independent``'s error for the first
-        such id is raised before anything is billed or asked, even where the
-        scan would stop at ``rank`` before reaching it.  Returns the kept ids
-        in scan order.
+        is always independent (``contract`` checked it, or the caller of
+        ``_contract_one`` knew it) and the limit at least 1.  Otherwise, a
+        replaced kernel included, each answer is one kernel call with the
+        tuple ``is_independent`` would pass.  If an id lies outside
+        ``ground``, ``is_independent``'s error for the first such id is
+        raised before anything is billed or asked, even where the scan would
+        stop at ``rank`` before reaching it.  Returns the kept ids in scan
+        order.
         """
         order = tuple(order)
         ground = self._ground_set
@@ -377,37 +378,52 @@ def contract(matroid: Matroid, independent_set: Iterable[int]) -> Matroid:
     anchor, which is that query's tuple.  A one-id A is checked against
     ``ground`` and inserted into the anchor by bisect, not canonicalised;
     the checks, their messages and the root's question are the same.  The
-    view's ground keeps the ascending order of ``matroid.ground``.
+    view's ground keeps the ascending order of ``matroid.ground``, and no
+    view is handed out before its anchor passed the check.
     """
     members = tuple(independent_set)
     if len(members) == 1:
-        u = members[0]
-        if u not in matroid._ground_set:
-            matroid._reject({u})
-        at = bisect_left(matroid.anchored, u)
-        anchored = matroid.anchored[:at] + members + matroid.anchored[at:]
-        away = frozenset(members)
+        if members[0] not in matroid._ground_set:
+            matroid._reject(set(members))
+        view = _contract_one(matroid, members[0])
     else:
         away = frozenset(canonical(members, matroid.n))
         if not away <= matroid._ground_set:
             matroid._reject(set(away))
-        anchored = tuple(sorted(away.union(matroid.anchored)))
+        view = _view(matroid, tuple(sorted(away.union(matroid.anchored))), len(away))
+        if away:
+            view.ground = tuple(filterfalse(away.__contains__, matroid.ground))
+            view._ground_set = matroid._ground_set - away
     matroid.counts.independence_queries += 1
-    if not matroid.root._is_independent(anchored):
+    if not matroid.root._is_independent(view.anchored):
         raise ValueError("cannot contract a dependent set")
+    return view
+
+
+def _contract_one(matroid: Matroid, u: int) -> Matroid:
+    """The view ``contract(matroid, (u,))`` returns, built without its check: it asks and bills nothing.
+
+    For a caller that already knows u is an id of ``ground`` and that
+    ``anchored + u`` is independent.  u is inserted into the anchor by
+    bisect and cut out of the ascending ground.
+    """
+    at = bisect_left(matroid.anchored, u)
+    view = _view(matroid, matroid.anchored[:at] + (u,) + matroid.anchored[at:], 1)
+    at = bisect_left(matroid.ground, u)
+    view.ground = matroid.ground[:at] + matroid.ground[at + 1:]
+    view._ground_set = matroid._ground_set - {u}
+    return view
+
+
+def _view(matroid: Matroid, anchored: ElementSet, removed: int) -> Matroid:
+    """A view on ``matroid.root`` at ``anchored``, ``removed`` ranks down.
+
+    It shares ``matroid``'s ground until the caller cuts it.
+    """
     view = object.__new__(Matroid)
     view.n, view.counts, view.root = matroid.n, matroid.counts, matroid.root
-    view.anchored = anchored
-    view.rank = matroid.rank - len(away)
-    if not away:
-        view.ground, view._ground_set = matroid.ground, matroid._ground_set
-        return view
-    if len(away) == 1:  # ground is ascending: cut the one id out
-        at = bisect_left(matroid.ground, *away)
-        view.ground = matroid.ground[:at] + matroid.ground[at + 1:]
-    else:
-        view.ground = tuple(filterfalse(away.__contains__, matroid.ground))
-    view._ground_set = matroid._ground_set - away
+    view.anchored, view.rank = anchored, matroid.rank - removed
+    view.ground, view._ground_set = matroid.ground, matroid._ground_set
     return view
 
 

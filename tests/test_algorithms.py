@@ -337,32 +337,35 @@ class TestSplitAndGrowDeterministic:
     # Exact reports pinned from an earlier version of the solver: a refactor
     # must reproduce them, query counts included.  The counts were re-pinned
     # when split's first round shared its one table, when the exchange round
-    # stopped asking a set twice, and when the solvers stopped asking what
-    # the matroid axioms answer (a reused order's base, the copies' shared
-    # opening round, the shrinking pool); the solutions and values never moved.
+    # stopped asking a set twice, when the solvers stopped asking what the
+    # matroid axioms answer (a reused order's base, the copies' shared
+    # opening round, the shrinking pool), and when a grown copy began to
+    # reuse its base less the gain whenever no gain rose and the base's gains
+    # held, and to contract by its gain without a check; the solutions,
+    # values and value counts never moved.
     @pytest.mark.parametrize(
         "cell, solution, value, value_queries, independence_queries",
         [
-            ((3, 12, "partition", "coverage", 3), (0, 1, 8), 6.0, 123, 75),
-            ((5, 12, "graphic", "modular", 4), (0, 3, 4, 11), 31.0, 215, 78),
-            ((11, 10, "uniform", "concave_of_modular", 3), (1, 4, 5), 5.291502622129181, 93, 45),
-            ((13, 14, "partition", "weighted_coverage", 4), (0, 1, 2, 11), 44.0, 150, 101),
-            ((17, 20, "uniform", "modular", 8), (0, 1, 6, 11, 12, 14, 16, 18), 64.0, 1243, 265),
-            ((19, 16, "uniform", "weighted_coverage", 5), (3, 4, 7, 8, 13), 61.0, 278, 123),
-            ((23, 14, "graphic", "concave_of_modular", 5), (3, 4, 6, 7, 12), 6.4031242374328485, 222, 98),
+            ((3, 12, "partition", "coverage", 3), (0, 1, 8), 6.0, 123, 50),
+            ((5, 12, "graphic", "modular", 4), (0, 3, 4, 11), 31.0, 215, 65),
+            ((11, 10, "uniform", "concave_of_modular", 3), (1, 4, 5), 5.291502622129181, 93, 41),
+            ((13, 14, "partition", "weighted_coverage", 4), (0, 1, 2, 11), 44.0, 150, 73),
+            ((17, 20, "uniform", "modular", 8), (0, 1, 6, 11, 12, 14, 16, 18), 64.0, 1243, 208),
+            ((19, 16, "uniform", "weighted_coverage", 5), (3, 4, 7, 8, 13), 61.0, 278, 111),
+            ((23, 14, "graphic", "concave_of_modular", 5), (3, 4, 6, 7, 12), 6.4031242374328485, 222, 88),
             (
                 (29, 48, "uniform", "modular", 24),
                 (0, 3, 4, 7, 9, 10, 14, 18, 20, 21, 22, 24, 27, 28, 29, 30, 32, 33, 36, 39, 40, 44, 45, 47),
                 205.0,
                 22251,
-                2033,
+                1480,
             ),
             (
                 (31, 40, "partition", "coverage", 12),
                 (4, 5, 8, 9, 15, 16, 17, 19, 22, 28, 29, 39),
                 23.0,
                 3126,
-                2181,
+                1709,
             ),
         ],
     )
@@ -543,7 +546,10 @@ class TestRootCallLog:
     by gain and to ask each set once, and when the solvers stopped asking
     what the matroid axioms answer: a grown copy that reuses its scan order
     reuses its base, rp_greedy's copies share their opening round, and the
-    feasible pool of split and greedy only shrinks.  Each cell runs twice:
+    feasible pool of split and greedy only shrinks; and when a grown copy
+    began to reuse its base less the gain whenever no gain rose and the
+    base's own gains held, and stopped asking about its handed matroid's
+    anchor and about each contraction by its gain.  Each cell runs twice:
     with plain wrappers, which answer every query by a kernel call, and
     with the kernels' hooks (the value kernel's ``extend`` and its rows'
     ``grow``, whose derived rows run in the cells on at least GROW_MIN_N
@@ -554,25 +560,25 @@ class TestRootCallLog:
     @pytest.mark.parametrize(
         "cell, expected",
         [
-            ((1, 20, "graphic", "modular", 6), "040d22c8bddd4f47f8b5716cc49fa366e65c981447d0bcece73ef2d01da1e3e6"),
-            ((2, 16, "uniform", "modular", 8), "94cb13c262000ed98d8cdaf5b5d36b39645d0754a2d95b7139c1f96efe398596"),
-            ((3, 20, "partition", "coverage", 6), "7507cf31efc15393614317d3edd56905c35542524deba69db3d5e513eb8f0c6c"),
+            ((1, 20, "graphic", "modular", 6), "39ab7b5de28470684be65e7910f713a4e13b3c4213d3c7a761cb8c44f7849f19"),
+            ((2, 16, "uniform", "modular", 8), "6485701bda4c0350efaa9f4c91775394c593898ab31b8f2c11129134246c51fd"),
+            ((3, 20, "partition", "coverage", 6), "9239cde1e2d9a11fe18f35f8bc2e6d46b5ed05e09ea66bdc48357c6de8b0ab0e"),
             (
                 (4, 16, "graphic", "concave_of_modular", 5),
-                "374455a4df975357421ed301c70d4f7af330609dda6fe0243875d93c074ea310",
+                "17e6647723caabd9729ead9776e684f44beb731259d656640485a021967f235b",
             ),
             (
                 (5, 20, "partition", "weighted_coverage", 6),
-                "f855c6a0406485c1861ece274dc8301ade5078e8d7bd98138732b9559ef2c523",
+                "44d7d3e8a82aff00c0759cf986a22cdd7860c515cd86fe8eab9f5ceec4988fa3",
             ),
             # the benchmark's uniform-dense and coverage-partition shapes
             (
                 (100, 48, "uniform", "modular", 24),
-                "b7f054bca8388976d900200c4efa0726f178309b3fccb43e0fcaee3b114b7c46",
+                "bae27ddd9cbf7ca7caa46e1a16796975e7e598bc55663990011c8452a9ca422a",
             ),
             (
                 (101, 120, "partition", "coverage", 12),
-                "1226963602a28eb4175d77c7933d16e643397fa95723f877bbcab7081728c10a",
+                "1c2f2f0694218857b074d4cc7d6664f8512f3f8ffbb25088b2b55e9307200bd7",
             ),
         ],
         ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple) else None,
@@ -775,14 +781,15 @@ class TestExchangeRound:
 
 @pytest.fixture
 def checked_orders(monkeypatch):
-    """Check every grown copy's scan order against a fresh stable sort by its gains, and its base against a scan.
+    """Check every base a grown copy returns against a fresh stable sort by its gains and a greedy scan along it.
 
     Every base a copy returns, reused or scanned, must be what a greedy scan
-    along the copy's order keeps on its residual, and a copy of the base
-    the grower keeps; the check's own queries are taken back off the
-    counter.  Returns a tally of the copies' bases, those that reused last
-    round's order, and those whose table or previous table held a NaN, each
-    of which must have sorted afresh.
+    along a fresh stable sort of the copy's gains keeps on its residual, and
+    a copy of the base the grower keeps; the check's own sort is not
+    tallied and its queries are taken back off the counter.  Returns a
+    tally of the copies' bases, those that reused last round's base without
+    a sort, and those whose table or previous table held a NaN, each of
+    which must have sorted afresh.
     """
     tally = {"bases": 0, "reused": 0, "nan": 0, "sorts": 0}
     real_base, real_sort = algorithms._GrownCopy.base, algorithms._by_weight
@@ -795,9 +802,8 @@ def checked_orders(monkeypatch):
         last, sorts = list(copy.gains.values()), tally["sorts"]
         gains, chosen = real_base(copy)
         residual = copy.residual
-        assert copy.order == sorted(residual.ground, key=gains.__getitem__, reverse=True)
         asked = residual.counts.independence_queries
-        assert chosen == sorted(residual.greedy_scan(copy.order)) and chosen is not copy.kept
+        assert chosen == sorted(residual.greedy_scan(real_sort(residual.ground, gains))) and chosen is not copy.kept
         residual.counts.independence_queries = asked
         tally["bases"] += 1
         tally["reused"] += tally["sorts"] == sorts
@@ -812,7 +818,7 @@ def checked_orders(monkeypatch):
 
 
 class TestReusedOrder:
-    """A grown copy scans in the order a fresh sort by gain gives, whether it reuses last round's or sorts."""
+    """A grown copy's base is what a fresh sort by gain and a scan give, whether it reuses last round's or sorts."""
 
     @pytest.mark.parametrize(
         "function_kind", ["coverage", "weighted_coverage", "fractional", "concave_of_modular", "modular"]
@@ -839,10 +845,81 @@ class TestReusedOrder:
         inner = f._evaluate
         f._evaluate = lambda members: math.nan if members == (9, 11) else inner(members)
         report = solve(f, m, "rpgreedy")
-        # pinned from the grower that sorted every round afresh
+        # pinned from the grower that sorted every round afresh; the counts were
+        # re-pinned when a grown copy reused its base on more rounds and stopped
+        # checking its contractions
         assert (report.solution, report.value) == ((3, 4, 5, 7, 11), 35.0)
-        assert (report.counts.value_queries, report.counts.independence_queries) == (313, 166)
+        assert (report.counts.value_queries, report.counts.independence_queries) == (313, 145)
         assert checked_orders["nan"] >= 2  # the round with the NaN and the round after it
+
+
+class TestReusedBase:
+    """A grown copy keeps last round's base less the gain only where a fresh sort and scan keep it too."""
+
+    @staticmethod
+    def two_rounds(monkeypatch, first, second):
+        """Grow a copy on U(2, 4) by id 0: the gains are ``first`` on ids 0-3, then ``second`` on ids 1-3.
+
+        f(S) sums ``first`` over S without 0, and is first[0] plus ``second``
+        summed over S less 0 otherwise.  Returns the opening base, the second
+        round's base, the base a fresh sort and scan give for the second
+        round's gains, and the number of sorts the copy made.
+        """
+        sorts = []
+        real_sort = algorithms._by_weight
+        monkeypatch.setattr(algorithms, "_by_weight", lambda ground, gains: sorts.append(1) or real_sort(ground, gains))
+
+        def evaluate(members):
+            if 0 not in members:
+                return sum(first[x] for x in members)
+            return first[0] + sum(second[x - 1] for x in members if x)
+
+        _f, m = make(4, uniform(2), modular(1, 1, 1, 1))
+        copy = algorithms._GrownCopy(SetFunction(4, evaluate), m)
+        _gains, opening = copy.base()
+        assert 0 in opening
+        copy.gain(0)
+        gains, chosen = copy.base()
+        fresh = sorted(copy.residual.greedy_scan(real_sort(copy.residual.ground, gains)))
+        return opening, chosen, fresh, len(sorts)
+
+    def test_falling_gains_off_the_base_keep_it(self, monkeypatch):
+        opening, chosen, fresh, sorts = self.two_rounds(monkeypatch, (5.0, 4.0, 3.0, 2.0), (4.0, 1.0, 2.0))
+        assert (opening, chosen, fresh, sorts) == ([0, 1], [1], [1], 1)
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            ((5.0, 4.0, 3.0, 2.0), (2.5, 3.0, 2.0)),  # a gain of the base moves, no gain rises
+            ((5.0, 4.0, 3.0, 2.0), (4.0, 5.0, 2.0)),  # a gain off the base rises: f is not submodular
+            ((1.0, 1.0, 1.0, 2.0), (1.0, math.nan, 2.0)),  # a NaN in the new row reorders the fresh sort
+            ((1.0, 1.0, 1.0, math.nan), (1.0, 1.0, 2.0)),  # a NaN in the old row
+        ],
+        ids=["base-gain-moves", "gain-rises", "nan-in-new-row", "nan-in-old-row"],
+    )
+    def test_each_guard_sorts_and_scans_afresh(self, monkeypatch, first, second):
+        opening, chosen, fresh, sorts = self.two_rounds(monkeypatch, first, second)
+        assert fresh != opening[1:]  # the opening base less the gain (its smallest id) would be wrong
+        assert (chosen, sorts) == (fresh, 2)
+
+    def test_the_gained_id_contracts_unasked(self):
+        """The opening round reads the handed matroid; contracting by a gained id calls and bills nothing."""
+        f, m = build(random_instance(3, 12, "uniform", "modular", rank=4))
+        copy = algorithms._GrownCopy(f, m)
+        _gains, opening = copy.base()
+        assert copy.residual is m
+        calls, kernel, asked = [], m._is_independent, m.counts.independence_queries
+        m._is_independent = lambda members: calls.append(members) or kernel(members)
+        copy.gain(opening[0])
+        _gains, chosen = copy.base()  # a modular row is last round's less the gain: the base is reused
+        assert chosen == opening[1:]
+        assert (calls, m.counts.independence_queries) == ([], asked)
+        m._is_independent = kernel
+
+        def fields(view):
+            return view.root, view.anchored, view.rank, view.ground, view._ground_set
+
+        assert fields(copy.residual) == fields(contract(m, opening[:1]))  # the checked view
 
 
 class TestDeductions:

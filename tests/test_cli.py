@@ -361,20 +361,21 @@ class TestComplexity:
         # the table and the CSV as they read before the column was added, with the
         # counts (and the fits taken from them) of the one-table split, the
         # exchange round that asks each set once, and the solvers that skip what
-        # the matroid axioms answer
+        # the matroid axioms answer, a grown copy's wider base reuse and its
+        # unchecked contraction by its gain included
         table = [
             "    n   k   seed   value_q   indep_q  value_fit",
-            "   12   2  12020        67        36     1.3958",
-            "   12   3  12030       129        54     1.1944",
-            "   24   2  24020       133        60     1.3854",
-            "   24   3  24030       243        94     1.1250",
+            "   12   2  12020        67        33     1.3958",
+            "   12   3  12030       129        47     1.1944",
+            "   24   2  24020       133        57     1.3854",
+            "   24   3  24030       243        87     1.1250",
         ]
         rows = [
             "n,k,seed,value_queries,independence_queries,value_fit,independence_fit",
-            "12,2,12020,67,36,1.3958333333333333,0.75",
-            "12,3,12030,129,54,1.1944444444444444,0.5",
-            "24,2,24020,133,60,1.3854166666666667,0.625",
-            "24,3,24030,243,94,1.125,0.4351851851851852",
+            "12,2,12020,67,33,1.3958333333333333,0.6875",
+            "12,3,12030,129,47,1.1944444444444444,0.4351851851851852",
+            "24,2,24020,133,57,1.3854166666666667,0.59375",
+            "24,3,24030,243,87,1.125,0.4027777777777778",
         ]
         printed = capsys.readouterr().out.splitlines()
         assert printed[0] == table[0] + "  elapsed_s"
