@@ -304,7 +304,13 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
     independence query on it and needs no size check.  The graph keeps one
     edge per (v, j), the largest gain and then the smallest u, so a round
     offers the candidates by (-gain, id), NaN gains dropped, and stops
-    asking about v once v has its edge.
+    asking about v once v has its edge.  A copy whose candidate base is
+    exactly its residue, every gain finite and non-negative (the weights
+    ``add_edge`` accepts), has a self-pair round: it asks about solution +
+    residue once and stores each u's edge to itself, the graph that loop
+    would build, with no sort and no offers.  A NaN, negative or infinite
+    gain takes the loop, which drops a NaN u and lets ``add_edge`` refuse
+    the others.
 
     Each copy (a ``_GrownCopy``) moves its contracted matroid and marginal
     view forward by its gain, the view asking the root the same sets in the
@@ -335,6 +341,11 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
         for j, (gains, candidates) in enumerate(rounds):
             residue = residues[j]
             swap = matroid.exchange_test(chain(residue, copies[j].solution))  # the parts are disjoint
+            weights = [*map(gains.__getitem__, candidates)]
+            if candidates == [*residue] and all(map(math.isfinite, weights)) and min(weights) >= 0.0:
+                if swap(candidates[0], candidates[0]):  # a self-pair round: each u's one edge is v = u
+                    graph._fill_column(j, zip(map(left_of.__getitem__, candidates), weights, candidates))
+                continue
             waiting = {v: gains[v] for v in residue}  # the residue ids still without an edge, to their gains
             own = None  # whether solution + residue is independent, asked once if some u needs it
             # by (-gain, id), NaN dropped: the first u that passes with v is the edge the graph keeps

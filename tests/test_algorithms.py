@@ -779,6 +779,82 @@ class TestExchangeRound:
             rp_greedy(f, m, residue)
 
 
+class TestSelfPairRound:
+    """A copy whose candidate base is its residue, every gain finite and non-negative, pairs each u with itself."""
+
+    @pytest.mark.parametrize(
+        "gain, refused", [(math.nan, None), (-1.0, "-1.0"), (math.inf, "inf")], ids=["nan", "negative", "infinite"]
+    )
+    def test_an_unfit_gain_takes_the_general_loop(self, monkeypatch, gain, refused):
+        """On U(2, 2) the one base {0, 1} is the residue and every copy's candidate base; id 1 gains ``gain``.
+
+        A NaN id gets no edge, so left vertex 1 has none and the matching
+        fails; a negative or infinite gain reaches ``add_edge``, which
+        refuses it.
+        """
+        graphs = []
+        monkeypatch.setattr(
+            algorithms, "max_weight_perfect_matching",
+            lambda graph: graphs.append(graph.edges) or max_weight_perfect_matching(graph),
+        )
+        table = (1.0, gain)
+        _f, m = make(2, uniform(2), modular(1, 1))
+        f = SetFunction(2, lambda members: sum(table[x] for x in members))
+        if refused is None:
+            with pytest.raises(InternalInvariantError, match="exchange graph lost its perfect matching"):
+                rp_greedy(f, m, (0, 1))
+            assert graphs == [((0, 0, 1.0, 0), (0, 1, 1.0, 0))]
+        else:
+            with pytest.raises(ValueError, match=f"^edge weight must be finite and non-negative, got {refused}$"):
+                rp_greedy(f, m, (0, 1))
+            assert graphs == []
+
+    def test_the_corpus_runs_both_kinds_of_round(self, monkeypatch):
+        """Over the (8, 3) corpus and the hard fixtures, some copies take a self-pair round and some the general loop.
+
+        A self-pair round stores its column's edges without ``add_edge``,
+        each pairing a residue id with itself; a general round adds every
+        edge of its column through ``add_edge``.
+        """
+        tally = {"self-pair": 0, "general": 0}
+        added, bases = set(), []
+        real_add_edge, real_rp_greedy = WeightedBipartiteGraph.add_edge, algorithms.rp_greedy
+
+        def recording_add_edge(graph, left, right, weight, payload=-1):
+            added.add(right)
+            real_add_edge(graph, left, right, weight, payload)
+
+        def recording_matcher(graph):
+            for right in range(graph.right_size):
+                column = [(left, payload) for left, j, _weight, payload in graph.edges if j == right]
+                if right in added:
+                    tally["general"] += 1
+                else:
+                    assert column and all(payload == bases[-1][left] for left, payload in column)
+                    tally["self-pair"] += 1
+            added.clear()
+            return max_weight_perfect_matching(graph)
+
+        def recording_rp_greedy(f, matroid, residue):
+            bases.append(canonical(residue))
+            return real_rp_greedy(f, matroid, residue)
+
+        monkeypatch.setattr(WeightedBipartiteGraph, "add_edge", recording_add_edge)
+        monkeypatch.setattr(algorithms, "max_weight_perfect_matching", recording_matcher)
+        monkeypatch.setattr(algorithms, "rp_greedy", recording_rp_greedy)
+        hard = sorted((Path(__file__).parent / "data" / "hard").glob("*.json"))
+        for instances, expected in [
+            (enumerate_small_instances(8, 3), {"self-pair": 2961, "general": 1355}),
+            (map(load, hard), {"self-pair": 35, "general": 19}),
+        ]:
+            tally.update({"self-pair": 0, "general": 0})
+            for instance in instances:
+                f, m = build(instance)
+                for algorithm in ("rpgreedy", "msg-det"):
+                    solve(f, m, algorithm)
+            assert tally == expected
+
+
 @pytest.fixture
 def checked_orders(monkeypatch):
     """Check every base a grown copy returns against a fresh stable sort by its gains and a greedy scan along it.

@@ -322,6 +322,51 @@ class TestAgainstDenseReference:
         assert result.total_weight == brute_force_perfect_matching(g).total_weight == 6.0
         assert result.pairs == ((0, 3, -1, 4.0), (1, 2, -1, 0.0), (2, 1, -1, 1.0), (3, 0, -1, 1.0))
 
+    def test_a_cached_negative_float_slack_forces_a_dual_update(self):
+        # 0.1 + 0.2 rounds above 0.3.  Root 1's nonzero delta leaves row 1's
+        # slacks to columns 0 and 2 at -2.8e-17 in the new potential epoch.
+        # Root 2 takes column 0 at zero slack and reaches row 1 while column 2
+        # is tight: the negative slack in row 1's cached slacks must bring a
+        # dual update, by a negative delta, before column 2 joins the tree.
+        g = graph_from_edges(3, [
+            (0, 1, 0.1 + 0.2),
+            (1, 0, 0.1), (1, 1, 1.0), (1, 2, 0.1),
+            (2, 0, 0.2), (2, 2, 0.2),
+        ])
+        result = max_weight_perfect_matching(g)
+        assert result == dense_reference_matching(g)
+        assert result.pairs == ((0, 2, -1, 0.2), (1, 0, -1, 0.1 + 0.2), (2, 1, -1, 0.1))
+
+    def test_two_dual_updates_in_one_search(self):
+        # Root 2's row has no zero slack, so its search opens with a dual
+        # update.  Columns 1 and 2 then join the tree at zero slack, logged
+        # since that update, and row 0 reaches no new column, so a second
+        # update must replay exactly the steps logged after the first.
+        g = graph_from_edges(3, [
+            (0, 2, 3.0),
+            (1, 0, 0.0), (1, 1, 2.0), (1, 2, 4.0),
+            (2, 1, 3.0), (2, 2, 4.0),
+        ])
+        result = max_weight_perfect_matching(g)
+        assert result == dense_reference_matching(g)
+        assert result.total_weight == brute_force_perfect_matching(g).total_weight == 6.0
+        assert result.pairs == ((0, 1, -1, 0.0), (1, 2, -1, 3.0), (2, 0, -1, 3.0))
+
+    def test_a_path_through_columns_reached_before_and_after_a_dual_update(self):
+        # Root 2's row has no zero slack: the dual update makes column 2,
+        # reached from the root, tight, and it joins the tree.  Row 1 then
+        # reaches the free column 1 at zero slack.  The path flip must take
+        # column 1's tree column from the steps logged since the update and
+        # column 2's from the bookkeeping filled at it.
+        g = graph_from_edges(3, [
+            (0, 0, 0.0), (0, 2, 3.0),
+            (1, 1, 0.0), (1, 2, 3.0),
+            (2, 2, 0.0),
+        ])
+        result = max_weight_perfect_matching(g)
+        assert result == dense_reference_matching(g)
+        assert result.pairs == ((0, 0, -1, 0.0), (1, 1, -1, 0.0), (2, 2, -1, 0.0))  # the one perfect matching
+
     @pytest.mark.parametrize(
         "matroid_kind, function_kind, n, rank, seeds",
         [
@@ -329,6 +374,9 @@ class TestAgainstDenseReference:
             pytest.param("graphic", "modular", 24, 6, 6, id="graphic-modular-24-6"),
             pytest.param("uniform", "modular", 20, 8, 6, id="uniform-modular-20-8"),
             pytest.param("uniform", "modular", 48, 24, 2, id="uniform-modular-48-24"),  # the uniform-dense shape
+            # mostly general rounds, whose graphs take nonzero dual updates
+            pytest.param("partition", "weighted_coverage", 60, 12, 4, id="partition-weighted_coverage-60-12"),
+            pytest.param("graphic", "weighted_coverage", 60, 12, 4, id="graphic-weighted_coverage-60-12"),
         ],
     )
     def test_every_exchange_graph_of_msg_det(self, monkeypatch, matroid_kind, function_kind, n, rank, seeds):
