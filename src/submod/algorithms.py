@@ -464,13 +464,13 @@ def solve(
     if matroid.rank < 1:
         raise ValueError("solve needs a matroid of rank >= 1")
 
-    report = _meter(f, matroid)
-    params = used_seed = None
     if algorithm == "msg":
         return split_and_grow(f, matroid, x=x, rng_seed=seed)
-    elif algorithm == "msg-det":
+    if algorithm == "msg-det":
         return split_and_grow_deterministic(f, matroid, x=x)
-    elif algorithm == "greedy":
+    report = _meter(f, matroid)
+    params = used_seed = None
+    if algorithm == "greedy":
         solution = classical_greedy(f, matroid)
     elif algorithm == "split":
         params = parameters(x)

@@ -171,15 +171,16 @@ class Matroid:
 
     One billed independence query is one kernel answer for the set asked
     about plus ``anchored``: a call of ``root._is_independent`` with that
-    set's canonical tuple, one ``swap`` answer of the kernel's ``exchange``
-    hook (see ``exchange_test``), or one offer of a row its ``scan`` hook
-    takes (see ``greedy_scan``), on every path (``is_independent``,
-    ``is_base``, ``contract``, ``exchange_test`` and ``greedy_scan``, on
-    roots and on views).  Every primitive checks its ids before it bills or
-    asks anything: ids outside [0, n), then ids outside ``ground``, raise
-    with ``is_independent``'s message.  The hooks are attributes of the
-    kernel object, so replacing ``root._is_independent`` with a plain
-    wrapper drops them and every answer then goes through the wrapper.
+    set's canonical tuple, or one ``swap`` answer of the kernel's
+    ``exchange`` hook, which answers both an exchange test's swaps (see
+    ``exchange_test``) and a greedy scan's offers (see ``greedy_scan``), on
+    every path (``is_independent``, ``is_base``, ``contract``,
+    ``exchange_test`` and ``greedy_scan``, on roots and on views).  Every
+    primitive checks its ids before it bills or asks anything: ids outside
+    [0, n), then ids outside ``ground``, raise with ``is_independent``'s
+    message.  The hook is an attribute of the kernel object, so replacing
+    ``root._is_independent`` with a plain wrapper drops it and every answer
+    then goes through the wrapper.
     """
 
     def __init__(
@@ -245,10 +246,7 @@ class Matroid:
         base = tuple(sorted(kept.union(self.anchored)))
         ground, counts = self._ground_set, self.counts
         independent = self.root._is_independent
-        exchange = getattr(independent, "exchange", None)
-        swap = None if exchange is None else exchange(base)
-        if swap is None:
-            swap = _swapping(independent, base)
+        swap = _swap_of(independent, getattr(independent, "exchange", None), base)
 
         def test(u: int, v: int | None = None) -> bool:
             if u not in ground:
@@ -264,34 +262,56 @@ class Matroid:
 
         The test for ``u`` is one billed query and one kernel answer for
         ``anchored + kept + [u]``; the scan stops, without a query, once
-        ``rank`` ids are kept (at rank 0, before it asks any hook).  Every id
-        of ``order`` is checked once, then ``order`` is scanned as one row by
-        ``take(order, rank)``, which returns the kept ids and the number of
-        ids it asked about, and those are billed together.  If the root's
-        kernel carries a ``scan`` hook (``instances.build`` gives one to
-        every kernel it builds), ``take`` is ``scan(anchored)``, which reads
-        the anchor once and answers each id equal to the kernel; the anchor
-        is always independent (``contract`` checked it, or the caller of
-        ``_contract_one`` knew it) and the limit at least 1.  Otherwise, a
-        replaced kernel included, each answer is one kernel call with the
-        tuple ``is_independent`` would pass.  If an id lies outside
-        ``ground``, ``is_independent``'s error for the first such id is
-        raised before anything is billed or asked, even where the scan would
-        stop at ``rank`` before reaching it.  Returns the kept ids in scan
-        order.
+        ``rank`` ids are kept (at rank 0, before it asks any hook).  The
+        members start as ``anchored``, which is always independent
+        (``contract`` checked it, or the caller of ``_contract_one`` knew
+        it).  Each offer is a ``swap`` of the members as ``exchange_test``
+        builds it: ``swap(u, None)`` for a fresh u, ``swap(None, None)`` for
+        one that repeats a member, and u stays a member on a yes.  The swap
+        is rebuilt from the sorted members just before the first offer after
+        a keep, so a scan that reaches ``rank`` builds none after its last
+        keep.  The offers are billed together, one query each.  If an id
+        lies outside ``ground``, ``is_independent``'s error for the first
+        such id is raised before anything is billed or asked, even where the
+        scan would stop at ``rank`` before reaching it.  Returns the kept ids
+        in scan order.
         """
         order = tuple(order)
         ground = self._ground_set
         if not ground.issuperset(order):
             self._reject({next(u for u in order if u not in ground)})
-        if not self.rank:
+        limit = self.rank
+        if not limit:
             return []
         independent = self.root._is_independent
-        scan = getattr(independent, "scan", None)
-        take = _offering(independent, self.anchored) if scan is None else scan(self.anchored)
-        kept, asked = take(order, self.rank)
+        exchange = getattr(independent, "exchange", None)
+        members = self.anchored
+        kept: list[int] = []
+        swap = None
+        for asked, u in enumerate(order, 1):
+            if swap is None:
+                swap = _swap_of(independent, exchange, members)
+            at = bisect_left(members, u)
+            fresh = at == len(members) or members[at] != u  # u repeats a member otherwise
+            if swap(u if fresh else None, None):
+                kept.append(u)
+                if len(kept) == limit:
+                    break
+                if fresh:
+                    members = members[:at] + (u,) + members[at:]
+                    swap = None
+        else:
+            asked = len(order)  # every id was offered
         self.counts.independence_queries += asked
         return kept
+
+
+def _swap_of(
+    independent: Callable[[ElementSet], bool], exchange: Callable | None, base: ElementSet
+) -> Callable[..., bool]:
+    """``exchange(base)``'s ``swap``, or ``_swapping``'s where there is no hook or it declines ``base``."""
+    swap = None if exchange is None else exchange(base)
+    return _swapping(independent, base) if swap is None else swap
 
 
 def _swapping(independent: Callable[[ElementSet], bool], base: ElementSet) -> Callable[..., bool]:
@@ -308,28 +328,6 @@ def _swapping(independent: Callable[[ElementSet], bool], base: ElementSet) -> Ca
         return independent(members)
 
     return swap
-
-
-def _offering(independent: Callable[[ElementSet], bool], anchored: ElementSet) -> Callable[..., tuple]:
-    """The default ``take``: per id, ``independent`` on the sorted members with u inserted; u stays on a yes."""
-    members = list(anchored)
-
-    def take(order: tuple[int, ...], limit: int) -> tuple[list[int], int]:
-        kept: list[int] = []
-        for asked, u in enumerate(order, 1):
-            at = bisect_left(members, u)
-            fresh = at == len(members) or members[at] != u  # u repeats a member otherwise
-            if fresh:
-                members.insert(at, u)
-            if independent(tuple(members)):
-                kept.append(u)
-                if len(kept) == limit:
-                    return kept, asked
-            elif fresh:
-                del members[at]
-        return kept, len(order)
-
-    return take
 
 
 def marginal_function(f: SetFunction, base_set: Iterable[int]) -> SetFunction:
@@ -375,25 +373,17 @@ def contract(matroid: Matroid, independent_set: Iterable[int]) -> Matroid:
     A flat view on ``matroid.root`` anchored at ``matroid.anchored + A``.
     The dependence check is ``is_independent(A)``'s query: the same
     validation and billing, and the root is asked about the view's sorted
-    anchor, which is that query's tuple.  A one-id A is checked against
-    ``ground`` and inserted into the anchor by bisect, not canonicalised;
-    the checks, their messages and the root's question are the same.  The
-    view's ground keeps the ascending order of ``matroid.ground``, and no
-    view is handed out before its anchor passed the check.
+    anchor, which is that query's tuple.  The view's ground keeps the
+    ascending order of ``matroid.ground``, and no view is handed out before
+    its anchor passed the check.
     """
-    members = tuple(independent_set)
-    if len(members) == 1:
-        if members[0] not in matroid._ground_set:
-            matroid._reject(set(members))
-        view = _contract_one(matroid, members[0])
-    else:
-        away = frozenset(canonical(members, matroid.n))
-        if not away <= matroid._ground_set:
-            matroid._reject(set(away))
-        view = _view(matroid, tuple(sorted(away.union(matroid.anchored))), len(away))
-        if away:
-            view.ground = tuple(filterfalse(away.__contains__, matroid.ground))
-            view._ground_set = matroid._ground_set - away
+    away = frozenset(canonical(independent_set, matroid.n))
+    if not away <= matroid._ground_set:
+        matroid._reject(set(away))
+    view = _view(matroid, tuple(sorted(away.union(matroid.anchored))), len(away))
+    if away:
+        view.ground = tuple(filterfalse(away.__contains__, matroid.ground))
+        view._ground_set = matroid._ground_set - away
     matroid.counts.independence_queries += 1
     if not matroid.root._is_independent(view.anchored):
         raise ValueError("cannot contract a dependent set")

@@ -352,31 +352,22 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
     an index built on first use; modular: none); every other row is
     answered in full.  Concave and fractional kernels have no ``grow``.
 
-    Every independence kernel carries two hooks, ``independent.exchange``
-    for ``Matroid.exchange_test`` and ``independent.scan`` for
-    ``Matroid.greedy_scan``.  ``exchange(base)`` reads the canonical
-    ``base`` once and returns None if ``base`` is dependent (``exchange_test``
+    Every independence kernel carries one hook, ``independent.exchange``,
+    which ``Matroid.exchange_test`` asks for its swaps and
+    ``Matroid.greedy_scan`` for its offers.  ``exchange(base)`` reads the
+    canonical ``base`` once and returns None if ``base`` is dependent (core
     then asks the kernel), else ``swap``, where ``swap(add, drop)`` equals
     ``independent(canonical(base - {drop} + {add}))`` for ``add`` None or
-    outside ``base`` and ``drop`` None or in it.  ``scan(anchored)``, for an
-    independent ``anchored``, returns ``take``, where ``take(order, limit)``,
-    for a ``limit`` from 1 to the rank less ``len(anchored)``, offers the
-    ids of the sequence ``order`` in turn until ``limit`` are kept and
-    returns ``(kept, asked)``: the kept ids in order and the number of ids
-    offered.  Each offer equals ``independent`` on the members so far plus u
-    and keeps u as a member on a yes; the members start as ``anchored``.
-    The uniform ``exchange`` compares a size and the uniform ``take`` keeps
-    the first ``limit`` ids, all of which fit; partition hooks keep part
-    counts; the graphic ``exchange`` keeps a union-find forest of ``base``
-    less each id it is asked to drop, built on that id's first swap, and
-    the graphic ``scan`` keeps a union-find of the members.  Each kind
-    states its independence rule once, in its ``exchange`` base read: the
-    per-call kernel ``independent(members)`` is ``exchange(members) is not
-    None``.
-    One entry of a ``marginals`` row, one ``swap`` and one offer of a
-    ``take`` row are each one billed query, as a kernel call is; a callable
-    put in a kernel's place carries no hooks, so it answers every query
-    itself.
+    outside ``base`` and ``drop`` None or in it; a scan offers u as
+    ``swap(u, None)`` on its members so far.  The uniform ``exchange``
+    compares a size; the partition ``exchange`` keeps part counts; the
+    graphic ``exchange`` keeps a union-find forest of ``base`` less each id
+    it is asked to drop, built on that id's first swap.  Each kind states
+    its independence rule once, in its ``exchange`` base read: the per-call
+    kernel ``independent(members)`` is ``exchange(members) is not None``.
+    One entry of a ``marginals`` row and one ``swap`` are each one billed
+    query, as a kernel call is; a callable put in a kernel's place carries
+    no hooks, so it answers every query itself.
     """
     instance.validate()
     counts = OracleCounts()
@@ -473,14 +464,6 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
                 return None
             return lambda add, drop: size + (add is not None) - (drop is not None) <= k
 
-        def prefix(order, limit):
-            """Below the rank every offer is kept, so a row keeps its first ``limit`` ids."""
-            kept = list(order[:limit])
-            return kept, len(kept)
-
-        def scan(anchored):
-            return prefix
-
     elif mspec.kind == "partition":
         part_of = [0] * n
         for i, part in enumerate(mspec.parts):
@@ -501,28 +484,6 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
                 return add is None or spare[part_of[add]] > 0 or (drop is not None and part_of[drop] == part_of[add])
 
             return swap
-
-        def scan(anchored):
-            spare = list(caps)
-            for u in anchored:
-                spare[part_of[u]] -= 1
-            members = set(anchored)
-
-            def take(order, limit):
-                kept = []
-                for asked, u in enumerate(order, 1):
-                    if u not in members:
-                        i = part_of[u]
-                        if not spare[i]:
-                            continue
-                        spare[i] -= 1
-                        members.add(u)
-                    kept.append(u)
-                    if len(kept) == limit:
-                        return kept, asked
-                return kept, len(order)
-
-            return take
 
     else:
         edges, num_touched = _touched_edges(mspec.edges)
@@ -560,31 +521,10 @@ def build(instance: Instance) -> tuple[SetFunction, Matroid]:
 
             return swap
 
-        def scan(anchored):
-            parent = identity.copy()
-            for u in anchored:
-                _link(parent, *edges[u])
-            members = set(anchored)
-
-            def take(order, limit):
-                kept = []
-                for asked, u in enumerate(order, 1):
-                    if u not in members:
-                        if not _link(parent, *edges[u]):
-                            continue
-                        members.add(u)
-                    kept.append(u)
-                    if len(kept) == limit:
-                        return kept, asked
-                return kept, len(order)
-
-            return take
-
     def independent(members):
         return exchange(members) is not None
 
     independent.exchange = exchange
-    independent.scan = scan
     matroid = Matroid(n, independent, rank, counts=counts)
     matroid._ground_set = f._ground_set  # one frozenset of the ground set for both roots
     return f, matroid

@@ -3,7 +3,8 @@
 Each wrapper calls ``log(members, by_hook)`` before each answer, with the
 canonical set the answer is for.  A plain wrapper (``hooked`` false) carries
 no hook, so ``SetFunction`` and ``Matroid`` ask it once per answer.  A
-hooked wrapper also carries the kernel's own hooks, wrapped so that each
+hooked wrapper also carries the kernel's own hook (a value kernel's
+``extend``, an independence kernel's ``exchange``), wrapped so that each
 hook answer logs the set it answers for.
 """
 
@@ -39,13 +40,11 @@ def logged_evaluator(evaluate, log, hooked):
 
 
 def logged_independence(independent, log, hooked):
-    """An independence kernel's wrapper; a hooked one logs each ``swap`` answer and each offer of a row.
+    """An independence kernel's wrapper; a hooked one logs each ``swap`` answer.
 
-    ``swap(add, drop)`` answers for ``base - {drop} + {add}``, and each id u
-    a ``take(order, limit)`` row asks about for the scan's members plus u.
-    The logged scan asks the kernel's ``take`` one id at a time, so it logs
-    each offer before it is answered and keeps u as a member exactly when
-    the kernel keeps it.
+    ``swap(add, drop)`` answers for ``base - {drop} + {add}``, whether an
+    exchange test or a greedy scan asks it: a scan's offer of u is
+    ``swap(u, None)`` on its members so far, so it logs as the members plus u.
     """
 
     def wrapper(members):
@@ -53,11 +52,11 @@ def logged_independence(independent, log, hooked):
         return independent(members)
 
     if hooked:
-        exchange, scan = independent.exchange, independent.scan  # build attaches both to every kernel
+        exchange = independent.exchange  # build attaches it to every kernel
 
         def logged_exchange(base):
             swap = exchange(base)
-            if swap is None:  # declined: exchange_test asks the wrapper itself
+            if swap is None:  # declined: core asks the wrapper itself
                 return None
 
             def logged_swap(add, drop):
@@ -66,22 +65,5 @@ def logged_independence(independent, log, hooked):
 
             return logged_swap
 
-        def logged_scan(anchored):
-            take = scan(anchored)
-            members = set(anchored)
-
-            def logged_take(order, limit):
-                kept = []
-                for asked, u in enumerate(order):
-                    if len(kept) == limit:
-                        return kept, asked
-                    log(canonical(members | {u}), True)
-                    if take((u,), 1) == ([u], 1):
-                        members.add(u)
-                        kept.append(u)
-                return kept, len(order)
-
-            return logged_take
-
-        wrapper.exchange, wrapper.scan = logged_exchange, logged_scan
+        wrapper.exchange = logged_exchange
     return wrapper

@@ -553,8 +553,9 @@ class TestRootCallLog:
     with plain wrappers, which answer every query by a kernel call, and
     with the kernels' hooks (the value kernel's ``extend`` and its rows'
     ``grow``, whose derived rows run in the cells on at least GROW_MIN_N
-    ids, and the independence kernel's ``exchange`` and ``scan``), each of
-    whose answers is for the same set as that call.
+    ids, and the independence kernel's ``exchange``, which answers the swaps
+    and the scans' offers), each of whose answers is for the same set as
+    that call.
     """
 
     @pytest.mark.parametrize(
@@ -751,12 +752,13 @@ class TestExchangeRound:
             assert log.count(own) <= 1, own
         assert sum(own in log for own, log in rounds) > 1000  # the copy's own set is asked, once a round
 
-    @pytest.mark.parametrize("matroid_kind", ["uniform", "partition", "graphic"])
-    def test_a_kernel_that_denies_every_swap_breaks_the_matching(self, monkeypatch, matroid_kind):
+    @staticmethod
+    def lie_after_the_residue_check(monkeypatch, honest_offers):
         """Once the residue is checked, every full-size set reads dependent, the copies' own sets too.
 
-        The residue is the first round's candidate base, so self pairs alone
-        would match every copy.  The kernel's greedy scans stay honest.
+        The kernel's ``exchange`` denies every swap with a drop and the base
+        itself.  With ``honest_offers`` it answers an add-only swap, a greedy
+        scan's offer, as the kernel does; otherwise it denies those too.
         """
         real_is_base = algorithms.is_base
 
@@ -767,16 +769,38 @@ class TestExchangeRound:
             def lying(members):
                 return len(members) < matroid.rank and kernel(members)
 
-            lying.scan = kernel.scan
-            lying.exchange = lambda base: lambda add, drop: False
+            def lying_exchange(base):
+                swap = kernel.exchange(base)
+                if swap is None:
+                    return None
+                return lambda add, drop: honest_offers and drop is None and add is not None and swap(add, None)
+
+            lying.exchange = lying_exchange
             matroid.root._is_independent = lying
             return checked
 
         monkeypatch.setattr(algorithms, "is_base", checked_then_lying)
+
+    @pytest.mark.parametrize("matroid_kind", ["uniform", "partition", "graphic"])
+    def test_a_kernel_that_denies_every_swap_breaks_the_matching(self, monkeypatch, matroid_kind):
+        """The residue is the first round's candidate base, so self pairs alone would match every copy.
+
+        The greedy scans' offers stay honest, so every copy finds its base.
+        """
+        self.lie_after_the_residue_check(monkeypatch, honest_offers=True)
         f, m = build(random_instance(3, 12, matroid_kind, "modular", rank=4))
         residue = max_weight_base(m, [f((u,)) for u in range(m.n)])  # every first-round candidate
         with pytest.raises(InternalInvariantError, match="exchange graph lost its perfect matching"):
             rp_greedy(f, m, residue)
+
+    @pytest.mark.parametrize("matroid_kind", ["uniform", "partition", "graphic"])
+    def test_a_kernel_that_denies_every_offer_leaves_the_scan_short(self, monkeypatch, matroid_kind):
+        self.lie_after_the_residue_check(monkeypatch, honest_offers=False)
+        f, m = build(random_instance(3, 12, matroid_kind, "modular", rank=4))
+        residue = max_weight_base(m, [f((u,)) for u in range(m.n)])
+        with pytest.raises(InternalInvariantError, match="independence oracle did not extend to a full base"):
+            rp_greedy(f, m, residue)
+        assert m.greedy_scan(m.ground) == []  # the lie began at the residue check
 
 
 class TestSelfPairRound:

@@ -19,6 +19,7 @@ from submod import (
     random_instance,
 )
 
+from submod.core import _contract_one
 from submod.instances import GROW_MIN_N
 
 from oracle_logs import logged_evaluator, logged_independence
@@ -379,13 +380,15 @@ ERROR_KINDS = ("out of range for ground set", "is not in the matroid ground set"
 
 
 class TestOneIdPaths:
-    """``contract`` and ``marginal_function`` by one id equal the general path on every outcome.
+    """The one-id paths of ``contract`` and ``marginal_function`` equal the general ones.
 
-    The one-id path inserts the id into the anchor by bisect; ``(u, u)`` is
-    the same set spelled with two ids, which takes the general path.  Twin
-    oracles built from one instance log every root question, so each pair of
-    calls must leave the same views, the same errors, the same billing and
-    the same root questions.
+    Twin oracles built from one instance log every root question.  For
+    ``marginal_function``, whose one-id path inserts the id into the anchor
+    by bisect, ``(u, u)`` is the same set spelled with two ids, which takes
+    the general path, and each pair of calls must leave the same views, the
+    same errors, the same billing and the same root questions.
+    ``_contract_one(view, u)`` must build the view ``contract(view, (u,))``
+    builds wherever that succeeds, asking and billing nothing.
     """
 
     @staticmethod
@@ -420,17 +423,19 @@ class TestOneIdPaths:
         errors = set()
         for chain in chains:
             view, twin_view = contract(m, chain), contract(twin, chain)
+            asked, billed = log[:], m.queries
             for u in (-1, *range(m.n), m.n, m.n + 3):
-                one = self.outcome(lambda: contract(view, (u,)))
-                general = self.outcome(lambda: contract(twin_view, (u, u)))
-                if one[0] == "ok":
-                    one = one[0], (one[1].anchored, one[1].ground, one[1]._ground_set, one[1].rank)
-                    general = general[0], (general[1].anchored, general[1].ground, general[1]._ground_set,
-                                           general[1].rank)
+                start = len(twin_log)
+                general = self.outcome(lambda: contract(twin_view, (u,)))
+                if general[0] == "ok":
+                    one, general = _contract_one(view, u), general[1]
+                    assert (one.anchored, one.ground, one._ground_set, one.rank) == (
+                        general.anchored, general.ground, general._ground_set, general.rank
+                    ), (chain, u)
+                    assert twin_log[start:] == [("indep", general.anchored)], (chain, u)
                 else:
-                    errors.add(next(kind for kind in ERROR_KINDS if kind in one[1]))
-                assert one == general, (chain, u)
-                assert m.counts == twin.counts and log == twin_log, (chain, u)
+                    errors.add(next(kind for kind in ERROR_KINDS if kind in general[1]))
+                assert log == asked and m.queries == billed, (chain, u)
         assert errors == set(ERROR_KINDS)
 
     @pytest.mark.parametrize("matroid_kind", ["uniform", "graphic"])
@@ -569,10 +574,11 @@ DEPENDENT = {"uniform": (0, 1, 2, 3), "partition": (0, 1, 2), "graphic": (0, 1, 
 class TestIndependencePrimitives:
     """``exchange_test`` and ``greedy_scan`` answer exactly what ``is_independent`` would.
 
-    Each cell runs twice: through the kernel's ``exchange`` and ``scan``
-    hooks, and through a plain wrapper, which the primitives ask once per
-    answer.  Either way every answer is for the set ``is_independent``
-    asks about, and a hook answer equals the kernel's.
+    Each cell runs twice: through the kernel's ``exchange`` hook, which
+    answers the swaps and the scans' offers, and through a plain wrapper,
+    which the primitives ask once per answer.  Either way every answer is
+    for the set ``is_independent`` asks about, and a hook answer equals the
+    kernel's.
     """
 
     @pytest.mark.parametrize("contractions", PRIMITIVE_VIEWS)
@@ -612,7 +618,9 @@ class TestIndependencePrimitives:
         """Every set core can hand a hook; ``exchange`` declines each dependent base.
 
         Each verdict comes from the spec, not from the kernel, whose per-call
-        test is itself the ``exchange`` hook's.
+        test is itself the ``exchange`` hook's.  The scans run on the root
+        contracted by each independent base, so their offers reach the hook
+        on every anchor.
         """
         spec = PRIMITIVE_SPECS[kind]
         root = primitive_root(spec)
@@ -620,7 +628,7 @@ class TestIndependencePrimitives:
         ids = range(5)
 
         def reference_take(members, order, limit):
-            """The row ``take`` answers, from one reference verdict per offered id."""
+            """The ids a scan keeps and the number it offers, from one reference verdict per offered id."""
             kept = []
             for asked, u in enumerate(order):
                 if len(kept) == limit:
@@ -641,11 +649,12 @@ class TestIndependencePrimitives:
                 for drop in (None, *base):
                     swapped = {*base, add} - {drop, None}
                     assert swap(add, drop) is independence_reference(spec, swapped), (base, add, drop)
-            for order in itertools.permutations(ids):
+            view = contract(root, base)
+            for order in itertools.permutations(view.ground):
                 order += order[:2]  # the repeats offer members
-                for limit in range(1, root.rank - len(base) + 1):
-                    taken = kernel.scan(base)(order, limit)
-                    assert taken == reference_take(set(base), order, limit), (base, order, limit)
+                start = view.queries
+                kept = view.greedy_scan(order)
+                assert (kept, view.queries - start) == reference_take(set(base), order, view.rank), (base, order)
 
     def test_root_cells_keep_dependent_sets(self):
         for kind, dependent in DEPENDENT.items():
@@ -655,9 +664,9 @@ class TestIndependencePrimitives:
     def test_build_attaches_the_hooks_and_a_wrapper_drops_them(self):
         for kind, spec in PRIMITIVE_SPECS.items():
             root = primitive_root(spec)
-            assert callable(root._is_independent.exchange) and callable(root._is_independent.scan), kind
+            assert callable(root._is_independent.exchange) and not hasattr(root._is_independent, "scan"), kind
             plain, _ = logged_matroid(spec)
-            assert not hasattr(plain._is_independent, "exchange") and not hasattr(plain._is_independent, "scan")
+            assert not hasattr(plain._is_independent, "exchange")
 
     def test_empty_order_costs_nothing(self):
         for hooked in (False, True):

@@ -20,6 +20,7 @@ from submod import (
     FunctionSpec,
     Instance,
     InstanceFormatError,
+    Matroid,
     MatroidSpec,
     SetFunction,
     build,
@@ -597,17 +598,26 @@ class TestGrowHook:
         assert hasattr(growing_evaluator("modular", (2**53 - 2, 1) + (0,) * 58).extend(()), "grow")
 
 
+def scanning():
+    """Whether a ``Matroid.greedy_scan`` is on the call stack: a swap built now answers a scan's offers."""
+    frame = sys._getframe(1)
+    while frame is not None and frame.f_code is not Matroid.greedy_scan.__code__:
+        frame = frame.f_back
+    return frame is not None
+
+
 def guarded_build(instance, asked):
     """``build``, with each kernel hook wrapped to assert the contract ``build``'s docstring states.
 
-    Every ``scan`` anchor is independent, every ``take`` limit lies in [1,
-    rank - len(anchored)], every row's offset is bitwise the kernel's value
-    of its anchor, and every ``exchange`` base is canonical.  ``asked``
-    counts the calls of each wrapped hook.
+    Every row's offset is bitwise the kernel's value of its anchor, every
+    ``exchange`` base is canonical, and every ``swap`` adds None or an id
+    outside its base and drops None or an id inside it.  ``asked`` counts
+    the rows, the ``exchange`` calls and, as ``offer``, the swaps that
+    answer a greedy scan.
     """
     f, m = build(instance)
     evaluate, independent = f._evaluate, m._is_independent
-    extend, exchange, scan = evaluate.extend, independent.exchange, independent.scan
+    extend, exchange = evaluate.extend, independent.exchange
 
     def guarded_rows(marginals, anchored):
         def guarded_marginals(ids, offset):
@@ -622,31 +632,31 @@ def guarded_build(instance, asked):
     def guarded_exchange(base):
         asked["exchange"] += 1
         assert base == canonical(base), base
-        return exchange(base)
+        swap = exchange(base)
+        if swap is None:
+            return None
+        offers = scanning()
 
-    def guarded_scan(anchored):
-        assert independent(anchored), anchored
-        take = scan(anchored)
+        def guarded_swap(add, drop):
+            asked["offer"] += offers
+            assert add is None or add not in base, (base, add)
+            assert drop is None or drop in base, (base, drop)
+            return swap(add, drop)
 
-        def guarded_take(order, limit):
-            asked["take"] += 1
-            assert 1 <= limit <= m.rank - len(anchored), (anchored, limit)
-            return take(order, limit)
-
-        return guarded_take
+        return guarded_swap
 
     evaluate.extend = lambda anchored: guarded_rows(extend(anchored), anchored)
-    independent.exchange, independent.scan = guarded_exchange, guarded_scan
+    independent.exchange = guarded_exchange
     return f, m
 
 
 class TestHookContract:
     """Core asks ``build``'s hooks only within their narrowed contract.
 
-    The hooks answer no dependent scan anchor, no zero limit and no offset
-    other than the anchor's value, and they decline a dependent exchange
-    base; core's checks and per-call forms keep such inputs away.  If core
-    ever asks outside the contract, these runs fail.
+    The hooks answer no offset other than the anchor's value and no swap
+    that adds a member or drops a non-member, and they decline a dependent
+    exchange base; core's checks and per-call forms keep such inputs away.
+    If core ever asks outside the contract, these runs fail.
     """
 
     @pytest.mark.parametrize("function_kind", FUNCTION_KINDS)
@@ -660,7 +670,7 @@ class TestHookContract:
             report = solve(f, m, algorithm, x=DEFAULT_X, seed=0)
             plain = solve(plain_f, plain_m, algorithm, x=DEFAULT_X, seed=0)
             assert (report.solution, report.value, report.counts) == (plain.solution, plain.value, plain.counts)
-        assert asked["row"] and asked["exchange"] and asked["take"], asked
+        assert asked["row"] and asked["exchange"] and asked["offer"], asked
 
     @pytest.mark.parametrize("matroid_kind", MATROID_KINDS)
     def test_the_primitives_ask_within_the_contract_down_to_rank_0(self, matroid_kind):
@@ -683,7 +693,7 @@ class TestHookContract:
             row = marginal_function(f, anchored).singleton_table(order)
             assert as_hex(row) == as_hex(marginal_function(plain_f, anchored).singleton_table(order))
         assert f.counts == plain_f.counts
-        assert asked["row"] and asked["exchange"] and asked["take"], asked
+        assert asked["row"] and asked["exchange"] and asked["offer"], asked
 
     def test_check_instance_asks_within_the_contract(self, monkeypatch):
         asked = Counter()
@@ -691,7 +701,7 @@ class TestHookContract:
         for instance in itertools.islice(enumerate_small_instances(8, 3), 0, None, 8):
             _, violations = cli.check_instance(instance)
             assert violations == [], instance.label
-        assert asked["row"] and asked["exchange"] and asked["take"], asked
+        assert asked["row"] and asked["exchange"] and asked["offer"], asked
 
 def coverage_reference(universe_weights, covers, members):
     """Add the weight of every covered item, lowest item first."""
