@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import asdict, dataclass
 from itertools import chain
 from operator import le
@@ -27,7 +27,7 @@ from .core import (
     Matroid,
     OracleCounts,
     SetFunction,
-    _contract_one,
+    _contracted,
     canonical,
     contract,
     is_base,
@@ -116,21 +116,15 @@ def _argmax_by_id(candidates: Iterable[int], gains: Mapping[int, float]) -> int:
 
 
 def max_weight_base(matroid: Matroid, weights: Mapping[int, float] | Sequence[float]) -> ElementSet:
-    """Greedy maximum-weight base: descending weight, ascending id scan."""
-    return canonical(_base_in_order(matroid, _by_weight(matroid.ground, weights)))
+    """Greedy maximum-weight base: descending weight, ascending id scan.
 
-
-def _by_weight(ground: Sequence[int], weights: Mapping[int, float] | Sequence[float]) -> list[int]:
+    Raises ``InternalInvariantError`` if the scan keeps fewer than ``rank`` ids.
+    """
     # ground is ascending and the sort is stable, so ties keep the smallest id first
-    return sorted(ground, key=weights.__getitem__, reverse=True)
-
-
-def _base_in_order(matroid: Matroid, order: Sequence[int]) -> list[int]:
-    """The ids of ``order`` that a greedy scan keeps, which must be a full base."""
-    chosen = matroid.greedy_scan(order)
+    chosen = matroid.greedy_scan(sorted(matroid.ground, key=weights.__getitem__, reverse=True))
     if len(chosen) != matroid.rank:
         raise InternalInvariantError("independence oracle did not extend to a full base")
-    return chosen
+    return canonical(chosen)
 
 
 def _feasible_pool(matroid: Matroid, used: set[int], candidates: Iterable[int]) -> list[int]:
@@ -200,41 +194,44 @@ def split(f: SetFunction, matroid: Matroid, p: float) -> SplitResult:
 
 
 class _GrownCopy:
-    """One copy of a residual greedy grower: its solution and its maximum-gain bases round by round.
+    """One copy of a residual greedy grower: its solution S and its maximum-gain bases round by round.
 
-    The copy keeps its contracted matroid and marginal view and moves them
-    forward by each gained id u.  The view asks the root the same value
-    questions in the same order as anchoring afresh would.  The contraction
-    asks nothing (``core._contract_one``): u lies in last round's base B,
-    and S + B is independent, so S + u is.  The opening round reads the
-    matroid the grower was handed, whose anchor was checked when it was
-    made.
+    The copy keeps the matroid M it was handed, its residual ground (M's
+    ground less S, ascending), its marginal view, its last gain table and
+    its last base B.  Gaining an id u only records it; the next ``base``
+    cuts u out of the ground by bisect and anchors the view at u, which
+    asks the root the same value questions in the same order as anchoring
+    afresh would.  The opening round scans M itself.
 
-    The copy also keeps its last gain table and B.  B less u is still the
-    greedy base of M/(S+u), and the sort and the scan are skipped, when the
-    new table equals the last one less u, or when no entry rose and every
-    id of B less u kept its entry exactly; a NaN compares false either way
-    (a row's NaN is always a fresh float, which equals nothing), so it
-    forces a fresh sort and scan.  The reuse is exact for any set function:
-    ids of B less u keep their (-gain, id) key and every other id's key can
-    only move later, so each id outside B, spanned in M/S by the ids of B
-    ahead of it in the old order, is spanned in M/(S+u) by the ids of B
-    less u ahead of it in the new order.
+    B less u is still the greedy base of M/(S+u), and the sort and the scan
+    are skipped, when the new table equals the last one less u, or when no
+    entry rose and every id of B less u kept its entry exactly; a NaN
+    compares false either way (a row's NaN is always a fresh float, which
+    equals nothing), so it forces a fresh sort and scan.  The reuse is exact
+    for any set function: ids of B less u keep their (-gain, id) key and
+    every other id's key can only move later, so each id outside B, spanned
+    in M/S by the ids of B ahead of it in the old order, is spanned in
+    M/(S+u) by the ids of B less u ahead of it in the new order.
+
+    A fresh scan is ``max_weight_base`` on M/S, built for that round only by
+    ``core._contracted``, which asks nothing: each gained id lay in the base
+    B of its round, and S + B is independent, so S is.  The view's ground
+    is the copy's ground.
     """
 
-    __slots__ = ("solution", "residual", "view", "step", "gains", "kept")
+    __slots__ = ("matroid", "solution", "ground", "view", "step", "gains", "kept")
 
     def __init__(self, f: SetFunction, matroid: Matroid):
+        self.matroid, self.ground, self.view = matroid, matroid.ground, f
         self.solution: list[int] = []  # ascending
-        self.residual, self.view = matroid, f
-        self.step: ElementSet = ()  # the id gained since the last base, to contract and anchor by
+        self.step: ElementSet = ()  # the id gained since the last base, to cut and anchor by
         self.gains: dict[int, float] = {}
         self.kept: list[int] = []  # the last base, ascending; never handed out, only copies of it
 
     def fork(self) -> _GrownCopy:
-        """A twin that shares this copy's contracted matroid and view and owns copies of its lists and table."""
+        """A twin that shares this copy's matroid, ground and view and owns copies of its lists and table."""
         twin = object.__new__(_GrownCopy)
-        twin.residual, twin.view, twin.step = self.residual, self.view, self.step
+        twin.matroid, twin.ground, twin.view, twin.step = self.matroid, self.ground, self.view, self.step
         twin.solution, twin.kept = self.solution[:], self.kept[:]
         twin.gains = self.gains.copy()
         return twin
@@ -245,21 +242,22 @@ class _GrownCopy:
 
     def base(self) -> tuple[dict[int, float], list[int]]:
         """Move forward by the last gain; return the gain table and the maximum-gain base, ascending."""
-        step, last, kept = self.step, self.gains, self.kept
+        step, last, kept, ground = self.step, self.gains, self.kept, self.ground
         if step:
-            self.residual = _contract_one(self.residual, step[0])
+            at = bisect_left(ground, step[0])
+            ground = self.ground = ground[:at] + ground[at + 1:]
             del last[step[0]]
             kept.remove(step[0])
-        residual = self.residual
         self.view = marginal_function(self.view, step)
-        gains = self.view.singleton_table(residual.ground)
-        # both tables hold the ids of residual.ground; each new entry is compared with the old one of its id
+        gains = self.view.singleton_table(ground)
+        # both tables hold the ids of ground; each new entry is compared with the old one of its id
         reused = step and (
             gains == last
             or all(map(le, gains.values(), map(last.__getitem__, gains))) and all(gains[v] == last[v] for v in kept)
         )
         if not reused:
-            self.kept = sorted(_base_in_order(residual, _by_weight(residual.ground, gains)))
+            residual = _contracted(self.matroid, self.solution) if step else self.matroid
+            self.kept = [*max_weight_base(residual, gains)]
         self.gains = gains
         return gains, self.kept[:]
 
@@ -270,11 +268,7 @@ def rr_greedy(f: SetFunction, matroid: Matroid, rng_seed: int) -> ElementSet:
     Each iteration recomputes the maximum-marginal-weight base of the
     matroid contracted by the current solution and adds one of its elements
     uniformly at random.  Reproducible: the same seed yields the same set.
-    The contracted matroid and the marginal view move forward by each pick,
-    the view asking the root what anchoring afresh would ask and the
-    contraction asking nothing, and the base is last round's less the pick,
-    with no sort and no scan, whenever no gain rose and the gains of that
-    base less the pick held (see ``_GrownCopy``).
+    The solution and its bases are a ``_GrownCopy``'s.
     """
     rng = random.Random(rng_seed)
     copy = _GrownCopy(f, matroid)
@@ -312,15 +306,10 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
     gain takes the loop, which drops a NaN u and lets ``add_edge`` refuse
     the others.
 
-    Each copy (a ``_GrownCopy``) moves its contracted matroid and marginal
-    view forward by its gain, the view asking the root the same sets in the
-    same order as anchoring afresh and the contraction asking nothing, and
-    reuses last round's base less the gain, with no sort and no scan,
-    whenever no gain rose and the gains of that base less the gain held.
-    The k copies start alike, so the opening round is asked once and the
-    other copies fork from it.  A solution is kept ascending by insertion
-    and a residue as a dict in ascending id order, from which each given-up
-    id is deleted.
+    Each copy's solution and candidate bases are a ``_GrownCopy``'s.  The
+    k copies start alike, so the opening round is asked once and the other
+    copies fork from it.  A residue is kept as a dict in ascending id
+    order, from which each given-up id is deleted.
     """
     base = canonical(residue, matroid.n)
     if not is_base(matroid, base):

@@ -264,7 +264,7 @@ class Matroid:
         ``anchored + kept + [u]``; the scan stops, without a query, once
         ``rank`` ids are kept (at rank 0, before it asks any hook).  The
         members start as ``anchored``, which is always independent
-        (``contract`` checked it, or the caller of ``_contract_one`` knew
+        (``contract`` checked it, or the caller of ``_contracted`` knew
         it).  Each offer is a ``swap`` of the members as ``exchange_test``
         builds it: ``swap(u, None)`` for a fresh u, ``swap(None, None)`` for
         one that repeats a member, and u stays a member on a yes.  The swap
@@ -370,50 +370,37 @@ def marginal_function(f: SetFunction, base_set: Iterable[int]) -> SetFunction:
 def contract(matroid: Matroid, independent_set: Iterable[int]) -> Matroid:
     """The matroid on ground \\ A where S is independent iff S + A was.
 
-    A flat view on ``matroid.root`` anchored at ``matroid.anchored + A``.
-    The dependence check is ``is_independent(A)``'s query: the same
-    validation and billing, and the root is asked about the view's sorted
-    anchor, which is that query's tuple.  The view's ground keeps the
-    ascending order of ``matroid.ground``, and no view is handed out before
-    its anchor passed the check.
+    A flat view on ``matroid.root`` anchored at ``matroid.anchored + A``,
+    built by ``_contracted`` once A's ids are checked.  The dependence check
+    is ``is_independent(A)``'s query: the same validation and billing, and
+    the root is asked about the view's sorted anchor, which is that query's
+    tuple.  No view is handed out before its anchor passed the check.
     """
-    away = frozenset(canonical(independent_set, matroid.n))
-    if not away <= matroid._ground_set:
+    away = canonical(independent_set, matroid.n)
+    if not matroid._ground_set.issuperset(away):
         matroid._reject(set(away))
-    view = _view(matroid, tuple(sorted(away.union(matroid.anchored))), len(away))
-    if away:
-        view.ground = tuple(filterfalse(away.__contains__, matroid.ground))
-        view._ground_set = matroid._ground_set - away
+    view = _contracted(matroid, away)
     matroid.counts.independence_queries += 1
     if not matroid.root._is_independent(view.anchored):
         raise ValueError("cannot contract a dependent set")
     return view
 
 
-def _contract_one(matroid: Matroid, u: int) -> Matroid:
-    """The view ``contract(matroid, (u,))`` returns, built without its check: it asks and bills nothing.
+def _contracted(matroid: Matroid, away: Iterable[int]) -> Matroid:
+    """The view ``contract(matroid, away)`` returns, built without its check: it asks and bills nothing.
 
-    For a caller that already knows u is an id of ``ground`` and that
-    ``anchored + u`` is independent.  u is inserted into the anchor by
-    bisect and cut out of the ascending ground.
+    For a caller that already knows the ids of ``away`` lie in ``ground``
+    and that ``anchored + away`` is independent.  The view's ground keeps
+    the ascending order of ``matroid.ground``; an empty ``away`` shares it.
     """
-    at = bisect_left(matroid.anchored, u)
-    view = _view(matroid, matroid.anchored[:at] + (u,) + matroid.anchored[at:], 1)
-    at = bisect_left(matroid.ground, u)
-    view.ground = matroid.ground[:at] + matroid.ground[at + 1:]
-    view._ground_set = matroid._ground_set - {u}
-    return view
-
-
-def _view(matroid: Matroid, anchored: ElementSet, removed: int) -> Matroid:
-    """A view on ``matroid.root`` at ``anchored``, ``removed`` ranks down.
-
-    It shares ``matroid``'s ground until the caller cuts it.
-    """
+    cut = frozenset(away)
     view = object.__new__(Matroid)
     view.n, view.counts, view.root = matroid.n, matroid.counts, matroid.root
-    view.anchored, view.rank = anchored, matroid.rank - removed
+    view.anchored, view.rank = tuple(sorted(cut.union(matroid.anchored))), matroid.rank - len(cut)
     view.ground, view._ground_set = matroid.ground, matroid._ground_set
+    if cut:
+        view.ground = tuple(filterfalse(cut.__contains__, matroid.ground))
+        view._ground_set = matroid._ground_set - cut
     return view
 
 

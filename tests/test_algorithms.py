@@ -879,40 +879,50 @@ class TestSelfPairRound:
             assert tally == expected
 
 
+def fresh_base(copy, gains):
+    """The base a fresh stable sort by ``gains`` and a greedy scan keep on ``contract(copy.matroid, copy.solution)``.
+
+    The checked contraction's and the scan's queries are taken back off the
+    counter.  The view's ground must be the copy's.
+    """
+    counts = copy.matroid.counts
+    asked = counts.independence_queries
+    residual = contract(copy.matroid, copy.solution)
+    assert residual.ground == copy.ground
+    chosen = sorted(residual.greedy_scan(sorted(residual.ground, key=gains.__getitem__, reverse=True)))
+    counts.independence_queries = asked
+    return chosen
+
+
 @pytest.fixture
 def checked_orders(monkeypatch):
     """Check every base a grown copy returns against a fresh stable sort by its gains and a greedy scan along it.
 
-    Every base a copy returns, reused or scanned, must be what a greedy scan
-    along a fresh stable sort of the copy's gains keeps on its residual, and
-    a copy of the base the grower keeps; the check's own sort is not
-    tallied and its queries are taken back off the counter.  Returns a
+    Every base a copy returns, reused or scanned, must be ``fresh_base`` of
+    the copy's gains, and a copy of the base the grower keeps.  Returns a
     tally of the copies' bases, those that reused last round's base without
-    a sort, and those whose table or previous table held a NaN, each of
-    which must have sorted afresh.
+    a ``max_weight_base`` sort and scan, and those whose table or previous
+    table held a NaN, each of which must have scanned afresh.
     """
-    tally = {"bases": 0, "reused": 0, "nan": 0, "sorts": 0}
-    real_base, real_sort = algorithms._GrownCopy.base, algorithms._by_weight
+    tally = {"bases": 0, "reused": 0, "nan": 0, "scans": 0}
+    real_base, real_scan = algorithms._GrownCopy.base, algorithms.max_weight_base
 
-    def counted_sort(ground, weights):
-        tally["sorts"] += 1
-        return real_sort(ground, weights)
+    def counted_scan(matroid, weights):
+        tally["scans"] += 1
+        return real_scan(matroid, weights)
 
     def checked_base(copy):
-        last, sorts = list(copy.gains.values()), tally["sorts"]
+        last, scans = list(copy.gains.values()), tally["scans"]
         gains, chosen = real_base(copy)
-        residual = copy.residual
-        asked = residual.counts.independence_queries
-        assert chosen == sorted(residual.greedy_scan(real_sort(residual.ground, gains))) and chosen is not copy.kept
-        residual.counts.independence_queries = asked
+        assert chosen == fresh_base(copy, gains) and chosen is not copy.kept
         tally["bases"] += 1
-        tally["reused"] += tally["sorts"] == sorts
+        tally["reused"] += tally["scans"] == scans
         if any(map(math.isnan, [*last, *gains.values()])):
-            assert tally["sorts"] == sorts + 1
+            assert tally["scans"] == scans + 1
             tally["nan"] += 1
         return gains, chosen
 
-    monkeypatch.setattr(algorithms, "_by_weight", counted_sort)
+    monkeypatch.setattr(algorithms, "max_weight_base", counted_scan)
     monkeypatch.setattr(algorithms._GrownCopy, "base", checked_base)
     return tally
 
@@ -963,11 +973,11 @@ class TestReusedBase:
         f(S) sums ``first`` over S without 0, and is first[0] plus ``second``
         summed over S less 0 otherwise.  Returns the opening base, the second
         round's base, the base a fresh sort and scan give for the second
-        round's gains, and the number of sorts the copy made.
+        round's gains, and the number of sorts and scans the copy made.
         """
-        sorts = []
-        real_sort = algorithms._by_weight
-        monkeypatch.setattr(algorithms, "_by_weight", lambda ground, gains: sorts.append(1) or real_sort(ground, gains))
+        scans = []
+        real_scan = algorithms.max_weight_base
+        monkeypatch.setattr(algorithms, "max_weight_base", lambda m, gains: scans.append(1) or real_scan(m, gains))
 
         def evaluate(members):
             if 0 not in members:
@@ -980,8 +990,7 @@ class TestReusedBase:
         assert 0 in opening
         copy.gain(0)
         gains, chosen = copy.base()
-        fresh = sorted(copy.residual.greedy_scan(real_sort(copy.residual.ground, gains)))
-        return opening, chosen, fresh, len(sorts)
+        return opening, chosen, fresh_base(copy, gains), len(scans)
 
     def test_falling_gains_off_the_base_keep_it(self, monkeypatch):
         opening, chosen, fresh, sorts = self.two_rounds(monkeypatch, (5.0, 4.0, 3.0, 2.0), (4.0, 1.0, 2.0))
@@ -1002,24 +1011,68 @@ class TestReusedBase:
         assert fresh != opening[1:]  # the opening base less the gain (its smallest id) would be wrong
         assert (chosen, sorts) == (fresh, 2)
 
-    def test_the_gained_id_contracts_unasked(self):
-        """The opening round reads the handed matroid; contracting by a gained id calls and bills nothing."""
+    def test_the_gained_id_contracts_unasked(self, monkeypatch):
+        """The opening round scans the handed matroid; a gained id is cut from the copy's ground, asking nothing."""
         f, m = build(random_instance(3, 12, "uniform", "modular", rank=4))
+        scanned = []
+        real_scan = algorithms.max_weight_base
+        monkeypatch.setattr(
+            algorithms, "max_weight_base", lambda view, gains: scanned.append(view) or real_scan(view, gains)
+        )
         copy = algorithms._GrownCopy(f, m)
         _gains, opening = copy.base()
-        assert copy.residual is m
+        assert scanned == [m] and copy.ground is m.ground  # Matroid compares by identity
         calls, kernel, asked = [], m._is_independent, m.counts.independence_queries
         m._is_independent = lambda members: calls.append(members) or kernel(members)
         copy.gain(opening[0])
         _gains, chosen = copy.base()  # a modular row is last round's less the gain: the base is reused
-        assert chosen == opening[1:]
+        assert chosen == opening[1:] and len(scanned) == 1
         assert (calls, m.counts.independence_queries) == ([], asked)
         m._is_independent = kernel
+        assert copy.matroid is m and copy.ground == contract(m, opening[:1]).ground  # the checked view's ground
 
-        def fields(view):
-            return view.root, view.anchored, view.rank, view.ground, view._ground_set
 
-        assert fields(copy.residual) == fields(contract(m, opening[:1]))  # the checked view
+class TestContractedViews:
+    """A grown copy builds its contracted matroid only for a fresh scan, never on a reused round."""
+
+    @staticmethod
+    def rounds(monkeypatch, instances):
+        """Solve each instance with every grower; per ``base`` call: (opening, fresh scans, views built)."""
+        tally = []
+        real_base, real_scan, real_contracted = (
+            algorithms._GrownCopy.base, algorithms.max_weight_base, algorithms._contracted
+        )
+        scanned, built = [], []
+        monkeypatch.setattr(algorithms, "max_weight_base", lambda m, gains: scanned.append(m) or real_scan(m, gains))
+        monkeypatch.setattr(
+            algorithms, "_contracted", lambda m, away: built.append(real_contracted(m, away)) or built[-1]
+        )
+
+        def counted_base(copy):
+            opening, scans, views = not copy.solution, len(scanned), len(built)
+            result = real_base(copy)
+            tally.append((opening, len(scanned) - scans, len(built) - views))
+            if len(scanned) > scans:  # the scan read the handed matroid, or the one view built for it
+                assert scanned[-1] is (copy.matroid if opening else built[-1])
+            return result
+
+        monkeypatch.setattr(algorithms._GrownCopy, "base", counted_base)
+        for instance in instances:
+            f, m = build(instance)
+            for algorithm in ("msg-det", "msg", "rpgreedy", "rrgreedy"):
+                solve(f, m, algorithm)
+        return tally
+
+    @pytest.mark.parametrize("matroid_kind", MATROID_KINDS)
+    def test_one_view_per_fresh_scan(self, monkeypatch, matroid_kind):
+        instances = [random_instance(seed, 20, matroid_kind, "coverage", rank=5) for seed in range(3)]
+        # an opening scan of the handed matroid, fresh scans of one view each and reused rounds building none
+        assert set(self.rounds(monkeypatch, instances)) == {(True, 1, 0), (False, 1, 1), (False, 0, 0)}
+
+    @pytest.mark.parametrize("matroid_kind", MATROID_KINDS)
+    def test_a_modular_copy_builds_none_after_its_opening(self, monkeypatch, matroid_kind):
+        instances = [random_instance(seed, GROW_MIN_N, matroid_kind, "modular", rank=5) for seed in range(2)]
+        assert set(self.rounds(monkeypatch, instances)) == {(True, 1, 0), (False, 0, 0)}
 
 
 class TestDeductions:

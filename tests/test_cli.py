@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, report formats, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -267,6 +268,20 @@ class TestSuite:
         report = json.loads((tmp_path / "suite.json").read_text())
         assert report["summary"]["violations"] == 1
         assert report["violations"] == [{"label": "n2-unif2-modv", "check": "planted", "detail": "a planted fault"}]
+
+    def test_pinned_report(self, tmp_path, capsys):
+        """``suite --max-n 8 --max-k 3`` writes the same bytes as when these digests were pinned.
+
+        A new digest means a row, ratio, count or verdict of the corpus
+        changed; re-pinning it needs that reason recorded with the change.
+        """
+        out = tmp_path / "suite"
+        assert main(["suite", "--max-n", "8", "--max-k", "3", "--out", str(out)]) == 0
+        digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in ("suite.csv", "suite.json")]
+        assert digests == [
+            "ad700e3e8bae1b5dd25e88e0ef18c51c60f2cf06e3f03a231ea4e8d817a8a7dc",
+            "5a41e3ebe598d7bb295a9c01f3ac35af115a695f8c4af2b831c7d99bf83f0b68",
+        ]
 
     @staticmethod
     def assert_rejected(flags, message, tmp_path, capsys, monkeypatch):

@@ -19,7 +19,7 @@ from submod import (
     random_instance,
 )
 
-from submod.core import _contract_one
+from submod.core import _contracted
 from submod.instances import GROW_MIN_N
 
 from oracle_logs import logged_evaluator, logged_independence
@@ -387,8 +387,9 @@ class TestOneIdPaths:
     by bisect, ``(u, u)`` is the same set spelled with two ids, which takes
     the general path, and each pair of calls must leave the same views, the
     same errors, the same billing and the same root questions.
-    ``_contract_one(view, u)`` must build the view ``contract(view, (u,))``
-    builds wherever that succeeds, asking and billing nothing.
+    ``_contracted(view, away)`` must build the view ``contract(view, away)``
+    builds wherever that succeeds, for one id and for several, asking and
+    billing nothing.
     """
 
     @staticmethod
@@ -420,23 +421,26 @@ class TestOneIdPaths:
         full = m.greedy_scan(m.ground)
         twin.greedy_scan(twin.ground)
         chains = [(), (full[1],), (full[3], full[0]), tuple(full)]  # the last one leaves rank 0
-        errors = set()
+        ids = (-1, *range(m.n), m.n, m.n + 3)
+        errors, several = set(), 0
         for chain in chains:
             view, twin_view = contract(m, chain), contract(twin, chain)
             asked, billed = log[:], m.queries
-            for u in (-1, *range(m.n), m.n, m.n + 3):
+            for away in [(u,) for u in ids] + list(itertools.combinations(ids[1:-1], 2)) + [tuple(full[2:])]:
                 start = len(twin_log)
-                general = self.outcome(lambda: contract(twin_view, (u,)))
+                general = self.outcome(lambda: contract(twin_view, away))
                 if general[0] == "ok":
-                    one, general = _contract_one(view, u), general[1]
-                    assert (one.anchored, one.ground, one._ground_set, one.rank) == (
-                        general.anchored, general.ground, general._ground_set, general.rank
-                    ), (chain, u)
-                    assert twin_log[start:] == [("indep", general.anchored)], (chain, u)
+                    one, general = _contracted(view, away), general[1]
+                    assert one.root is m and general.root is twin, (chain, away)
+                    several += len(away) > 1
+                    assert (one.anchored, one.rank, one.ground, one._ground_set) == (
+                        general.anchored, general.rank, general.ground, general._ground_set
+                    ), (chain, away)
+                    assert twin_log[start:] == [("indep", general.anchored)], (chain, away)
                 else:
                     errors.add(next(kind for kind in ERROR_KINDS if kind in general[1]))
-                assert log == asked and m.queries == billed, (chain, u)
-        assert errors == set(ERROR_KINDS)
+                assert log == asked and m.queries == billed, (chain, away)
+        assert errors == set(ERROR_KINDS) and several > 0
 
     @pytest.mark.parametrize("matroid_kind", ["uniform", "graphic"])
     def test_marginal_function(self, matroid_kind):
