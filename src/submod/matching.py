@@ -8,18 +8,24 @@ operations on the stored edges alone, in the same order, and meets ties
 in the same order, so both return the same matching:
 
 - Per-row storage.  The graph keeps one ``{right: (weight, payload)}``
-  dict per left vertex.  The matcher sorts a row's edges by column when it
-  computes the row's slacks, never the whole edge set, and scans a row in
-  ascending column order.  An absent edge would have slack +inf, which
-  never lowers a minimum.
-- Row slacks cached per potential epoch.  A row's slacks
-  ``cost - row_potential[i] - col_potential[j]`` are computed the first
-  time a search reaches the row and reused until a nonzero dual update
-  changes a potential, which drops every cached row.  Until then the
-  operands are the same, so the floats are the same.  A row keeps its
-  zero-slack and its negative-slack columns as bitmasks and its nonzero
-  (column, slack) pairs as a list; a zero is recorded as 0.0, whose sign
-  nothing below sees.  A slack is negative only by rounding.
+  dict per left vertex, in insertion order, and the row's largest weight
+  and the bitmask of its columns that hold it.  The matcher never sorts
+  a row: each column occurs once in it, so the order inside a row changes
+  no comparison, and ties between columns are met through bitmasks,
+  lowest bit first, which is the dense form's ascending column scan.  An
+  absent edge would have slack +inf, which never lowers a minimum.
+- Row masks per potential epoch.  An epoch is the stretch between two
+  dual updates.  A row's zero-slack and negative-slack columns, under the
+  slack ``cost - row_potential[i] - col_potential[j]``, are kept as two
+  bitmasks until the epoch ends.  Row potentials start at -top, the row's
+  largest weight negated, and every column potential at 0.0, so in the
+  first epoch a row's slack ``-w + top`` is exactly zero on its top
+  columns and positive elsewhere (two unequal floats never differ by
+  zero): its masks are read off the graph with no pass over its edges.
+  In a later epoch they are computed the first time a search reaches the
+  row.  A slack is negative only by rounding.  No nonzero slack is kept;
+  a dual update recomputes the ones it reads from the same potentials, so
+  it gets the same floats.
 - A bitmask of tight columns.  Within one root's search, ``tight`` holds
   the free columns whose least slack is exactly zero, and ``low`` those
   and the tree's columns, which no zero slack lowers, so a row reaches
@@ -46,6 +52,16 @@ in the same order, so both return the same matching:
   since the last update from the one logged step that reached it, and
   any other column from ``prev_col``.  A search with no dual update reads
   no nonzero slack and fills nothing.
+- Early exit in the first epoch.  Once ``low`` holds every column, no
+  step reaches a column.  No unmatched column is in the tree, so
+  ``tight`` holds all of them, and before the first dual update no row
+  has a negative slack, so no update comes: the search would go on taking
+  matched columns in ascending order, reaching nothing, until the lowest
+  unmatched one.  The search ends at that column at once (an
+  ``unmatched`` bitmask names it), and the path flip needs none of the
+  skipped steps.  In a later epoch a row may hold a negative rounding
+  slack on a tight column, which must bring a dual update, so the search
+  runs on.
 
 A column that joins the alternating tree has its slack set to -inf, so no
 later slack lowers it and the minimum skips it.  The dual update finds the
@@ -76,7 +92,9 @@ class WeightedBipartiteGraph:
     At most one edge is stored per (left, right) pair: parallel edges are
     collapsed to the maximum weight, ties broken by the smallest payload,
     so the stored graph does not depend on insertion order.  Each left
-    vertex keeps its own ``{right: (weight, payload)}`` row.
+    vertex keeps its own ``{right: (weight, payload)}`` row, its largest
+    weight (``_row_top``, -inf while the row is empty) and the bitmask of
+    the columns that hold it (``_row_top_cols``).
     """
 
     def __init__(self, left_size: int, right_size: int):
@@ -85,6 +103,8 @@ class WeightedBipartiteGraph:
         self.left_size = left_size
         self.right_size = right_size
         self._rows: list[dict[int, tuple[float, int]]] = [{} for _ in range(left_size)]
+        self._row_top = [-math.inf] * left_size
+        self._row_top_cols = [0] * left_size
 
     def add_edge(self, left: int, right: int, weight: float, payload: int = -1) -> None:
         if not 0 <= left < self.left_size:
@@ -97,6 +117,12 @@ class WeightedBipartiteGraph:
         current = row.get(right)
         if current is None or weight > current[0] or (weight == current[0] and payload < current[1]):
             row[right] = (weight, payload)
+            # a kept edge is never lighter than the one it replaces, so the row's maxima only grow
+            top = self._row_top[left]
+            if weight > top:
+                self._row_top[left], self._row_top_cols[left] = weight, 1 << right
+            elif weight == top:
+                self._row_top_cols[left] |= 1 << right
 
     def _fill_column(self, right: int, edges: Iterable[tuple[int, float, int]]) -> None:
         """Store each (left, weight, payload) of ``edges`` in column ``right``, with no check.
@@ -105,9 +131,15 @@ class WeightedBipartiteGraph:
         is in range, every weight finite and non-negative, and no (left,
         right) pair already has an edge or comes twice.
         """
-        rows = self._rows
+        rows, tops, top_cols = self._rows, self._row_top, self._row_top_cols
+        bit = 1 << right
         for left, weight, payload in edges:
             rows[left][right] = (weight, payload)
+            top = tops[left]
+            if weight > top:
+                tops[left], top_cols[left] = weight, bit
+            elif weight == top:
+                top_cols[left] |= bit
 
     @property
     def edges(self) -> tuple[tuple[int, int, float, int], ...]:
@@ -141,13 +173,16 @@ def max_weight_perfect_matching(graph: WeightedBipartiteGraph) -> Matching:
         raise InfeasibleMatchingError("a left vertex has no incident edges")
     if len(set().union(*stored)) < k:
         raise InfeasibleMatchingError("a right vertex has no incident edges")
-    # Minimize cost = -weight over each row's edges, scanned in ascending column order.
-    row_potential = [-max(row.values())[0] for row in stored]  # row extrema, per the tie-break contract
+    # Minimize cost = -weight over each row's edges; ties go to the lowest column.
+    row_potential = [-top for top in graph._row_top]  # row extrema, per the tie-break contract
     col_potential = [0.0] * (k + 1)  # the virtual column k's entry is shifted but never read
     col_match: list[int] = [-1] * (k + 1)  # col_match[j] = row matched to column j
-    # Each row's zero-slack columns and negative-slack columns as bitmasks and its other (column, slack)
-    # pairs, in ascending column order, valid until a potential changes.
-    row_slacks: list[tuple[int, int, list[tuple[int, float]]] | None] = [None] * k
+    # Each row's zero-slack and negative-slack columns as bitmasks, valid until a potential changes.  Before
+    # the first dual update every column potential is 0.0, so a row's zeros are its top columns and none is
+    # negative.
+    row_masks: list[tuple[int, int] | None] = [(top_cols, 0) for top_cols in graph._row_top_cols]
+    first_epoch = True
+    every_col = unmatched = (1 << k) - 1
     for root in range(k):
         col_match[k] = root  # virtual column holds the row being inserted
         j0 = k
@@ -157,24 +192,28 @@ def max_weight_perfect_matching(graph: WeightedBipartiteGraph) -> Matching:
         low = 0  # bitmask of the tight columns and the tree's
         while True:
             i0 = col_match[j0]
-            cached = row_slacks[i0]
-            if cached is None:
+            masks = row_masks[i0]
+            if masks is None:
                 potential = row_potential[i0]
-                zero, negative, others = 0, 0, []
-                for j, (weight, _payload) in sorted(stored[i0].items()):
+                zero = negative = 0
+                for j, (weight, _payload) in stored[i0].items():
                     slack = -weight - potential - col_potential[j]
                     if slack == 0:
                         zero |= 1 << j
-                    else:
-                        others.append((j, slack))
-                        if slack < 0:
-                            negative |= 1 << j
-                cached = row_slacks[i0] = zero, negative, others
-            zero, negative, _others = cached
+                    elif slack < 0:
+                        negative |= 1 << j
+                masks = row_masks[i0] = zero, negative
+            zero, negative = masks
             reached = zero & ~low  # a zero slack lowers exactly the columns still above zero
             tight |= reached
             low |= reached
             steps.append((j0, reached))
+            if low == every_col and first_epoch:
+                # no step reaches a column now, and tight holds every unmatched column with no negative
+                # slack anywhere, so the search would take matched columns until the lowest unmatched one
+                bit = unmatched & -unmatched
+                j0 = bit.bit_length() - 1
+                break
             # update when no column is tight or a negative slack lowers a free column (tight | ~low)
             if not tight or negative and negative & (tight | ~low):
                 if min_slack is None:
@@ -186,7 +225,10 @@ def max_weight_perfect_matching(graph: WeightedBipartiteGraph) -> Matching:
                         reached ^= bit
                         j = bit.bit_length() - 1
                         min_slack[j], prev_col[j] = 0.0, j1
-                    for j, slack in row_slacks[col_match[j1]][2]:  # its row's other slacks
+                    i1 = col_match[j1]
+                    potential = row_potential[i1]
+                    for j, (weight, _payload) in stored[i1].items():  # its row's other slacks; a zero lowers none
+                        slack = -weight - potential - col_potential[j]
                         if slack < min_slack[j]:
                             min_slack[j], prev_col[j] = slack, j1
                 steps.clear()
@@ -204,12 +246,14 @@ def max_weight_perfect_matching(graph: WeightedBipartiteGraph) -> Matching:
                         if slack == 0:  # exactly the minima, since a - b == 0 only when a == b
                             tight |= 1 << j
                 low |= tight
-                row_slacks = [None] * k  # a new potential epoch
+                row_masks = [None] * k  # a new potential epoch
+                first_epoch = False
             bit = tight & -tight  # the first zero in ascending column order joins the tree
             tight ^= bit
             j0 = bit.bit_length() - 1
             if col_match[j0] == -1:
                 break
+        unmatched ^= bit  # column j0 ends the augmenting path
         # flip the alternating path back to the virtual column: a column reached since the last fill
         # takes its tree column from the log, an earlier one from prev_col
         for j1, reached in reversed(steps):

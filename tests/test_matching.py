@@ -121,6 +121,71 @@ class TestParallelEdgeCollapse:
         assert [(left, right) for left, right, _, _ in g.edges] == [(0, 0), (0, 2), (1, 1), (2, 0), (2, 1)]
 
 
+def recomputed_maxima(graph):
+    """Each row's largest weight (-inf when empty) and the bitmask of its columns that hold it, from ``_rows``."""
+    tops, top_cols = [], []
+    for row in graph._rows:
+        top = max((weight for weight, _payload in row.values()), default=-math.inf)
+        tops.append(top)
+        top_cols.append(sum(1 << right for right, (weight, _payload) in row.items() if weight == top))
+    return tops, top_cols
+
+
+def kept_maxima(graph):
+    return graph._row_top, graph._row_top_cols
+
+
+class TestRowMaxima:
+    def test_each_kept_edge_updates_its_row(self):
+        g = WeightedBipartiteGraph(4, 3)
+        g.add_edge(0, 1, 1.0, payload=4)
+        g.add_edge(0, 0, 2.0, payload=3)
+        assert (g._row_top[0], g._row_top_cols[0]) == (2.0, 0b001)
+        g.add_edge(0, 1, 3.0, payload=5)  # a heavier parallel edge takes the top
+        assert (g._row_top[0], g._row_top_cols[0]) == (3.0, 0b010)
+        g.add_edge(0, 0, 3.0, payload=9)  # a heavier parallel edge ties it
+        assert (g._row_top[0], g._row_top_cols[0]) == (3.0, 0b011)
+        g.add_edge(0, 1, 3.0, payload=1)  # an equal weight with a smaller payload replaces the edge only
+        g.add_edge(0, 0, 1.0, payload=0)  # a lighter parallel edge is dropped
+        g.add_edge(0, 2, 0.5)
+        assert g._rows[0] == {1: (3.0, 1), 0: (3.0, 9), 2: (0.5, -1)}
+        assert (g._row_top[0], g._row_top_cols[0]) == (3.0, 0b011)
+        g.add_edge(1, 2, 0.0)
+        g.add_edge(1, 0, -0.0)  # zero weights tie, whatever their sign
+        g.add_edge(3, 1, 0.0, payload=2)
+        g.add_edge(3, 1, 0.0, payload=1)
+        assert kept_maxima(g) == ([3.0, 0.0, -math.inf, 0.0], [0b011, 0b101, 0, 0b010])  # row 2 has no edge
+        assert kept_maxima(g) == recomputed_maxima(g)
+
+    def test_insertion_orders_and_column_fills_agree(self):
+        rng = random.Random(30)
+        for trial in range(60):
+            k = rng.randint(1, 8)
+            entries = [
+                (left, right, rng.choice((0.0, -0.0, 0.3, 0.1 + 0.2, 1.0)), rng.randint(0, 4))
+                for left in range(k)
+                for right in range(k)
+                for _ in range(rng.choice((0, 1, 1, 2, 3)))  # none, one or parallel edges
+            ]
+            reference = graph_from_edges(k, entries)
+            maxima = recomputed_maxima(reference)
+            assert kept_maxima(reference) == maxima, trial
+            for _ in range(3):
+                rng.shuffle(entries)
+                shuffled = graph_from_edges(k, entries)
+                assert shuffled.edges == reference.edges
+                assert kept_maxima(shuffled) == maxima, trial
+            filled = WeightedBipartiteGraph(k, k)
+            columns = list(range(k))
+            rng.shuffle(columns)
+            for right in columns:
+                column = [(left, weight, payload) for left, r, weight, payload in reference.edges if r == right]
+                rng.shuffle(column)
+                filled._fill_column(right, column)
+            assert filled.edges == reference.edges
+            assert kept_maxima(filled) == maxima, trial
+
+
 class TestAgainstBruteForce:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -169,12 +234,18 @@ class TestAgainstBruteForce:
         assert first == second
 
 
-def dense_reference_matching(graph):
+def dense_reference_matching(graph, late_negatives=None):
     """The dense O(k^3) Hungarian algorithm the sparse matcher must reproduce.
 
     It fills a k x k cost matrix with +inf for absent edges and scans every
     cell of a row at each step; the sparse matcher performs the same float
     operations on the edges alone, so the two return equal matchings.
+
+    Given a list, ``late_negatives`` gets the root of each search that,
+    after the call's first nonzero delta, covers every column (each is in
+    the tree or has had a zero least slack since the search's last nonzero
+    delta) and then takes a negative delta: the case the sparse matcher's
+    first-epoch early exit must not serve.
     """
     if graph.left_size != graph.right_size:
         raise ValueError("perfect matching requires a square graph")
@@ -198,12 +269,15 @@ def dense_reference_matching(graph):
     row_potential = [min(row) for row in cost]
     col_potential = [0.0] * (k + 1)
     col_match = [-1] * (k + 1)
+    moved = False  # a nonzero delta has changed the potentials
     for root in range(k):
         col_match[k] = root
         j0 = k
         min_slack = [inf] * k
         prev_col = [-1] * k
         used = [False] * (k + 1)
+        zeroed = [False] * k  # a free column whose least slack was zero since the last nonzero delta
+        covered = False
         while True:
             used[j0] = True
             i0 = col_match[j0]
@@ -221,12 +295,19 @@ def dense_reference_matching(graph):
                     j1 = j
             if delta == inf:
                 raise InfeasibleMatchingError("graph has no perfect matching")
+            zeroed = [zeroed[j] or min_slack[j] == 0 for j in range(k)]
+            covered = covered or moved and all(used[j] or zeroed[j] for j in range(k))
+            if covered and delta < 0 and late_negatives is not None:
+                late_negatives.append(root)
             for j in range(k + 1):
                 if used[j]:
                     row_potential[col_match[j]] += delta
                     col_potential[j] -= delta
                 elif j < k:
                     min_slack[j] -= delta
+            if delta != 0:
+                moved = True
+                zeroed = [not used[j] and min_slack[j] == 0 for j in range(k)]
             j0 = j1
             if col_match[j0] == -1:
                 break
@@ -366,6 +447,54 @@ class TestAgainstDenseReference:
         result = max_weight_perfect_matching(g)
         assert result == dense_reference_matching(g)
         assert result.pairs == ((0, 0, -1, 0.0), (1, 1, -1, 0.0), (2, 2, -1, 0.0))  # the one perfect matching
+
+    def test_a_complete_graph_with_one_weight_per_row_matches_the_identity(self):
+        # Each row's edges share one weight, as on a self-pair exchange
+        # round's graph, so every perfect matching weighs the same.  Each
+        # root's row reaches every column at zero slack, so its search ends
+        # at once at the lowest unmatched column: root r takes column r.
+        k = 24
+        weights = [TIED_WEIGHTS[left % len(TIED_WEIGHTS)] for left in range(k)]
+        edges = [(left, right, weights[left], left * k + right) for left in range(k) for right in range(k)]
+        random.Random(24).shuffle(edges)
+        filled = WeightedBipartiteGraph(k, k)
+        for right in range(k):
+            filled._fill_column(right, [(left, weights[left], left * k + right) for left in range(k)])
+        identity = tuple((j, j, j * k + j, weights[j]) for j in range(k))
+        for g in (graph_from_edges(k, edges), filled):
+            result = max_weight_perfect_matching(g)
+            assert result.pairs == identity
+            assert result == dense_reference_matching(g)
+
+    def test_a_search_that_covers_every_column_after_a_dual_update_takes_its_negative_delta(self):
+        # Rows 0..k-4 take their own columns first.  Then r0 takes c1, which
+        # is also the top of r1, whose other edges weigh x.  So r1's search
+        # takes a dual update by 1.0 - x, and x is drawn such that r1's new
+        # potential -1.0 + (1.0 - x) rounds above -x: r1's slacks to c0 and
+        # c2 are negative.  r2 reaches every column but c1 at zero slack and,
+        # through c0, reaches r1, whose negative slack on the tight c2 must
+        # bring a dual update although the search has covered every column.
+        rng = random.Random(1)
+        tenths = [t / 10 for t in range(1, 10)]
+        xs = [t / 100 for t in range(1, 100) if -1.0 + (1.0 - t / 100) > -t / 100]
+        covered_then_negative = 0
+        for trial in range(60):
+            k = rng.randint(3, 7)
+            c0, c2 = sorted(rng.sample(range(k), 2))
+            c1 = rng.choice([c for c in range(k) if c not in (c0, c2)])
+            rest = [c for c in range(k) if c not in (c0, c1, c2)]
+            x, y = rng.choice(xs), rng.choice(tenths)
+            r0, r1, r2 = k - 3, k - 2, k - 1
+            edges = [(r0, c1, rng.choice(tenths)), (r1, c0, x), (r1, c1, 1.0), (r1, c2, x), (r2, c0, y), (r2, c2, y)]
+            for left, right in enumerate(rest):
+                edges += [(left, right, rng.choice(tenths)), (r2, right, y)]
+            edges += [(rng.randrange(k), rng.randrange(k), 0.0) for _ in range(rng.randint(0, k))]
+            g = graph_from_edges(k, edges)
+            late_negatives = []
+            expected = dense_reference_matching(g, late_negatives)
+            assert max_weight_perfect_matching(g) == expected, (trial, g.edges)
+            covered_then_negative += bool(late_negatives)
+        assert covered_then_negative >= 30  # 47 of the 60 graphs
 
     @pytest.mark.parametrize(
         "matroid_kind, function_kind, n, rank, seeds",
