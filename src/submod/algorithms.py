@@ -166,9 +166,15 @@ def split(f: SetFunction, matroid: Matroid, p: float) -> SplitResult:
     Each iteration scans the elements that can still extend the union, takes
     the best marginal candidate relative to each half, and routes the winner
     of ``p * gain_a >= (1 - p) * gain_b`` to the first half (ties included).
-    While both halves are empty the two tables are one, asked once.  Each
-    round tests only last round's pool less the routed id: the pool only
-    shrinks as the union grows (see ``_feasible_pool``).
+    Each round tests only last round's pool less the routed id: the pool
+    only shrinks as the union grows (see ``_feasible_pool``).
+
+    Each round asks one table.  While both halves are empty the two tables
+    are one.  After that only the half that gained has a new anchor, so only
+    its table is asked again, through its view grown by the routed id (an
+    exact kernel's ``grow`` rows apply); the idle half keeps last round's
+    table, whose entries for the new pool are the same floats from the same
+    anchor.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
@@ -176,20 +182,26 @@ def split(f: SetFunction, matroid: Matroid, p: float) -> SplitResult:
     side_b: list[int] = []
     used: set[int] = set()
     pool = matroid.ground
+    view_a = view_b = marginal_function(f, ())  # each half's view, anchored at the half
+    gains_a = gains_b = None  # each half's table, None once the half has gained since it was asked
     for _ in range(matroid.rank):
         pool = _feasible_pool(matroid, used, pool)
         if not pool:
             raise InternalInvariantError("split ran out of feasible elements before a base")
-        gains_a = marginal_table(f, side_a, pool)
-        gains_b = marginal_table(f, side_b, pool) if used else gains_a  # both halves empty: one table
+        if gains_a is None:
+            gains_a = view_a.singleton_table(pool)
+        if gains_b is None:
+            gains_b = gains_a if view_b is view_a else view_b.singleton_table(pool)  # both halves empty: one table
         u_a = _argmax_by_id(pool, gains_a)
         u_b = _argmax_by_id(pool, gains_b)
         if p * gains_a[u_a] >= (1.0 - p) * gains_b[u_b]:
             side_a.append(u_a)
             used.add(u_a)
+            view_a, gains_a = marginal_function(view_a, (u_a,)), None
         else:
             side_b.append(u_b)
             used.add(u_b)
+            view_b, gains_b = marginal_function(view_b, (u_b,)), None
     return SplitResult(a=canonical(side_a), b=canonical(side_b))
 
 
@@ -278,6 +290,31 @@ def rr_greedy(f: SetFunction, matroid: Matroid, rng_seed: int) -> ElementSet:
     return tuple(copy.solution)
 
 
+def _swap_asker(
+    matroid: Matroid, residue: Iterable[int], solution: Iterable[int], own: int, answered: dict[int, bool]
+) -> Callable[[int, int], bool]:
+    """Return ``test(u, v)``: whether solution + residue - {v} + {u} is independent, asking each set once.
+
+    ``own`` is the bitmask of solution + residue, v lies in the residue and
+    u is v or lies in neither part.  ``answered`` maps the bitmask of each
+    set asked so far to its answer; a set found there is not asked again.
+    The exchange test is built on the first question ``answered`` misses.
+    """
+    swap = None
+
+    def test(u: int, v: int) -> bool:
+        nonlocal swap
+        key = own ^ (1 << v) ^ (1 << u)  # v leaves and u joins; u == v leaves the set as it is
+        answer = answered.get(key)
+        if answer is None:
+            if swap is None:
+                swap = matroid.exchange_test(chain(residue, solution))  # the parts are disjoint
+            answer = answered[key] = swap(u, v)
+        return answer
+
+    return test
+
+
 def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> ElementSet:
     """Deterministic residual greedy coupling k parallel solutions.
 
@@ -292,24 +329,34 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
     copy gains one element and gives up one.  A candidate u still in copy
     j's residue pairs only with v = u, because for any other v the swapped
     set is solution + residue - {v}, one element short of the rank, and
-    never a base; every such pair asks about solution + residue itself, so
-    a round asks that at most once.  Every other swap, solution + residue
-    - {v} + {u} with u in neither, has full size, so an edge test is one
-    independence query on it and needs no size check.  The graph keeps one
-    edge per (v, j), the largest gain and then the smallest u, so a round
-    offers the candidates by (-gain, id), NaN gains dropped, and stops
-    asking about v once v has its edge.  A copy whose candidate base is
-    exactly its residue, every gain finite and non-negative (the weights
-    ``add_edge`` accepts), has a self-pair round: it asks about solution +
-    residue once and stores each u's edge to itself, the graph that loop
-    would build, with no sort and no offers.  A NaN, negative or infinite
-    gain takes the loop, which drops a NaN u and lets ``add_edge`` refuse
-    the others.
+    never a base; every such pair asks about solution + residue itself.
+    Every other swap, solution + residue - {v} + {u} with u in neither, has
+    full size, so an edge test is one independence query on it and needs no
+    size check.  The graph keeps one edge per (v, j), the largest gain and
+    then the smallest u, so a round offers the candidates by (-gain, id),
+    NaN gains dropped, and stops asking about v once v has its edge.  A copy
+    whose candidate base is exactly its residue, every gain finite and
+    non-negative (the weights ``add_edge`` accepts), has a self-pair round:
+    it tests solution + residue once and stores each u's edge to itself, the
+    graph that loop would build, with no sort and no offers.  A NaN,
+    negative or infinite gain takes the loop, which drops a NaN u and lets
+    ``add_edge`` refuse the others.
+
+    A call's edge tests ask the kernel about each set at most once: every
+    answer is kept, keyed by the set's bitmask, and a test finds it there
+    (see ``_swap_asker``).  So a copy's solution + residue is asked at most
+    once per call, in the opening round: its next one is the swap its
+    matched edge passed, or the same set after a self pair, both already
+    answered yes.  That one question repeats the residue check's, and is
+    kept: it is what catches a kernel that passes the residue and then
+    denies every swap.  A round whose tests all find their answers builds
+    no exchange test.
 
     Each copy's solution and candidate bases are a ``_GrownCopy``'s.  The
-    k copies start alike, so the opening round is asked once and the other
-    copies fork from it.  A residue is kept as a dict in ascending id
-    order, from which each given-up id is deleted.
+    k copies start alike, so the opening round is asked once, as one column
+    that the graph stores for every copy, and the other copies fork from
+    it.  A residue is kept as a dict in ascending id order, from which each
+    given-up id is deleted.
     """
     base = canonical(residue, matroid.n)
     if not is_base(matroid, base):
@@ -318,38 +365,40 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
     left_of = {v: idx for idx, v in enumerate(base)}
     copies: list[_GrownCopy] = []
     residues = [dict.fromkeys(base) for _ in range(k)]  # ascending, as base is
+    owns = [sum(1 << v for v in base)] * k  # the bitmask of each copy's solution + residue
+    answered: dict[int, bool] = {}  # the bitmask of each set asked in this call, to its answer
 
     for _ in range(k):
         if copies:
             rounds = [copy.base() for copy in copies]
-        else:  # every copy starts alike: one opening round, read by all
+        else:  # every copy starts alike: one opening column, stored for every copy
             first = _GrownCopy(f, matroid)
-            rounds = [first.base()] * k
+            rounds = [first.base()]
             copies = [first, *(first.fork() for _ in range(k - 1))]
         graph = WeightedBipartiteGraph(k, k)
         for j, (gains, candidates) in enumerate(rounds):
             residue = residues[j]
-            swap = matroid.exchange_test(chain(residue, copies[j].solution))  # the parts are disjoint
+            test = _swap_asker(matroid, residue, copies[j].solution, owns[j], answered)
             weights = [*map(gains.__getitem__, candidates)]
             if candidates == [*residue] and all(map(math.isfinite, weights)) and min(weights) >= 0.0:
-                if swap(candidates[0], candidates[0]):  # a self-pair round: each u's one edge is v = u
+                if test(candidates[0], candidates[0]):  # a self-pair round: each u's one edge is v = u
                     graph._fill_column(j, zip(map(left_of.__getitem__, candidates), weights, candidates))
                 continue
             waiting = {v: gains[v] for v in residue}  # the residue ids still without an edge, to their gains
-            own = None  # whether solution + residue is independent, asked once if some u needs it
             # by (-gain, id), NaN dropped: the first u that passes with v is the edge the graph keeps
             for u in sorted([u for u in candidates if gains[u] == gains[u]], key=gains.__getitem__, reverse=True):
                 gain_u = gains[u]
                 if u not in residue:
-                    for v in [v for v, gain_v in waiting.items() if gain_u >= gain_v and swap(u, v)]:
+                    for v in [v for v, gain_v in waiting.items() if gain_u >= gain_v and test(u, v)]:
                         graph.add_edge(left_of[v], j, gain_u, payload=u)
                         del waiting[v]
-                elif u in waiting:  # pairs only with v = u
-                    if own is None:
-                        own = swap(u, u)
-                    if own:
-                        graph.add_edge(left_of[u], j, gain_u, payload=u)
-                        del waiting[u]
+                elif u in waiting and test(u, u):  # pairs only with v = u
+                    graph.add_edge(left_of[u], j, gain_u, payload=u)
+                    del waiting[u]
+        if len(rounds) < k:  # the opening round: copies 1..k-1 hold column 0's edges
+            column = [(left, *row[0]) for left, row in enumerate(graph._rows) if 0 in row]
+            for j in range(1, k):
+                graph._fill_column(j, column)
         try:
             matching = max_weight_perfect_matching(graph)
         except InfeasibleMatchingError as exc:
@@ -360,6 +409,7 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
         for right, left, gained, _weight in matching.pairs:
             copies[right].gain(gained)
             del residues[right][base[left]]
+            owns[right] ^= (1 << base[left]) ^ (1 << gained)  # a self pair changes nothing
 
     return tuple(max((copy.solution for copy in copies), key=f, default=()))  # the first copy of the largest value
 

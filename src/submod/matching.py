@@ -94,7 +94,8 @@ class WeightedBipartiteGraph:
     so the stored graph does not depend on insertion order.  Each left
     vertex keeps its own ``{right: (weight, payload)}`` row, its largest
     weight (``_row_top``, -inf while the row is empty) and the bitmask of
-    the columns that hold it (``_row_top_cols``).
+    the columns that hold it (``_row_top_cols``).  ``_cols`` is the bitmask
+    of the right vertices that hold an edge.
     """
 
     def __init__(self, left_size: int, right_size: int):
@@ -105,6 +106,7 @@ class WeightedBipartiteGraph:
         self._rows: list[dict[int, tuple[float, int]]] = [{} for _ in range(left_size)]
         self._row_top = [-math.inf] * left_size
         self._row_top_cols = [0] * left_size
+        self._cols = 0
 
     def add_edge(self, left: int, right: int, weight: float, payload: int = -1) -> None:
         if not 0 <= left < self.left_size:
@@ -117,6 +119,7 @@ class WeightedBipartiteGraph:
         current = row.get(right)
         if current is None or weight > current[0] or (weight == current[0] and payload < current[1]):
             row[right] = (weight, payload)
+            self._cols |= 1 << right
             # a kept edge is never lighter than the one it replaces, so the row's maxima only grow
             top = self._row_top[left]
             if weight > top:
@@ -133,6 +136,7 @@ class WeightedBipartiteGraph:
         """
         rows, tops, top_cols = self._rows, self._row_top, self._row_top_cols
         bit = 1 << right
+        held = 0  # bit once the column holds an edge
         for left, weight, payload in edges:
             rows[left][right] = (weight, payload)
             top = tops[left]
@@ -140,6 +144,8 @@ class WeightedBipartiteGraph:
                 tops[left], top_cols[left] = weight, bit
             elif weight == top:
                 top_cols[left] |= bit
+            held = bit
+        self._cols |= held
 
     @property
     def edges(self) -> tuple[tuple[int, int, float, int], ...]:
@@ -171,7 +177,7 @@ def max_weight_perfect_matching(graph: WeightedBipartiteGraph) -> Matching:
     stored = graph._rows
     if not all(stored):
         raise InfeasibleMatchingError("a left vertex has no incident edges")
-    if len(set().union(*stored)) < k:
+    if graph._cols != (1 << k) - 1:
         raise InfeasibleMatchingError("a right vertex has no incident edges")
     # Minimize cost = -weight over each row's edges; ties go to the lowest column.
     row_potential = [-top for top in graph._row_top]  # row extrema, per the tie-break contract

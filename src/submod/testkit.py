@@ -6,7 +6,8 @@ greedy by branching over every coin flip, exchange-mapping and
 completion-partition witnesses, and axiom validators that check the
 local forms of the axioms on every subset of a ground set of n <= 10.
 Budgets are explicit and exceeding one raises instead of silently
-sampling, so these stay trustworthy as oracles.
+sampling, so these stay trustworthy as oracles.  The spec-level reference
+solvers are in ``submod.reference``.
 """
 
 from __future__ import annotations

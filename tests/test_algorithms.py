@@ -236,6 +236,45 @@ class TestRRGreedy:
         assert len(tree.leaves) == 2
 
 
+class TestSplitTables:
+    """split asks a half's table only in the first round, for both halves at once, and in each round after it gained."""
+
+    @staticmethod
+    def shapes():
+        yield from enumerate_small_instances(6, 3)
+        for matroid_kind in MATROID_KINDS:
+            for seed in range(2):
+                yield random_instance(seed, 20, matroid_kind, "weighted_coverage", rank=6)
+                yield random_instance(seed, GROW_MIN_N, matroid_kind, "modular", rank=8)
+
+    def test_only_the_half_that_gained_is_asked_again(self, monkeypatch):
+        tables, unions = [], []  # (anchor, size) of each table asked, and the union of the halves each round
+        real_table, real_pool = SetFunction.singleton_table, algorithms._feasible_pool
+        monkeypatch.setattr(
+            SetFunction, "singleton_table",
+            lambda view, ids: tables.append((view.anchored, len(ids))) or real_table(view, ids),
+        )
+        monkeypatch.setattr(
+            algorithms, "_feasible_pool", lambda m, used, ids: unions.append(set(used)) or real_pool(m, used, ids)
+        )
+        kept = 0  # rounds that kept a half's table
+        for instance in self.shapes():
+            f, m = build(instance)
+            tables.clear()
+            unions.clear()
+            half = split(f, m, 0.425822)
+            unions.append(set(half.a + half.b))
+            routed = [(after - before).pop() for before, after in zip(unions, unions[1:])]
+            expected = [()]  # both halves are empty: one table
+            for done, u in enumerate(routed[:-1], 1):
+                side = half.a if u in half.a else half.b
+                expected.append(canonical(x for x in routed[:done] if x in side))
+            assert [anchor for anchor, _size in tables] == expected, instance
+            assert f.counts.value_queries == sum(size + 1 for _anchor, size in tables)  # each table and its offset
+            kept += len(routed) - 1
+        assert kept > 400  # 450
+
+
 class TestRPGreedy:
     def test_single_column_upgrade(self):
         f, m = make(3, uniform(1), modular(1, 5, 2))
@@ -342,30 +381,35 @@ class TestSplitAndGrowDeterministic:
     # opening round, the shrinking pool), and when a grown copy began to
     # reuse its base less the gain whenever no gain rose and the base's gains
     # held, and to contract by its gain without a check; the solutions,
-    # values and value counts never moved.
+    # values and value counts never moved.  Both counts were re-pinned when
+    # split stopped asking again the table of the half that did not gain,
+    # and rp_greedy began to build its opening round as one column for
+    # every copy and to keep every answer of a call, so that no set, a
+    # copy's own set included, is asked twice; the solutions and values
+    # did not move.
     @pytest.mark.parametrize(
         "cell, solution, value, value_queries, independence_queries",
         [
-            ((3, 12, "partition", "coverage", 3), (0, 1, 8), 6.0, 123, 50),
-            ((5, 12, "graphic", "modular", 4), (0, 3, 4, 11), 31.0, 215, 65),
-            ((11, 10, "uniform", "concave_of_modular", 3), (1, 4, 5), 5.291502622129181, 93, 41),
-            ((13, 14, "partition", "weighted_coverage", 4), (0, 1, 2, 11), 44.0, 150, 73),
-            ((17, 20, "uniform", "modular", 8), (0, 1, 6, 11, 12, 14, 16, 18), 64.0, 1243, 208),
-            ((19, 16, "uniform", "weighted_coverage", 5), (3, 4, 7, 8, 13), 61.0, 278, 111),
-            ((23, 14, "graphic", "concave_of_modular", 5), (3, 4, 6, 7, 12), 6.4031242374328485, 222, 88),
+            ((3, 12, "partition", "coverage", 3), (0, 1, 8), 6.0, 112, 42),
+            ((5, 12, "graphic", "modular", 4), (0, 3, 4, 11), 31.0, 190, 50),
+            ((11, 10, "uniform", "concave_of_modular", 3), (1, 4, 5), 5.291502622129181, 74, 38),
+            ((13, 14, "partition", "weighted_coverage", 4), (0, 1, 2, 11), 44.0, 137, 61),
+            ((17, 20, "uniform", "modular", 8), (0, 1, 6, 11, 12, 14, 16, 18), 64.0, 1124, 145),
+            ((19, 16, "uniform", "weighted_coverage", 5), (3, 4, 7, 8, 13), 61.0, 220, 97),
+            ((23, 14, "graphic", "concave_of_modular", 5), (3, 4, 6, 7, 12), 6.4031242374328485, 181, 77),
             (
                 (29, 48, "uniform", "modular", 24),
                 (0, 3, 4, 7, 9, 10, 14, 18, 20, 21, 22, 24, 27, 28, 29, 30, 32, 33, 36, 39, 40, 44, 45, 47),
                 205.0,
-                22251,
-                1480,
+                21400,
+                905,
             ),
             (
                 (31, 40, "partition", "coverage", 12),
                 (4, 5, 8, 9, 15, 16, 17, 19, 22, 28, 29, 39),
                 23.0,
-                3126,
-                1709,
+                2924,
+                1183,
             ),
         ],
     )
@@ -549,7 +593,12 @@ class TestRootCallLog:
     feasible pool of split and greedy only shrinks; and when a grown copy
     began to reuse its base less the gain whenever no gain rose and the
     base's own gains held, and stopped asking about its handed matroid's
-    anchor and about each contraction by its gain.  Each cell runs twice:
+    anchor and about each contraction by its gain; and when split stopped
+    asking again the table of the half that did not gain (the half that did
+    is asked through its view grown by its new id, so an exact kernel's
+    rows derive from the last one), and rp_greedy began to build its
+    opening round as one column for every copy and to keep every answer of
+    a call, so that it asks no set twice.  Each cell runs twice:
     with plain wrappers, which answer every query by a kernel call, and
     with the kernels' hooks (the value kernel's ``extend`` and its rows'
     ``grow``, whose derived rows run in the cells on at least GROW_MIN_N
@@ -561,25 +610,25 @@ class TestRootCallLog:
     @pytest.mark.parametrize(
         "cell, expected",
         [
-            ((1, 20, "graphic", "modular", 6), "39ab7b5de28470684be65e7910f713a4e13b3c4213d3c7a761cb8c44f7849f19"),
-            ((2, 16, "uniform", "modular", 8), "6485701bda4c0350efaa9f4c91775394c593898ab31b8f2c11129134246c51fd"),
-            ((3, 20, "partition", "coverage", 6), "9239cde1e2d9a11fe18f35f8bc2e6d46b5ed05e09ea66bdc48357c6de8b0ab0e"),
+            ((1, 20, "graphic", "modular", 6), "ab3009937b6bf0ba8835b7260679fed2442bb78b8dfdcdcf367ce02493553723"),
+            ((2, 16, "uniform", "modular", 8), "a6fd2a7b8e158d7c2e044aedce1f51aa5570d0ed1d33e89975a5027d4fed3a8b"),
+            ((3, 20, "partition", "coverage", 6), "0351fd0d4c332582965345ff2f3b9b4d71dd89c6e7530189f301c38bfd346ab0"),
             (
                 (4, 16, "graphic", "concave_of_modular", 5),
-                "17e6647723caabd9729ead9776e684f44beb731259d656640485a021967f235b",
+                "23b6aca1a71f2c809e5bfb526a8053125c93e2f78cd9dc270a3c481252625594",
             ),
             (
                 (5, 20, "partition", "weighted_coverage", 6),
-                "44d7d3e8a82aff00c0759cf986a22cdd7860c515cd86fe8eab9f5ceec4988fa3",
+                "a880bce0bd87606064ed30e3e93dd3bad8f45595aee78d179227d89c19e37d0b",
             ),
             # the benchmark's uniform-dense and coverage-partition shapes
             (
                 (100, 48, "uniform", "modular", 24),
-                "bae27ddd9cbf7ca7caa46e1a16796975e7e598bc55663990011c8452a9ca422a",
+                "0c8e4ae6e5844fd6249b9ebb88067a5a43fa07c811bf143c49e3b371ccfc4d68",
             ),
             (
                 (101, 120, "partition", "coverage", 12),
-                "1c2f2f0694218857b074d4cc7d6664f8512f3f8ffbb25088b2b55e9307200bd7",
+                "b7adfe2a563adab00ed7da36dc4b89f3f16831b7549329e982e090fafa7ddab6",
             ),
         ],
         ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple) else None,
@@ -726,10 +775,17 @@ def round_logs(monkeypatch):
 
 
 class TestExchangeRound:
-    """An exchange round asks the kernel about each set once, and about the copy's own set at most once."""
+    """An rp_greedy call's edge tests ask about each set once, and about a copy's own set at most once in all."""
 
     @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
     def test_no_set_is_asked_twice(self, monkeypatch, hooked):
+        """No set is asked twice across a whole call, over all its rounds and copies.
+
+        A copy's own set, its solution + residue, is asked at most once per
+        call: in the opening round, whose one column serves every copy.
+        After that it is known: each copy's new own set is the swap its
+        matched edge passed, or its last one unchanged by a self pair.
+        """
         rng = random.Random(22)
         fractions = [
             fractional(random_instance(seed, 12, matroid_kind, function_kind, rank=5), rng)
@@ -740,6 +796,17 @@ class TestExchangeRound:
         hard = sorted((Path(__file__).parent / "data" / "hard").glob("*.json"))
         assert len(hard) == 3
         rounds, asking = round_logs(monkeypatch)
+        calls = []  # (first, end) of each rp_greedy call's exchange tests in rounds
+        real_rp_greedy = algorithms.rp_greedy
+
+        def recording_rp_greedy(f, matroid, residue):
+            first = len(rounds)
+            try:
+                return real_rp_greedy(f, matroid, residue)
+            finally:
+                calls.append((first, len(rounds)))
+
+        monkeypatch.setattr(algorithms, "rp_greedy", recording_rp_greedy)
         for instance in [*enumerate_small_instances(8, 3), *map(load, hard), *fractions]:
             f, m = build(instance)
             m._is_independent = logged_independence(
@@ -747,10 +814,14 @@ class TestExchangeRound:
             )
             for algorithm in ("rpgreedy", "msg-det"):
                 solve(f, m, algorithm)
-        for own, log in rounds:
-            assert len(set(log)) == len(log), own
-            assert log.count(own) <= 1, own
-        assert sum(own in log for own, log in rounds) > 1000  # the copy's own set is asked, once a round
+        owned = 0  # calls that asked a copy's own set
+        for first, end in calls:
+            asked = [members for _own, log in rounds[first:end] for members in log]
+            assert len(set(asked)) == len(asked), rounds[first]
+            own_asks = sum(log.count(own) for own, log in rounds[first:end])
+            assert own_asks <= 1, rounds[first]
+            owned += own_asks
+        assert len(calls) == 3 * (392 + 3 + 18) and owned > 0
 
     @staticmethod
     def lie_after_the_residue_check(monkeypatch, honest_offers):
@@ -838,10 +909,12 @@ class TestSelfPairRound:
 
         A self-pair round stores its column's edges without ``add_edge``,
         each pairing a residue id with itself; a general round adds every
-        edge of its column through ``add_edge``.
+        edge of its column through ``add_edge``.  The opening round builds
+        column 0 alone and stores its edges for every other copy, so each
+        copied column is counted as the kind of column 0.
         """
         tally = {"self-pair": 0, "general": 0}
-        added, bases = set(), []
+        added, bases, opening = set(), [], [False]  # opening[0]: the next graph is a call's opening round
         real_add_edge, real_rp_greedy = WeightedBipartiteGraph.add_edge, algorithms.rp_greedy
 
         def recording_add_edge(graph, left, right, weight, payload=-1):
@@ -849,18 +922,25 @@ class TestSelfPairRound:
             real_add_edge(graph, left, right, weight, payload)
 
         def recording_matcher(graph):
-            for right in range(graph.right_size):
-                column = [(left, payload) for left, j, _weight, payload in graph.edges if j == right]
-                if right in added:
+            columns = [
+                [(left, weight, payload) for left, j, weight, payload in graph.edges if j == right]
+                for right in range(graph.right_size)
+            ]
+            first, opening[0] = opening[0], False
+            if first:  # only column 0 was built; every other column holds its edges
+                assert added <= {0} and all(column == columns[0] for column in columns)
+            for right, column in enumerate(columns):
+                if (0 if first else right) in added:
                     tally["general"] += 1
                 else:
-                    assert column and all(payload == bases[-1][left] for left, payload in column)
+                    assert column and all(payload == bases[-1][left] for left, _weight, payload in column)
                     tally["self-pair"] += 1
             added.clear()
             return max_weight_perfect_matching(graph)
 
         def recording_rp_greedy(f, matroid, residue):
             bases.append(canonical(residue))
+            opening[0] = True
             return real_rp_greedy(f, matroid, residue)
 
         monkeypatch.setattr(WeightedBipartiteGraph, "add_edge", recording_add_edge)
@@ -957,9 +1037,10 @@ class TestReusedOrder:
         report = solve(f, m, "rpgreedy")
         # pinned from the grower that sorted every round afresh; the counts were
         # re-pinned when a grown copy reused its base on more rounds and stopped
-        # checking its contractions
+        # checking its contractions, and again when rp_greedy built its opening
+        # round as one column and stopped asking any set twice
         assert (report.solution, report.value) == ((3, 4, 5, 7, 11), 35.0)
-        assert (report.counts.value_queries, report.counts.independence_queries) == (313, 145)
+        assert (report.counts.value_queries, report.counts.independence_queries) == (313, 53)
         assert checked_orders["nan"] >= 2  # the round with the NaN and the round after it
 
 

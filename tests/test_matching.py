@@ -17,6 +17,7 @@ from submod import (
     random_instance,
     solve,
 )
+from submod.reference import dense_reference_matching
 
 
 def graph_from_edges(k, edges):
@@ -90,6 +91,35 @@ class TestSmallCases:
         g = graph_from_edges(2, [(0, 0, 1.0), (1, 0, 1.0)])
         with pytest.raises(InfeasibleMatchingError):
             max_weight_perfect_matching(g)
+
+
+class TestInfeasibleShapes:
+    """Each way a graph can lack a perfect matching gets its own message, a missing left vertex's first."""
+
+    @pytest.mark.parametrize("filled", [False, True], ids=["add_edge", "fill_column"])
+    @pytest.mark.parametrize(
+        "k, edges, message",
+        [
+            (2, [(0, 0), (0, 1)], "a left vertex has no incident edges"),  # every column holds an edge
+            (2, [(0, 0), (1, 0)], "a right vertex has no incident edges"),  # every row holds an edge
+            (2, [(0, 0)], "a left vertex has no incident edges"),  # both are missing: the left check comes first
+            (3, [(0, 0), (1, 0), (2, 1), (2, 2)], "graph has no perfect matching"),  # rows 0 and 1 share column 0
+        ],
+        ids=["left", "right", "both", "hall"],
+    )
+    def test_each_shape_names_its_fault(self, filled, k, edges, message):
+        g = WeightedBipartiteGraph(k, k)
+        for right in sorted({right for _left, right in edges}):
+            column = [(left, 1.0, left) for left, j in edges if j == right]
+            if filled:
+                g._fill_column(right, column)
+            else:
+                for left, weight, payload in column:
+                    g.add_edge(left, right, weight, payload)
+        assert g._cols == sum({1 << right for _left, right in edges})
+        with pytest.raises(InfeasibleMatchingError, match=f"^{message}$"):
+            max_weight_perfect_matching(g)
+        assert outcome(dense_reference_matching, g) == ("infeasible", message)
 
 
 class TestParallelEdgeCollapse:
@@ -232,100 +262,6 @@ class TestAgainstBruteForce:
         first = max_weight_perfect_matching(g)
         second = max_weight_perfect_matching(g)
         assert first == second
-
-
-def dense_reference_matching(graph, late_negatives=None):
-    """The dense O(k^3) Hungarian algorithm the sparse matcher must reproduce.
-
-    It fills a k x k cost matrix with +inf for absent edges and scans every
-    cell of a row at each step; the sparse matcher performs the same float
-    operations on the edges alone, so the two return equal matchings.
-
-    Given a list, ``late_negatives`` gets the root of each search that,
-    after the call's first nonzero delta, covers every column (each is in
-    the tree or has had a zero least slack since the search's last nonzero
-    delta) and then takes a negative delta: the case the sparse matcher's
-    first-epoch early exit must not serve.
-    """
-    if graph.left_size != graph.right_size:
-        raise ValueError("perfect matching requires a square graph")
-    k = graph.left_size
-    if k == 0:
-        return Matching(pairs=(), total_weight=0.0)
-
-    inf = math.inf
-    cost = [[inf] * k for _ in range(k)]
-    payload = [[-1] * k for _ in range(k)]
-    for left, right, weight, pay in graph.edges:
-        cost[left][right] = -weight
-        payload[left][right] = pay
-    for row in cost:
-        if min(row) == inf:
-            raise InfeasibleMatchingError("a left vertex has no incident edges")
-    for j in range(k):
-        if min(cost[i][j] for i in range(k)) == inf:
-            raise InfeasibleMatchingError("a right vertex has no incident edges")
-
-    row_potential = [min(row) for row in cost]
-    col_potential = [0.0] * (k + 1)
-    col_match = [-1] * (k + 1)
-    moved = False  # a nonzero delta has changed the potentials
-    for root in range(k):
-        col_match[k] = root
-        j0 = k
-        min_slack = [inf] * k
-        prev_col = [-1] * k
-        used = [False] * (k + 1)
-        zeroed = [False] * k  # a free column whose least slack was zero since the last nonzero delta
-        covered = False
-        while True:
-            used[j0] = True
-            i0 = col_match[j0]
-            delta = inf
-            j1 = -1
-            for j in range(k):
-                if used[j]:
-                    continue
-                slack = cost[i0][j] - row_potential[i0] - col_potential[j]
-                if slack < min_slack[j]:
-                    min_slack[j] = slack
-                    prev_col[j] = j0
-                if min_slack[j] < delta:
-                    delta = min_slack[j]
-                    j1 = j
-            if delta == inf:
-                raise InfeasibleMatchingError("graph has no perfect matching")
-            zeroed = [zeroed[j] or min_slack[j] == 0 for j in range(k)]
-            covered = covered or moved and all(used[j] or zeroed[j] for j in range(k))
-            if covered and delta < 0 and late_negatives is not None:
-                late_negatives.append(root)
-            for j in range(k + 1):
-                if used[j]:
-                    row_potential[col_match[j]] += delta
-                    col_potential[j] -= delta
-                elif j < k:
-                    min_slack[j] -= delta
-            if delta != 0:
-                moved = True
-                zeroed = [not used[j] and min_slack[j] == 0 for j in range(k)]
-            j0 = j1
-            if col_match[j0] == -1:
-                break
-        while j0 != k:
-            j_prev = prev_col[j0]
-            col_match[j0] = col_match[j_prev]
-            j0 = j_prev
-
-    pairs = []
-    total = 0.0
-    for j in range(k):
-        i = col_match[j]
-        if cost[i][j] == inf:
-            raise InfeasibleMatchingError("graph has no perfect matching")
-        weight = -cost[i][j]
-        pairs.append((j, i, payload[i][j], weight))
-        total += weight
-    return Matching(pairs=tuple(pairs), total_weight=total)
 
 
 def outcome(matcher, graph):
