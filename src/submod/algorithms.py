@@ -130,7 +130,7 @@ def max_weight_base(matroid: Matroid, weights: Mapping[int, float] | Sequence[fl
 def _feasible_pool(matroid: Matroid, used: set[int], candidates: Iterable[int]) -> list[int]:
     """The ids of ``candidates`` outside ``used`` that can extend ``used`` while staying independent.
 
-    The solvers pass last round's pool as ``candidates``, not the ground:
+    ``split`` passes last round's pool as ``candidates``, not the ground:
     an id dependent with a set stays dependent with every superset (a
     subset of an independent set is independent), so only an id of last
     round's pool can extend this round's larger ``used``.  The pool keeps
@@ -140,32 +140,15 @@ def _feasible_pool(matroid: Matroid, used: set[int], candidates: Iterable[int]) 
     return [u for u in candidates if u not in used and extends(u)]
 
 
-def classical_greedy(f: SetFunction, matroid: Matroid) -> ElementSet:
-    """Plain greedy: repeatedly add the feasible element of largest marginal.
-
-    Each round tests only last round's pool less the chosen id: the pool
-    only shrinks as the chosen set grows (see ``_feasible_pool``).
-    """
-    chosen: list[int] = []
-    chosen_set: set[int] = set()
-    pool = matroid.ground
-    for _ in range(matroid.rank):
-        pool = _feasible_pool(matroid, chosen_set, pool)
-        if not pool:
-            raise InternalInvariantError("greedy ran out of feasible elements before a base")
-        gains = marginal_table(f, chosen, pool)
-        best = _argmax_by_id(pool, gains)
-        chosen.append(best)
-        chosen_set.add(best)
-    return canonical(chosen)
-
-
 def split(f: SetFunction, matroid: Matroid, p: float) -> SplitResult:
     """Partition a base into two disjoint halves with a p-biased greedy sweep.
 
     Each iteration scans the elements that can still extend the union, takes
     the best marginal candidate relative to each half, and routes the winner
     of ``p * gain_a >= (1 - p) * gain_b`` to the first half (ties included).
+    p = 1 is the classical greedy (Nemhauser, Wolsey and Fisher, 1978):
+    when every gain is finite and non-negative, as a monotone function's
+    are, each pick goes to the first half and the second stays empty.
     Each round tests only last round's pool less the routed id: the pool
     only shrinks as the union grows (see ``_feasible_pool``).
 
@@ -509,11 +492,9 @@ def solve(
         return split_and_grow_deterministic(f, matroid, x=x)
     report = _meter(f, matroid)
     params = used_seed = None
-    if algorithm == "greedy":
-        solution = classical_greedy(f, matroid)
-    elif algorithm == "split":
-        params = parameters(x)
-        half = split(f, matroid, params.p)
+    if algorithm in ("greedy", "split"):  # greedy is the sweep at p = 1 and reads no x
+        params = None if algorithm == "greedy" else parameters(x)
+        half = split(f, matroid, 1.0 if params is None else params.p)
         solution = canonical(half.a + half.b)  # the full base assembled by the sweep
     elif algorithm == "rrgreedy":
         solution, used_seed = rr_greedy(f, matroid, seed), seed

@@ -90,10 +90,6 @@ class SetFunction:
         self._offset: float | None = 0  # a root reports f(S) itself, not f(S) - f(())
         self._row: tuple | None = None  # (evaluator, marginals) of the rows this function answers
 
-    @property
-    def queries(self) -> int:
-        return self.counts.value_queries
-
     def __call__(self, elements: Iterable[int]) -> float:
         members = canonical(chain(self.anchored, elements), self.n)
         offset = self._bill(1)
@@ -200,10 +196,6 @@ class Matroid:
         self._ground_set = frozenset(self.ground)
         self.root = self
         self.anchored: ElementSet = ()
-
-    @property
-    def queries(self) -> int:
-        return self.counts.independence_queries
 
     def is_independent(self, elements: Iterable[int]) -> bool:
         """Bill one independence query and ask the root about ``elements + anchored``.

@@ -1,9 +1,10 @@
 """Spec-level references the solvers and the matcher are tested against.
 
-``reference_split``, ``reference_rp_greedy`` and ``reference_msg_det``
-state the deterministic pipeline as the paper does, on the root oracles
-alone: every table and candidate base is built afresh each round, each
-exchange edge is found by brute force, and each round is matched by
+``reference_greedy``, ``reference_split``, ``reference_rp_greedy`` and
+``reference_msg_det`` state the classical greedy and the deterministic
+pipeline as their papers do, on the root oracles alone: every table and
+candidate base is built afresh each round, each exchange edge is found
+by brute force, and each round is matched by
 ``dense_reference_matching``, the dense O(k^3) Hungarian algorithm.  They
 share no code with ``algorithms`` or with the sparse matcher, so every
 shortcut the solvers take is checked against the plain statement.
@@ -129,6 +130,27 @@ def _root_oracles(
 def _best_by_gain(ids: Iterable[int], gains: Mapping[int, float]) -> int:
     """The id of the largest (gain, -id), the first such in ``ids`` where NaN makes keys incomparable."""
     return max(ids, key=lambda u: (gains[u], -u))
+
+
+def reference_greedy(f: SetFunction, matroid: Matroid) -> ElementSet:
+    """The classical greedy as Nemhauser, Wolsey and Fisher state it, on the root oracles.
+
+    Each of ``rank`` rounds takes the pool of ids u outside S with S + u
+    independent, in ascending order, builds the table gain(u) = f(S + u) -
+    f(S) afresh and adds the best u by (gain, -u) to S.  It asks only
+    ``f.root._evaluate`` and ``matroid.root._is_independent``, billing
+    nothing, and shares no code with the solvers.
+    """
+    value, independent = _root_oracles(f, matroid)
+    chosen: list[int] = []
+    for _ in range(matroid.rank):
+        pool = [u for u in range(matroid.n) if u not in chosen and independent(chosen + [u])]
+        if not pool:
+            raise InternalInvariantError("greedy ran out of feasible elements before a base")
+        offset = value(chosen)
+        gains = {u: value(chosen + [u]) - offset for u in pool}
+        chosen.append(_best_by_gain(pool, gains))
+    return canonical(chosen)
 
 
 def reference_split(f: SetFunction, matroid: Matroid, p: float) -> tuple[ElementSet, ElementSet]:

@@ -23,7 +23,6 @@ from submod import (
     brute_force_opt,
     build,
     canonical,
-    classical_greedy,
     contract,
     enumerate_small_instances,
     gain_curve,
@@ -153,20 +152,37 @@ class TestMaxWeightBase:
 class TestClassicalGreedy:
     def test_modular_optimal(self):
         f, m = make(3, uniform(2), modular(5, 1, 3))
-        got = classical_greedy(f, m)
+        got = solve(f, m, "greedy").solution
         opt, _ = brute_force_opt(f, m)
         assert got == (0, 2)
         assert f(got) == opt
 
     def test_zero_function_gives_first_base(self):
         f, m = make(3, uniform(2), coverage((), (), ()))
-        assert classical_greedy(f, m) == (0, 1)
+        assert solve(f, m, "greedy").solution == (0, 1)
 
     def test_coverage_trace(self):
         f, m = make(3, uniform(2), CHAIN)
-        got = classical_greedy(f, m)
+        got = solve(f, m, "greedy").solution
         assert got == (0, 1)
         assert f(got) == 3.0
+
+    @pytest.mark.parametrize(
+        "evaluate, expected",
+        [
+            (lambda s: math.nan if 2 in s else float(len(s)), (0, 1, 2)),
+            (lambda s: -float(sum(s)), (0, 1, 2)),
+            (lambda s: math.inf if 4 in s else float(len(s)), (0, 1, 4)),
+        ],
+        ids=["nan", "negative", "infinite"],
+    )
+    def test_outside_the_monotone_contract_gives_a_base(self, evaluate, expected):
+        """A NaN, negative or infinite marginal may route a pick to the second half; the union is still a base."""
+        f = SetFunction(5, evaluate)
+        m = Matroid(5, lambda s: len(s) <= 3, 3)
+        half = split(f, m, 1.0)
+        assert solve(f, m, "greedy").solution == canonical(half.a + half.b) == expected
+        assert is_base(m, expected)
 
 
 class TestSplit:
@@ -365,12 +381,12 @@ class TestSplitAndGrowDeterministic:
         for inst in list(enumerate_small_instances(5, 3))[::7]:
             f, m = build(inst)
             reference = split_and_grow_deterministic(f, m).solution
-            greedy_reference = classical_greedy(f, m)
+            greedy_reference = solve(f, m, "greedy").solution
             split_reference = split(f, m, 0.425822)
             for factor in (2.0, 3.0, 0.5):
                 scaled = SetFunction(f.n, lambda s, c=factor: c * f._evaluate(s), counts=f.counts)
                 assert split_and_grow_deterministic(scaled, m).solution == reference
-                assert classical_greedy(scaled, m) == greedy_reference
+                assert solve(scaled, m, "greedy").solution == greedy_reference
                 assert split(scaled, m, 0.425822) == split_reference
 
     # Exact reports pinned from an earlier version of the solver: a refactor
@@ -1169,7 +1185,10 @@ class TestDeductions:
                 yield random_instance(seed, 14, matroid_kind, "concave_of_modular", rank=5)
 
     def test_each_pool_is_the_full_ground_pool(self, monkeypatch):
-        """split's and classical_greedy's pool in each round equals a fresh build's pool over the whole ground."""
+        """split's pool in each round equals a fresh build's pool over the whole ground.
+
+        greedy is split's sweep at p = 1, so both biases are checked.
+        """
         real_pool = algorithms._feasible_pool
         reference = []  # the fresh build's matroid of the instance being solved
         pools = []

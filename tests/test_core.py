@@ -98,15 +98,15 @@ class TestCanonical:
 class TestCounters:
     def test_value_query_increments_by_one(self):
         f, _ = modular_instance([2, 1])
-        before = f.queries
+        before = f.counts.value_queries
         f((0,))
-        assert f.queries == before + 1
+        assert f.counts.value_queries == before + 1
 
     def test_independence_query_increments_by_one(self):
         _, m = modular_instance([2, 1], k=1)
-        before = m.queries
+        before = m.counts.independence_queries
         m.is_independent((0,))
-        assert m.queries == before + 1
+        assert m.counts.independence_queries == before + 1
 
     def test_shared_counts_object(self):
         f, m = modular_instance([1, 2, 3], k=2)
@@ -142,11 +142,11 @@ class TestMarginalFunction:
     def test_counts_on_parent_counter_with_cache(self):
         f, _ = modular_instance([3, 1, 2])
         g = marginal_function(f, (0,))
-        start = f.queries
+        start = f.counts.value_queries
         g((1,))
-        assert f.queries == start + 2  # first call evaluates and caches f(anchor)
+        assert f.counts.value_queries == start + 2  # first call evaluates and caches f(anchor)
         g((2,))
-        assert f.queries == start + 3  # later calls cost one fresh query
+        assert f.counts.value_queries == start + 3  # later calls cost one fresh query
 
     def test_marginal_of_marginal_equals_union_anchor(self):
         f, _ = coverage_instance([(0, 1), (1, 2), (2, 3), (3,)], k=3)
@@ -163,12 +163,12 @@ class TestMarginalFunction:
             deepest = marginal_function(deepest, (u,))
         assert deepest.root is f
         assert deepest.anchored == (0, 1, 2, 3, 4)
-        start_queries, start_calls = f.queries, len(calls)
+        start_queries, start_calls = f.counts.value_queries, len(calls)
         deepest((5,))
-        assert f.queries == start_queries + 2  # the cached offset plus the call itself
+        assert f.counts.value_queries == start_queries + 2  # the cached offset plus the call itself
         deepest((6,))
-        assert f.queries == start_queries + 3
-        assert len(calls) - start_calls == f.queries - start_queries
+        assert f.counts.value_queries == start_queries + 3
+        assert len(calls) - start_calls == f.counts.value_queries - start_queries
         assert calls[-1] == (0, 1, 2, 3, 4, 6)
         direct = marginal_function(f, (0, 1, 2, 3, 4))
         for r in range(4):
@@ -186,17 +186,17 @@ class TestSingletonTable:
         candidates = (6, 0, 3, 7, 2, 3, 5)  # anchored ids and a repeat included
         table = view.singleton_table(candidates)
         assert table == {u: twin_view((u,)) for u in candidates}
-        assert f.queries == twin.queries == len(candidates) + (anchor is not None)
+        assert f.counts.value_queries == twin.counts.value_queries == len(candidates) + (anchor is not None)
         assert calls == twin_calls
-        assert len(calls) == f.queries
+        assert len(calls) == f.counts.value_queries
 
     def test_empty_candidates_cost_nothing(self):
         f, calls = counting_coverage()
         view = marginal_function(f, (1, 4))
         assert view.singleton_table(()) == {}
-        assert f.queries == 0 and calls == []
+        assert f.counts.value_queries == 0 and calls == []
         view.singleton_table((2,))
-        assert f.queries == 2  # the offset is still billed on the first entry
+        assert f.counts.value_queries == 2  # the offset is still billed on the first entry
 
     @pytest.mark.parametrize("bad", [-1, 8, 20])
     def test_out_of_range_id_is_the_call_error(self, bad):
@@ -204,7 +204,7 @@ class TestSingletonTable:
         plain, plain_calls = counting_coverage()
         with pytest.raises(ValueError) as expected:
             marginal_function(plain, (1,))((bad,))
-        assert plain.queries == 0
+        assert plain.counts.value_queries == 0
         hooked = coverage_instance(tuple((u, u + 1) for u in range(8)), 8)[0]
         hooked_calls = []
         hooked._evaluate = logged_evaluator(hooked._evaluate, lambda members, _: hooked_calls.append(members), True)
@@ -213,12 +213,12 @@ class TestSingletonTable:
                 ids = [0, 3, 2, 5, 30]  # 30 is out of range too, but the error names the first bad id
                 ids.insert(at, bad)
                 for row in (tuple(ids), ids, (u for u in ids)):
-                    start = f.queries
+                    start = f.counts.value_queries
                     calls.clear()
                     with pytest.raises(ValueError) as raised:
                         marginal_function(f, (1,)).singleton_table(row)
                     assert str(raised.value) == str(expected.value)
-                    assert calls == [] and f.queries == start  # not even the view's offset
+                    assert calls == [] and f.counts.value_queries == start  # not even the view's offset
 
     def test_evaluator_is_looked_up_at_call_time(self):
         f, _ = counting_coverage()
@@ -228,7 +228,7 @@ class TestSingletonTable:
         f._evaluate = lambda members: patched.append(members) or inner(members)
         view.singleton_table((1, 2))
         assert patched == [(0,), (0, 1), (0, 2)]
-        assert len(patched) == f.queries
+        assert len(patched) == f.counts.value_queries
 
     @pytest.mark.parametrize("anchor", [None, (1,), (0, 3)])
     @pytest.mark.parametrize("kind", ["modular", "coverage"])
@@ -248,7 +248,7 @@ class TestSingletonTable:
             view, twin_view = marginal_function(f, anchor), marginal_function(twin, anchor)
         candidates = (5, 0, 1, 3, 1)
         assert view.singleton_table(candidates) == twin_view.singleton_table(candidates)
-        assert len(seen) == f.queries == twin.queries
+        assert len(seen) == f.counts.value_queries == twin.counts.value_queries
         assert seen[-3:] == [canonical((*(anchor or ()), u)) for u in (1, 3, 1)]
 
 
@@ -283,7 +283,7 @@ class TestGrownViews:
             assert [(v, x.hex()) for v, x in table.items()] == [
                 (v, x.hex()) for v, x in twin_view.singleton_table(ids).items()
             ]
-        assert f.queries == twin.queries
+        assert f.counts.value_queries == twin.counts.value_queries
         assert log == twin_log
 
     def test_a_replaced_evaluator_answers_the_grown_view(self):
@@ -296,7 +296,7 @@ class TestGrownViews:
         grown = marginal_function(view, (5,))
         grown.singleton_table(ids[:5] + ids[6:])
         assert seen == [(5,)] + [canonical((5, u)) for u in ids if u != 5]
-        assert len(seen) == f.queries - (len(ids) + 1)  # after the first row and its offset
+        assert len(seen) == f.counts.value_queries - (len(ids) + 1)  # after the first row and its offset
 
 
 class TestContract:
@@ -365,14 +365,14 @@ class TestContract:
         assert deepest.anchored == (0, 1, 2, 3, 4)
         direct = contract(m, (0, 1, 2, 3, 4))
         assert (deepest.rank, deepest.ground) == (direct.rank, direct.ground) == (2, (5, 6, 7, 8, 9))
-        start_queries, start_calls = m.queries, len(calls)
+        start_queries, start_calls = m.counts.independence_queries, len(calls)
         assert deepest.is_independent((5, 9))
-        assert m.queries == start_queries + 1
+        assert m.counts.independence_queries == start_queries + 1
         assert calls[-1] == (0, 1, 2, 3, 4, 5, 9)
         for r in range(4):
             for s in itertools.combinations(direct.ground, r):
                 assert deepest.is_independent(s) == direct.is_independent(s)
-        assert len(calls) - start_calls == m.queries - start_queries
+        assert len(calls) - start_calls == m.counts.independence_queries - start_queries
 
 
 # ids outside [0, n), ids outside ground (anchored ones included) and dependent contractions
@@ -425,7 +425,7 @@ class TestOneIdPaths:
         errors, several = set(), 0
         for chain in chains:
             view, twin_view = contract(m, chain), contract(twin, chain)
-            asked, billed = log[:], m.queries
+            asked, billed = log[:], m.counts.independence_queries
             for away in [(u,) for u in ids] + list(itertools.combinations(ids[1:-1], 2)) + [tuple(full[2:])]:
                 start = len(twin_log)
                 general = self.outcome(lambda: contract(twin_view, away))
@@ -439,7 +439,7 @@ class TestOneIdPaths:
                     assert twin_log[start:] == [("indep", general.anchored)], (chain, away)
                 else:
                     errors.add(next(kind for kind in ERROR_KINDS if kind in general[1]))
-                assert log == asked and m.queries == billed, (chain, away)
+                assert log == asked and m.counts.independence_queries == billed, (chain, away)
         assert errors == set(ERROR_KINDS) and several > 0
 
     @pytest.mark.parametrize("matroid_kind", ["uniform", "graphic"])
@@ -489,11 +489,11 @@ class TestIsBase:
     def test_billing_and_errors(self):
         root, calls = counting_uniform(n=10, k=3)
         view = contract(root, (4,))
-        start = root.queries
+        start = root.counts.independence_queries
         assert is_base(view, [2, 0, 2])  # a repeated id counts once
         assert calls[-1] == (0, 2, 4)
         assert not is_base(view, (0, 1, 2)) and not is_base(view, ())  # wrong size: no query
-        assert root.queries == start + 1 and len(calls) == root.queries
+        assert root.counts.independence_queries == start + 1 and len(calls) == root.counts.independence_queries
         for members in ((0, 10), (-1,), (0, 1, 2, 11)):  # out of range, whatever the size
             with pytest.raises(ValueError) as expected:
                 canonical(members, 10)
@@ -502,7 +502,7 @@ class TestIsBase:
             assert str(raised.value) == str(expected.value)
         with pytest.raises(ValueError, match="element 4 is not in the matroid ground set"):
             is_base(view, (0, 4))
-        assert root.queries == start + 1
+        assert root.counts.independence_queries == start + 1
 
 
 def primitive_root(spec):
@@ -596,12 +596,13 @@ class TestIndependencePrimitives:
                 by_hook = hooked and kernel(canonical(kept + view.anchored))
                 start = len(log)
                 test = view.exchange_test(kept)
-                assert len(log) == view.queries == plain.queries  # building a test costs nothing
+                billed = view.counts.independence_queries
+                assert len(log) == billed == plain.counts.independence_queries  # building a test costs nothing
                 for u in view.ground:  # u in kept, v == u and v outside kept are all among these
                     for v in (None, *view.ground):
                         answer = test(u, v) if v is not None else test(u)
                         assert answer is plain.is_independent((set(kept) - {v}) | {u}), (kept, u, v, hooked)
-                        assert view.queries == plain.queries == len(log)
+                        assert view.counts.independence_queries == plain.counts.independence_queries == len(log)
                 assert all(answered is by_hook for _, answered in log[start:]), (kept, hooked)
             assert [members for members, _ in log] == [members for members, _ in plain_log]
 
@@ -614,7 +615,7 @@ class TestIndependencePrimitives:
             orders += [view.ground[:1] * 2 + view.ground, view.ground[::-1] * 2]  # repeated ids
             for order in orders:
                 assert view.greedy_scan(order) == plain_scan(plain, order), (order, hooked)
-                assert view.queries == plain.queries == len(log)
+                assert view.counts.independence_queries == plain.counts.independence_queries == len(log)
             assert_same_answers(log, plain_log, hooked)
 
     @pytest.mark.parametrize("kind", sorted(PRIMITIVE_SPECS))
@@ -656,9 +657,10 @@ class TestIndependencePrimitives:
             view = contract(root, base)
             for order in itertools.permutations(view.ground):
                 order += order[:2]  # the repeats offer members
-                start = view.queries
+                start = view.counts.independence_queries
                 kept = view.greedy_scan(order)
-                assert (kept, view.queries - start) == reference_take(set(base), order, view.rank), (base, order)
+                offered = view.counts.independence_queries - start
+                assert (kept, offered) == reference_take(set(base), order, view.rank), (base, order)
 
     def test_root_cells_keep_dependent_sets(self):
         for kind, dependent in DEPENDENT.items():
@@ -676,17 +678,17 @@ class TestIndependencePrimitives:
         for hooked in (False, True):
             m, log = logged_matroid(PRIMITIVE_SPECS["graphic"], hooked)
             assert m.greedy_scan(()) == [] and m.greedy_scan(iter(())) == []
-            assert m.queries == 0 and log == []
+            assert m.counts.independence_queries == 0 and log == []
 
     @pytest.mark.parametrize("bad", [-1, 5, 9, 1])  # 1 is contracted away, so outside ground
     def test_bad_ids_raise_the_plain_error_before_billing(self, bad):
         for hooked in (False, True):
             root, log = logged_matroid(PRIMITIVE_SPECS["uniform"], hooked)
             view = contract(root, (1,))
-            start = root.queries
+            start = root.counts.independence_queries
             with pytest.raises(ValueError) as expected:
                 view.is_independent((0, bad))
-            assert root.queries == start
+            assert root.counts.independence_queries == start
             with pytest.raises(ValueError) as raised:
                 view.exchange_test((0, bad))
             assert str(raised.value) == str(expected.value)
@@ -695,32 +697,32 @@ class TestIndependencePrimitives:
                 with pytest.raises(ValueError) as raised:
                     test(*args)
                 assert str(raised.value) == str(expected.value)
-            assert root.queries == start and len(log) == start
+            assert root.counts.independence_queries == start and len(log) == start
             for order in ((0, bad, 3), [bad, 0, 7], (u for u in (0, 3, bad))):  # the error names the first bad id
                 with pytest.raises(ValueError) as raised:
                     view.greedy_scan(order)
                 assert str(raised.value) == str(expected.value)
-            assert root.queries == start == len(log)  # not even the ids before the bad one
+            assert root.counts.independence_queries == start == len(log)  # not even the ids before the bad one
 
     @pytest.mark.parametrize("bad", [-1, 5, 9, 1])  # 1 is contracted away, so outside ground
     def test_bad_id_after_the_rank_stop_still_raises(self, bad):
         for hooked in (False, True):
             root, log = logged_matroid(PRIMITIVE_SPECS["uniform"], hooked)
             view = contract(root, (1,))  # rank 2
-            start = root.queries
+            start = root.counts.independence_queries
             with pytest.raises(ValueError) as expected:
                 view.is_independent((bad,))
             for order in ((0, 2, bad), [0, 2, bad, 3], (u for u in (0, 3, bad)), (0, 2, 3, bad, bad)):
                 with pytest.raises(ValueError) as raised:
                     view.greedy_scan(order)
                 assert str(raised.value) == str(expected.value)
-            assert root.queries == start == len(log)
+            assert root.counts.independence_queries == start == len(log)
             rank_zero = contract(view, (0, 2))
-            start = root.queries
+            start = root.counts.independence_queries
             with pytest.raises(ValueError) as raised:
                 rank_zero.greedy_scan((3, bad))
             assert str(raised.value) == str(expected.value)
-            assert root.queries == start == len(log)  # a rank-0 scan checks its ids too
+            assert root.counts.independence_queries == start == len(log)  # a rank-0 scan checks its ids too
 
 
 class TestConstruction:
@@ -735,4 +737,4 @@ class TestConstruction:
     def test_set_function_counts_argument_optional(self):
         f = SetFunction(2, lambda s: float(len(s)))
         assert f((0, 1)) == 2.0
-        assert f.queries == 1
+        assert f.counts.value_queries == 1

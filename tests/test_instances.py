@@ -564,9 +564,9 @@ class TestGrowHook:
         fresh = marginal_function(SetFunction(GROW_MIN_N, evaluate), view.anchored)
         answered = []
         for asking in (view, fresh):
-            start = asking.queries
+            start = asking.counts.value_queries
             table, full = count_full_rows(lambda: asking.singleton_table(last))
-            answered.append((asking.queries - start, full, as_hex(table)))
+            answered.append((asking.counts.value_queries - start, full, as_hex(table)))
         assert answered[0] == answered[1]  # billed alike, answered in full, bitwise equal
 
     @pytest.mark.parametrize(

@@ -2,10 +2,11 @@
 
 The reference builds every table and candidate base afresh from root
 oracle calls, finds each edge by brute force and matches on a dense
-matrix, so none of the solvers' shortcuts (derived rows, reused bases,
-the shared opening column, self-pair rounds, kept answers and tables, the
-matcher's first epoch) is in it.  Any shortcut that changed a decision
-shows here as a different solution or value.
+matrix, so none of the solvers' shortcuts (greedy run as the split
+sweep at p = 1, derived rows, reused bases, the shared opening column,
+self-pair rounds, kept answers and tables, the matcher's first epoch) is
+in it.  Any shortcut that changed a decision shows here as a different
+solution or value.
 """
 
 from pathlib import Path
@@ -31,7 +32,7 @@ from submod import (
     split,
 )
 from submod.instances import GROW_MIN_N
-from submod.reference import reference_msg_det, reference_rp_greedy, reference_split
+from submod.reference import reference_greedy, reference_msg_det, reference_rp_greedy, reference_split
 
 P = parameters(DEFAULT_X).p
 HARD = sorted((Path(__file__).parent / "data" / "hard").glob("*.json"))
@@ -57,6 +58,10 @@ SOURCES = {
 
 
 def assert_solve_equals_reference(f, m):
+    chosen = reference_greedy(f, m)
+    report = solve(f, m, "greedy")
+    assert (report.solution, report.value.hex()) == (chosen, f._evaluate(chosen).hex())
+
     a, b = reference_split(f, m, P)
     assert split(f, m, P) == SplitResult(a, b)
     report = solve(f, m, "split")
