@@ -358,14 +358,14 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
             first = _GrownCopy(f, matroid)
             rounds = [first.base()]
             copies = [first, *(first.fork() for _ in range(k - 1))]
-        graph = WeightedBipartiteGraph(k, k)
+        graph = WeightedBipartiteGraph(k)
         for j, (gains, candidates) in enumerate(rounds):
             residue = residues[j]
             test = _swap_asker(matroid, residue, copies[j].solution, owns[j], answered)
             weights = [*map(gains.__getitem__, candidates)]
             if candidates == [*residue] and all(map(math.isfinite, weights)) and min(weights) >= 0.0:
                 if test(candidates[0], candidates[0]):  # a self-pair round: each u's one edge is v = u
-                    graph._fill_column(j, zip(map(left_of.__getitem__, candidates), weights, candidates))
+                    graph.fill_column(j, zip(map(left_of.__getitem__, candidates), weights, candidates))
                 continue
             waiting = {v: gains[v] for v in residue}  # the residue ids still without an edge, to their gains
             # by (-gain, id), NaN dropped: the first u that passes with v is the edge the graph keeps
@@ -379,9 +379,7 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
                     graph.add_edge(left_of[u], j, gain_u, payload=u)
                     del waiting[u]
         if len(rounds) < k:  # the opening round: copies 1..k-1 hold column 0's edges
-            column = [(left, *row[0]) for left, row in enumerate(graph._rows) if 0 in row]
-            for j in range(1, k):
-                graph._fill_column(j, column)
+            graph.repeat_first_column()
         try:
             matching = max_weight_perfect_matching(graph)
         except InfeasibleMatchingError as exc:

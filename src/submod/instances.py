@@ -626,31 +626,30 @@ _RANK2_PAIRS = ((0, 1), (1, 2), (0, 2))
 _RANK3_PAIRS = ((0, 1), (1, 2), (2, 3), (0, 2), (1, 3), (0, 3))
 
 
-def _matroid_catalog(n: int, max_k: int) -> list[tuple[str, MatroidSpec]]:
+def _matroid_catalog(n: int) -> list[tuple[str, MatroidSpec]]:
     specs: list[tuple[str, MatroidSpec]] = []
-    for k in range(2, min(max_k, n) + 1):
+    for k in range(2, n + 1):
         specs.append((f"unif{k}", _uniform_spec(k)))
     half = (n + 1) // 2
     if n >= 2:
         specs.append(("part11", _partition_spec([range(half), range(half, n)], [1, 1])))
     if n >= 3:
         third = max(1, n // 3)
-        if max_k >= 3:
-            specs.append(
-                (
-                    "part111",
-                    _partition_spec(
-                        [range(third), range(third, 2 * third), range(2 * third, n)],
-                        [1, 1, 1],
-                    ),
-                )
+        specs.append(
+            (
+                "part111",
+                _partition_spec(
+                    [range(third), range(third, 2 * third), range(2 * third, n)],
+                    [1, 1, 1],
+                ),
             )
-        if max_k >= 3 and half >= 2:
+        )
+        if half >= 2:
             specs.append(("part21", _partition_spec([range(half), range(half, n)], [2, 1])))
         # zero-capacity part: element 0 is a loop that no base may contain
         specs.append(("part02", _partition_spec([[0], range(1, n)], [0, 2])))
     specs.append(("gr2", _graphic_spec(3, [_RANK2_PAIRS[i % 3] for i in range(n)])))
-    if n >= 3 and max_k >= 3:
+    if n >= 3:
         specs.append(("gr3", _graphic_spec(4, [_RANK3_PAIRS[i % 6] for i in range(n)])))
     if n >= 4:
         loopy = [(0, 0)] + [_RANK2_PAIRS[i % 3] for i in range(n - 1)]
@@ -699,7 +698,7 @@ def enumerate_small_instances(max_n: int, max_k: int) -> Iterator[Instance]:
     if max_n < 2 or max_k < 2:
         return
     for n in range(2, max_n + 1):
-        for mlabel, mspec in _matroid_catalog(n, max_k):
+        for mlabel, mspec in _matroid_catalog(n):
             rank = mspec.rank(n)
             if not 2 <= rank <= max_k:
                 continue
@@ -743,8 +742,6 @@ def random_instance(
             parts[g].append(u)
         mspec = _partition_spec(parts, [1] * k)
     elif matroid_kind == "graphic":
-        if n < k:
-            raise ValueError(f"graphic matroid of rank {k} needs at least {k} edges")
         edges = [(v, v + 1) for v in range(k)]
         while len(edges) < n:
             a = rng.randrange(k + 1)

@@ -89,29 +89,30 @@ class InfeasibleMatchingError(ValueError):
 class WeightedBipartiteGraph:
     """Square bipartite graph with weighted, payload-carrying edges.
 
-    At most one edge is stored per (left, right) pair: parallel edges are
-    collapsed to the maximum weight, ties broken by the smallest payload,
-    so the stored graph does not depend on insertion order.  Each left
-    vertex keeps its own ``{right: (weight, payload)}`` row, its largest
-    weight (``_row_top``, -inf while the row is empty) and the bitmask of
-    the columns that hold it (``_row_top_cols``).  ``_cols`` is the bitmask
-    of the right vertices that hold an edge.
+    ``WeightedBipartiteGraph(k)`` has k left and k right vertices, both
+    numbered 0..k-1; ``left_size`` is k.  At most one edge is stored per
+    (left, right) pair: parallel edges are collapsed to the maximum weight,
+    ties broken by the smallest payload, so the stored graph does not
+    depend on insertion order.  Each left vertex keeps its own ``{right:
+    (weight, payload)}`` row, its largest weight (``_row_top``, -inf while
+    the row is empty) and the bitmask of the columns that hold it
+    (``_row_top_cols``).  ``_cols`` is the bitmask of the right vertices
+    that hold an edge.  Only this module reads the storage.
     """
 
-    def __init__(self, left_size: int, right_size: int):
-        if left_size < 0 or right_size < 0:
-            raise ValueError("vertex counts must be non-negative")
-        self.left_size = left_size
-        self.right_size = right_size
-        self._rows: list[dict[int, tuple[float, int]]] = [{} for _ in range(left_size)]
-        self._row_top = [-math.inf] * left_size
-        self._row_top_cols = [0] * left_size
+    def __init__(self, size: int):
+        if size < 0:
+            raise ValueError("vertex count must be non-negative")
+        self.left_size = size
+        self._rows: list[dict[int, tuple[float, int]]] = [{} for _ in range(size)]
+        self._row_top = [-math.inf] * size
+        self._row_top_cols = [0] * size
         self._cols = 0
 
     def add_edge(self, left: int, right: int, weight: float, payload: int = -1) -> None:
         if not 0 <= left < self.left_size:
             raise ValueError(f"left vertex {left} out of range")
-        if not 0 <= right < self.right_size:
+        if not 0 <= right < self.left_size:
             raise ValueError(f"right vertex {right} out of range")
         if not 0.0 <= weight < math.inf:  # NaN fails every comparison
             raise ValueError(f"edge weight must be finite and non-negative, got {weight}")
@@ -127,12 +128,14 @@ class WeightedBipartiteGraph:
             elif weight == top:
                 self._row_top_cols[left] |= 1 << right
 
-    def _fill_column(self, right: int, edges: Iterable[tuple[int, float, int]]) -> None:
+    def fill_column(self, right: int, edges: Iterable[tuple[int, float, int]]) -> None:
         """Store each (left, weight, payload) of ``edges`` in column ``right``, with no check.
 
-        The caller vouches for what ``add_edge`` would check: every vertex
-        is in range, every weight finite and non-negative, and no (left,
-        right) pair already has an edge or comes twice.
+        For trusted callers only: the caller vouches for what ``add_edge``
+        would check, that every vertex is in range, every weight finite and
+        non-negative, and no (left, right) pair already has an edge or
+        comes twice.  A broken promise is not detected; it leaves a graph
+        the matcher may answer wrongly.
         """
         rows, tops, top_cols = self._rows, self._row_top, self._row_top_cols
         bit = 1 << right
@@ -146,6 +149,15 @@ class WeightedBipartiteGraph:
                 top_cols[left] |= bit
             held = bit
         self._cols |= held
+
+    def repeat_first_column(self) -> None:
+        """Store column 0's edges, weights and payloads in every other column.
+
+        Every other column must be empty, as ``fill_column`` requires.
+        """
+        column = [(left, *row[0]) for left, row in enumerate(self._rows) if 0 in row]
+        for right in range(1, self.left_size):
+            self.fill_column(right, column)
 
     @property
     def edges(self) -> tuple[tuple[int, int, float, int], ...]:
@@ -166,12 +178,13 @@ class Matching:
 
 
 def max_weight_perfect_matching(graph: WeightedBipartiteGraph) -> Matching:
-    """Maximum-weight perfect matching of a square bipartite graph.
+    """Maximum-weight perfect matching of ``graph``'s k x k vertices, k = ``graph.left_size``.
 
-    Raises InfeasibleMatchingError when no perfect matching exists.
+    Raises InfeasibleMatchingError when no perfect matching exists: a row or
+    a column holds no edge, or a search finds every free column's least
+    slack +inf.  Each matched pair is reached through a stored edge, so its
+    weight and payload are read from the row with no further check.
     """
-    if graph.left_size != graph.right_size:
-        raise ValueError("perfect matching requires a square graph")
     k = graph.left_size
     inf = math.inf
     stored = graph._rows
@@ -275,10 +288,7 @@ def max_weight_perfect_matching(graph: WeightedBipartiteGraph) -> Matching:
     total = 0.0
     for j in range(k):
         i = col_match[j]
-        entry = stored[i].get(j)
-        if entry is None:
-            raise InfeasibleMatchingError("graph has no perfect matching")
-        weight, payload = entry
+        weight, payload = stored[i][j]  # every matched pair was reached through a stored edge
         pairs.append((j, i, payload, weight))
         total += weight
     return Matching(pairs=tuple(pairs), total_weight=total)

@@ -1,13 +1,14 @@
 """Spec-level references the solvers and the matcher are tested against.
 
-``reference_greedy``, ``reference_split``, ``reference_rp_greedy`` and
-``reference_msg_det`` state the classical greedy and the deterministic
-pipeline as their papers do, on the root oracles alone: every table and
-candidate base is built afresh each round, each exchange edge is found
-by brute force, and each round is matched by
-``dense_reference_matching``, the dense O(k^3) Hungarian algorithm.  They
-share no code with ``algorithms`` or with the sparse matcher, so every
-shortcut the solvers take is checked against the plain statement.
+``reference_greedy``, ``reference_split``, ``reference_rr_greedy``,
+``reference_rp_greedy``, ``reference_msg`` and ``reference_msg_det`` state
+the classical greedy and both split-and-grow pipelines as their papers do,
+on the root oracles alone: every table and candidate base is built afresh
+each round, each exchange edge is found by brute force, and each round is
+matched by ``dense_reference_matching``, the dense O(k^3) Hungarian
+algorithm.  They share no code with ``algorithms`` or with the sparse
+matcher, so every shortcut the solvers take is checked against the plain
+statement.
 
 The package does not import this module: only the tests do, so importing
 ``submod`` never compiles it.
@@ -16,6 +17,7 @@ The package does not import this module: only the tests do, so importing
 from __future__ import annotations
 
 import math
+import random
 from typing import Callable, Iterable, Mapping
 
 from .core import ElementSet, InternalInvariantError, Matroid, SetFunction, canonical
@@ -35,8 +37,6 @@ def dense_reference_matching(graph: WeightedBipartiteGraph, late_negatives: list
     delta) and then takes a negative delta: the case the sparse matcher's
     first-epoch early exit must not serve.
     """
-    if graph.left_size != graph.right_size:
-        raise ValueError("perfect matching requires a square graph")
     k = graph.left_size
     if k == 0:
         return Matching(pairs=(), total_weight=0.0)
@@ -185,6 +185,55 @@ def reference_split(f: SetFunction, matroid: Matroid, p: float) -> tuple[Element
     return canonical(halves[0]), canonical(halves[1])
 
 
+def _candidate_base(
+    value: Callable[[Iterable[int]], float],
+    independent: Callable[[Iterable[int]], bool],
+    held: list[int],
+    n: int,
+    size: int,
+) -> tuple[dict[int, float], list[int]]:
+    """The gain table over the ids outside ``held`` and the candidate base of M / ``held`` it ranks.
+
+    gain(u) = f(held + u) - f(held), built afresh; the base is a greedy scan
+    of those ids in a stable sort by descending gain (ascending id on ties),
+    keeping u while held + the kept ids + u is independent, until it holds
+    ``size`` ids.  The base is returned in scan order.
+    """
+    offset = value(held)
+    gains = {u: value(held + [u]) - offset for u in range(n) if u not in held}
+    candidates: list[int] = []
+    for u in sorted(gains, key=gains.__getitem__, reverse=True):
+        if len(candidates) == size:
+            break
+        if independent(held + candidates + [u]):
+            candidates.append(u)
+    if len(candidates) != size:
+        raise InternalInvariantError("independence oracle did not extend to a full base")
+    return gains, candidates
+
+
+def reference_rr_greedy(f: SetFunction, matroid: Matroid, seed: int, anchor: Iterable[int] = ()) -> ElementSet:
+    """The residual random greedy as the paper states it, on the root oracles contracted by ``anchor``.
+
+    With h = ``anchor`` and k = ``matroid.rank - |h|``, each of k rounds
+    builds afresh the gain table gain(u) = f(h + S + u) - f(h + S) over
+    every id outside h + S and its candidate base, as
+    ``reference_rp_greedy`` does, and adds to S the base's id at index
+    ``rng.randrange(k - |S|)`` of its ascending order, where ``rng`` is one
+    ``random.Random(seed)`` for the whole run.  Returns S.  It asks only the
+    root kernels, billing nothing, and shares no code with the solvers.
+    """
+    value, independent = _root_oracles(f, matroid)
+    anchor = list(canonical(anchor))
+    k = matroid.rank - len(anchor)
+    rng = random.Random(seed)
+    solution: list[int] = []
+    for _ in range(k):
+        _gains, candidates = _candidate_base(value, independent, anchor + solution, matroid.n, k - len(solution))
+        solution.append(sorted(candidates)[rng.randrange(len(candidates))])
+    return canonical(solution)
+
+
 def reference_rp_greedy(
     f: SetFunction, matroid: Matroid, residue: Iterable[int], anchor: Iterable[int] = ()
 ) -> ElementSet:
@@ -218,23 +267,13 @@ def reference_rp_greedy(
     k = matroid.rank - len(anchor)
     if len(base) != k or set(base) & set(anchor) or not independent(anchor + list(base)):
         raise ValueError("residue argument must be a base of the matroid")
-    ground = [u for u in range(matroid.n) if u not in anchor]
     solutions: list[list[int]] = [[] for _ in range(k)]
     residues = [list(base) for _ in range(k)]
     for _ in range(k):
-        graph = WeightedBipartiteGraph(k, k)
+        graph = WeightedBipartiteGraph(k)
         for j, (solution, rest) in enumerate(zip(solutions, residues)):
             held = anchor + solution
-            offset = value(held)
-            gains = {u: value(held + [u]) - offset for u in ground if u not in solution}
-            candidates: list[int] = []
-            for u in sorted(gains, key=gains.__getitem__, reverse=True):
-                if len(candidates) == k - len(solution):
-                    break
-                if independent(held + candidates + [u]):
-                    candidates.append(u)
-            if len(candidates) != k - len(solution):
-                raise InternalInvariantError("independence oracle did not extend to a full base")
+            gains, candidates = _candidate_base(value, independent, held, matroid.n, k - len(solution))
             own = held + rest
             for left, v in enumerate(base):
                 if v not in rest:
@@ -261,6 +300,22 @@ def reference_rp_greedy(
     return canonical(max(solutions, key=lambda solution: value(anchor + solution) - offset, default=()))
 
 
+def reference_msg(f: SetFunction, matroid: Matroid, p: float, seed: int) -> tuple[ElementSet, float]:
+    """Randomized split-and-grow as the paper states it, on the root oracles: (solution, value).
+
+    ``reference_split`` with bias ``p`` gives halves A and B; A grows by
+    ``reference_rr_greedy`` on M / A with seed ``seed``, and B on M / B with
+    seed ``seed + 1``.  The completed base of the larger value wins, A's on
+    a tie.
+    """
+    a, b = reference_split(f, matroid, p)
+    return _better_completion(
+        f, matroid,
+        canonical(a + reference_rr_greedy(f, matroid, seed, anchor=a)),
+        canonical(b + reference_rr_greedy(f, matroid, seed + 1, anchor=b)),
+    )
+
+
 def reference_msg_det(f: SetFunction, matroid: Matroid, p: float) -> tuple[ElementSet, float]:
     """Deterministic split-and-grow as the paper states it, on the root oracles: (solution, value).
 
@@ -269,9 +324,18 @@ def reference_msg_det(f: SetFunction, matroid: Matroid, p: float) -> tuple[Eleme
     with A as the residue.  The completed base of the larger value wins, A's
     on a tie.
     """
-    value, _independent = _root_oracles(f, matroid)
     a, b = reference_split(f, matroid, p)
-    first = canonical(a + reference_rp_greedy(f, matroid, b, anchor=a))
-    second = canonical(b + reference_rp_greedy(f, matroid, a, anchor=b))
+    return _better_completion(
+        f, matroid,
+        canonical(a + reference_rp_greedy(f, matroid, b, anchor=a)),
+        canonical(b + reference_rp_greedy(f, matroid, a, anchor=b)),
+    )
+
+
+def _better_completion(
+    f: SetFunction, matroid: Matroid, first: ElementSet, second: ElementSet
+) -> tuple[ElementSet, float]:
+    """(base, value) of the larger root value, ``first`` on a tie."""
+    value, _independent = _root_oracles(f, matroid)
     value_first, value_second = value(first), value(second)
     return (first, value_first) if value_first >= value_second else (second, value_second)

@@ -390,8 +390,6 @@ def validate_matroid_axioms(matroid: Matroid) -> ValidationReport:
 
 def brute_force_perfect_matching(graph: WeightedBipartiteGraph) -> Matching:
     """Factorial-time reference for the matching solver (small graphs only)."""
-    if graph.left_size != graph.right_size:
-        raise ValueError("perfect matching requires a square graph")
     k = graph.left_size
     if math.factorial(k) > 100_000:
         raise BudgetExceededError("too many permutations for the brute-force matcher")

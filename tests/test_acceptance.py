@@ -144,7 +144,7 @@ def test_criterion_7_matching_equals_brute_force():
     for trial in range(200):
         k = rng.randint(1, 7)
         density = 1.0 if trial % 2 == 0 else 0.5
-        graph = WeightedBipartiteGraph(k, k)
+        graph = WeightedBipartiteGraph(k)
         for left in range(k):
             for right in range(k):
                 if rng.random() < density:

@@ -682,7 +682,7 @@ def full_scan_exchange_graphs(f, matroid, residue):
     residues = [set(base) for _ in range(k)]
     rounds = []
     for _ in range(k):
-        graph = WeightedBipartiteGraph(k, k)
+        graph = WeightedBipartiteGraph(k)
         for j in range(k):
             gains = marginal_table(f, solutions[j], contract(matroid, solutions[j]).ground)
             for u in max_weight_base(contract(matroid, solutions[j]), gains):
@@ -940,7 +940,7 @@ class TestSelfPairRound:
         def recording_matcher(graph):
             columns = [
                 [(left, weight, payload) for left, j, weight, payload in graph.edges if j == right]
-                for right in range(graph.right_size)
+                for right in range(graph.left_size)
             ]
             first, opening[0] = opening[0], False
             if first:  # only column 0 was built; every other column holds its edges

@@ -32,7 +32,14 @@ from submod import (
     split,
 )
 from submod.instances import GROW_MIN_N
-from submod.reference import reference_greedy, reference_msg_det, reference_rp_greedy, reference_split
+from submod.reference import (
+    reference_greedy,
+    reference_msg,
+    reference_msg_det,
+    reference_rp_greedy,
+    reference_rr_greedy,
+    reference_split,
+)
 
 P = parameters(DEFAULT_X).p
 HARD = sorted((Path(__file__).parent / "data" / "hard").glob("*.json"))
@@ -84,6 +91,20 @@ def test_solve_equals_the_reference(source):
         assert_solve_equals_reference(f, m)
         count += 1
     assert count == {"corpus": 392, "hard": 3, "grid": 48, "derived-rows": 6}[source]
+
+
+@pytest.mark.parametrize("source", sorted(SOURCES))
+def test_seeded_solvers_equal_the_reference(source):
+    for instance in SOURCES[source]():
+        f, m = build(instance)
+        for seed in (0, 1):
+            chosen = reference_rr_greedy(f, m, seed)
+            report = solve(f, m, "rrgreedy", seed=seed)
+            assert (report.solution, report.value.hex()) == (chosen, f._evaluate(chosen).hex())
+
+            solution, value = reference_msg(f, m, P, seed)
+            report = solve(f, m, "msg", seed=seed)
+            assert (report.solution, report.value.hex()) == (solution, value.hex())
 
 
 def test_the_reference_bills_nothing_and_asks_only_the_root_kernels():
