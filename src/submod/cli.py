@@ -43,6 +43,7 @@ from .instances import (
 )
 from .testkit import (
     TOLERANCE,
+    VALIDATION_MAX_N,
     BudgetExceededError,
     bases_within,
     brute_force_opt,
@@ -56,7 +57,6 @@ SPLIT_P_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 SPLIT_BETA_GRID = (0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
 RP_X_GRID = (0.0, 0.5, 0.9, 1.0)
 DET_GUARANTEE = 0.5008
-EXPECTATION_LEAF_LIMIT = 200
 BASE_ENUM_LIMIT = 20
 
 ROW_FIELDS = (
@@ -97,7 +97,7 @@ def _beats_guarantee(value: float, opt: float) -> bool:
     """value >= DET_GUARANTEE * opt, in exact arithmetic: every finite float is a rational."""
     if not (math.isfinite(value) and math.isfinite(opt)):
         return value >= DET_GUARANTEE * opt  # an infinity or NaN has no ratio; float order decides
-    return Fraction(value) * 10_000 >= Fraction(opt) * 5_008
+    return Fraction(value) >= Fraction(str(DET_GUARANTEE)) * Fraction(opt)
 
 
 @dataclass
@@ -148,7 +148,7 @@ def check_instance(instance: Instance) -> tuple[list[dict], list[dict]]:
                 f"value {report.value} below {DET_GUARANTEE} * opt {opt_value}",
             )
 
-    if instance.n <= 10:  # the validators' own limit
+    if instance.n <= VALIDATION_MAX_N:
         function_report = validate_monotone_submodular(f)
         if not function_report.ok:
             violate("monotone-submodular", "; ".join(function_report.violations[:3]))
@@ -178,40 +178,37 @@ def check_instance(instance: Instance) -> tuple[list[dict], list[dict]]:
             violate("split-weighted-average", f"beta={beta}: {lhs} < {rhs}")
 
     # exact expectation bounds for the randomized greedy
-    expected = None
-    if math.factorial(k) <= EXPECTATION_LEAF_LIMIT:
-        expected, tree = rr_greedy_exact_expectation(f, matroid)
-        if abs(sum(leaf.probability for leaf in tree.leaves) - 1.0) > 1e-12:
-            violate("expectation-probabilities", "leaf probabilities do not sum to 1")
-        if expected < opt_value / 2.0 - TOLERANCE:
-            violate("expected-value-half", f"{expected} < opt/2 = {opt_value / 2.0}")
-        for i in range(k + 1):
-            delta = 1.0 / (2.0 * k * k) if 0 < i < k else 0.0
-            bound = (gain_curve(i / k) + delta) * opt_value
-            if tree.level_expectations[i] < bound - TOLERANCE:
-                violate(
-                    "expected-value-curve",
-                    f"iteration {i}: {tree.level_expectations[i]} < {bound}",
-                )
+    expected, tree = rr_greedy_exact_expectation(f, matroid)
+    if abs(sum(leaf.probability for leaf in tree.leaves) - 1.0) > 1e-12:
+        violate("expectation-probabilities", "leaf probabilities do not sum to 1")
+    if expected < opt_value / 2.0 - TOLERANCE:
+        violate("expected-value-half", f"{expected} < opt/2 = {opt_value / 2.0}")
+    for i in range(k + 1):
+        delta = 1.0 / (2.0 * k * k) if 0 < i < k else 0.0
+        bound = (gain_curve(i / k) + delta) * opt_value
+        if tree.level_expectations[i] < bound - TOLERANCE:
+            violate(
+                "expected-value-curve",
+                f"iteration {i}: {tree.level_expectations[i]} < {bound}",
+            )
 
     bases = bases_within(matroid, BASE_ENUM_LIMIT)
     if bases is not None:
-        if expected is not None:
-            # composite lower bound of the randomized greedy over all base pairs
-            values = [f(base) for base in bases]
-            members = [set(base) for base in bases]
-            coefficients = [(x, 1.0 + gain_curve(x), 1.0 - x) for x in (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)]
-            scaled = 3.0 * expected
-            for first, value, first_members in zip(bases, values, members):
-                for second, second_members in zip(bases, members):
-                    gain = f(first_members | second_members) - value
-                    for x, lead, tail in coefficients:
-                        rhs = lead * value + tail * gain
-                        if scaled < rhs - TOLERANCE:
-                            violate(
-                                "expected-composite-bound",
-                                f"bases {first}/{second}, x={x}: {scaled} < {rhs}",
-                            )
+        # composite lower bound of the randomized greedy over all base pairs
+        values = [f(base) for base in bases]
+        members = [set(base) for base in bases]
+        coefficients = [(x, 1.0 + gain_curve(x), 1.0 - x) for x in (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)]
+        scaled = 3.0 * expected
+        for first, value, first_members in zip(bases, values, members):
+            for second, second_members in zip(bases, members):
+                gain = f(first_members | second_members) - value
+                for x, lead, tail in coefficients:
+                    rhs = lead * value + tail * gain
+                    if scaled < rhs - TOLERANCE:
+                        violate(
+                            "expected-composite-bound",
+                            f"bases {first}/{second}, x={x}: {scaled} < {rhs}",
+                        )
         # deterministic parallel greedy bounds, one run per residue base
         for residue in bases:
             output = rp_greedy(f, matroid, residue)

@@ -2,11 +2,12 @@
 
 Everything here exists to cross-check the solvers on small instances:
 exact optima by base enumeration, exact expectations of the randomized
-greedy by branching over every coin flip, exchange-mapping and
+greedy by walking its reachable sets level by level, exchange-mapping and
 completion-partition witnesses, and axiom validators that check the
 local forms of the axioms on every subset of a ground set of n <= 10.
-Budgets are explicit and exceeding one raises instead of silently
-sampling, so these stay trustworthy as oracles.  The spec-level reference
+Budgets are explicit (bases for the optimum, reachable sets per level for
+the expectation) and exceeding one raises instead of silently sampling,
+so these stay trustworthy as oracles.  The spec-level reference
 solvers are in ``submod.reference``.
 """
 
@@ -31,6 +32,7 @@ from .matching import InfeasibleMatchingError, Matching, WeightedBipartiteGraph
 
 TOLERANCE = 1e-9
 MAX_VIOLATIONS = 20  # validators stop recording after this many
+VALIDATION_MAX_N = 10  # the exhaustive validators refuse larger ground sets
 
 
 class BudgetExceededError(RuntimeError):
@@ -104,8 +106,8 @@ class ExpectationLeaf:
 class ExpectationTree:
     """Outcome of branching over every draw of the randomized greedy.
 
-    ``leaves`` aggregates the reachable final sets: distinct paths ending
-    in the same set are merged and their path probabilities summed.
+    ``leaves`` holds the reachable final sets, each with the total
+    probability of every draw sequence that ends in it.
     """
 
     leaves: tuple[ExpectationLeaf, ...]
@@ -117,40 +119,38 @@ class ExpectationTree:
 
 
 def rr_greedy_exact_expectation(
-    f: SetFunction, matroid: Matroid, max_leaves: int = 100_000
+    f: SetFunction, matroid: Matroid, max_states: int = 100_000
 ) -> tuple[float, ExpectationTree]:
-    """Exact E[f(final set)] of the randomized greedy, by full enumeration.
+    """Exact E[f(final set)] of the randomized greedy, walked level by level.
 
-    Every uniform draw is branched on with its probability, which also
-    yields the exact expectation of the intermediate values after each
-    iteration (``level_expectations``).
+    A set's next draw depends only on the set, so each level maps every set
+    reachable in that many draws to its total probability: each set is
+    evaluated and expanded once, and the last level's sets are the leaves.
+    The walk also yields the exact expectation of the intermediate values
+    after each iteration (``level_expectations``).  Raises
+    BudgetExceededError once a level holds more than ``max_states`` sets.
     """
-    k = matroid.rank
-    if math.factorial(k) > max_leaves:
-        raise BudgetExceededError(f"expectation tree would have {math.factorial(k)} leaves")
-    outcomes: dict[ElementSet, tuple[float, float]] = {}  # members -> (value, probability)
-    levels = [0.0] * (k + 1)
-
-    def expand(members: ElementSet, depth: int, probability: float) -> None:
-        value = f(members)
-        levels[depth] += probability * value
-        if depth == k:
-            seen = outcomes.get(members)
-            outcomes[members] = (value, probability if seen is None else seen[1] + probability)
-            return
-        residual = contract(matroid, members)
-        gains = marginal_table(f, members, residual.ground)
-        candidates = max_weight_base(residual, gains)
-        share = probability / len(candidates)
-        for u in candidates:
-            expand(canonical(members + (u,)), depth + 1, share)
-
-    expand((), 0, 1.0)
-    leaves = tuple(
-        ExpectationLeaf(members, value, probability)
-        for members, (value, probability) in sorted(outcomes.items())
-    )
-    tree = ExpectationTree(leaves, tuple(levels))
+    level: dict[ElementSet, float] = {(): 1.0}  # reachable set -> total probability
+    expectations: list[float] = []
+    for depth in range(matroid.rank + 1):
+        values = {members: f(members) for members in level}
+        expectations.append(sum(probability * values[members] for members, probability in level.items()))
+        if depth == matroid.rank:
+            break
+        following: dict[ElementSet, float] = {}
+        for members, probability in level.items():
+            residual = contract(matroid, members)
+            gains = marginal_table(f, members, residual.ground)
+            candidates = max_weight_base(residual, gains)
+            share = probability / len(candidates)
+            for u in candidates:
+                grown = canonical(members + (u,))
+                following[grown] = following.get(grown, 0.0) + share
+        if len(following) > max_states:
+            raise BudgetExceededError(f"more than {max_states} reachable sets at draw {depth + 1}")
+        level = following
+    leaves = tuple(ExpectationLeaf(members, values[members], level[members]) for members in sorted(level))
+    tree = ExpectationTree(leaves, tuple(expectations))
     return tree.expected_value, tree
 
 
@@ -310,11 +310,11 @@ def validate_monotone_submodular(f: SetFunction) -> ValidationReport:
     step allows TOLERANCE / n, and a chain S subset of T has at most n
     steps, so a function that passes also keeps every full-form inequality
     within TOLERANCE; a per-step TOLERANCE would let a slow drift through.
-    Violations are reported, not raised; n <= 10.
+    Violations are reported, not raised; n <= VALIDATION_MAX_N.
     """
     size = f.n
-    if size > 10:
-        raise ValueError("exhaustive validation is limited to n <= 10")
+    if size > VALIDATION_MAX_N:
+        raise ValueError(f"exhaustive validation is limited to n <= {VALIDATION_MAX_N}")
     members = _subsets(range(size))
     values = [f(subset) for subset in members]
     tolerance = TOLERANCE / max(size, 1)
@@ -346,12 +346,12 @@ def validate_matroid_axioms(matroid: Matroid) -> ValidationReport:
     checked only from each independent S into each independent T with
     |T| = |S| + 1: given downward closure, which is checked too, that is
     equivalent to exchange between all sizes.  Messages name element ids.
-    Violations are reported, not raised; at most 10 ground elements.
+    Violations are reported, not raised; at most VALIDATION_MAX_N ground elements.
     """
     ground = matroid.ground
     size = len(ground)
-    if size > 10:
-        raise ValueError("exhaustive validation is limited to n <= 10")
+    if size > VALIDATION_MAX_N:
+        raise ValueError(f"exhaustive validation is limited to n <= {VALIDATION_MAX_N}")
     members = _subsets(ground)
     independent = [matroid.is_independent(subset) for subset in members]
     violations: list[str] = []

@@ -11,7 +11,17 @@ from pathlib import Path
 import pytest
 
 import submod.cli as cli
-from submod import ALGORITHMS, FunctionSpec, Instance, InternalInvariantError, MatroidSpec, parameters, save
+from submod import (
+    ALGORITHMS,
+    FunctionSpec,
+    Instance,
+    InternalInvariantError,
+    MatroidSpec,
+    ValidationReport,
+    parameters,
+    random_instance,
+    save,
+)
 from submod.cli import main
 
 TRIANGLE = Instance(
@@ -232,6 +242,18 @@ def test_inconsistent_oracle_exits_4(tmp_path, triangle_path, capsys, monkeypatc
 )
 def test_guarantee_verdict_is_exact(value, opt, verdict):
     assert cli._beats_guarantee(value, opt) is verdict
+
+
+@pytest.mark.parametrize("check, binding", [
+    ("monotone-submodular", "validate_monotone_submodular"),
+    ("matroid-axioms", "validate_matroid_axioms"),
+])
+@pytest.mark.parametrize("n", [10, 11])
+def test_validators_run_up_to_their_limit(check, binding, n, monkeypatch):
+    """A planted failing validator fires at n = 10 and stays silent at n = 11, past the validators' limit."""
+    monkeypatch.setattr(cli, binding, lambda _: ValidationReport(False, ("planted",)))
+    _, violations = cli.check_instance(random_instance(0, n, "partition", "coverage", rank=3))
+    assert (check in {v["check"] for v in violations}) == (n == 10)
 
 
 class TestSuite:

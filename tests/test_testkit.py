@@ -123,7 +123,19 @@ class TestExactExpectation:
     def test_budget_error(self):
         f, m = make(4, uniform(3), modular(1, 2, 3, 4))
         with pytest.raises(BudgetExceededError):
-            rr_greedy_exact_expectation(f, m, max_leaves=2)
+            rr_greedy_exact_expectation(f, m, max_states=2)
+
+    def test_levels_reach_past_the_path_count(self):
+        """9! = 362,880 draw paths merge into at most C(9, 4) = 126 sets per level."""
+        weights = (5, 17, 2, 11, 23, 3, 13, 29, 7, 19, 31, 37)
+        f, m = make(12, uniform(9), modular(*weights))
+        top = sorted(weights, reverse=True)[:9]
+        _, tree = rr_greedy_exact_expectation(f, m)
+        for d, level in enumerate(tree.level_expectations):
+            assert level == pytest.approx(d / 9 * sum(top), abs=1e-9)
+        (leaf,) = tree.leaves
+        assert sorted(weights[u] for u in leaf.members) == sorted(top)
+        assert leaf.probability == pytest.approx(1.0, abs=1e-12)
 
     def test_sampling_agrees_with_enumeration(self):
         f, m = make(5, uniform(2), coverage((0, 1), (1, 2), (2, 3), (3, 4), (4, 0)))
