@@ -157,35 +157,59 @@ def split(f: SetFunction, matroid: Matroid, p: float) -> SplitResult:
     its table is asked again, through its view grown by the routed id (an
     exact kernel's ``grow`` rows apply); the idle half keeps last round's
     table, whose entries for the new pool are the same floats from the same
-    anchor.
+    anchor.  The sweep is ``splits`` with one p.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    side_a: list[int] = []
-    side_b: list[int] = []
-    used: set[int] = set()
-    pool = matroid.ground
-    view_a = view_b = marginal_function(f, ())  # each half's view, anchored at the half
-    gains_a = gains_b = None  # each half's table, None once the half has gained since it was asked
-    for _ in range(matroid.rank):
-        pool = _feasible_pool(matroid, used, pool)
-        if not pool:
-            raise InternalInvariantError("split ran out of feasible elements before a base")
-        if gains_a is None:
-            gains_a = view_a.singleton_table(pool)
-        if gains_b is None:
-            gains_b = gains_a if view_b is view_a else view_b.singleton_table(pool)  # both halves empty: one table
-        u_a = _argmax_by_id(pool, gains_a)
-        u_b = _argmax_by_id(pool, gains_b)
-        if p * gains_a[u_a] >= (1.0 - p) * gains_b[u_b]:
+    return splits(f, matroid, (p,))[p]
+
+
+def splits(f: SetFunction, matroid: Matroid, ps: Iterable[float]) -> dict[float, SplitResult]:
+    """``split(f, matroid, p)`` for each distinct p of ``ps``, in first-seen order, as one routing tree.
+
+    The sweeps of a group of p values agree until a round's winners route
+    them apart, so the group asks each round's pool, tables and argmaxes
+    once, and splits by ``split``'s own test into the p values that route
+    to the first half and those that route to the second.  A branch
+    continues in place, and only the second half's group takes a copy of
+    the state.  With one p this is ``split``'s sweep, asking the same sets
+    in the same order.  Every p is checked before anything is asked.
+    """
+    ps = [*dict.fromkeys(ps)]
+    for p in ps:
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must lie in [0, 1], got {p}")
+    result: dict[float, SplitResult] = {}
+    view = marginal_function(f, ())  # each half's view, anchored at the half
+    # (p values, halves, union, last pool, each half's view and table); a table is None once its half gained
+    branches = [(ps, [], [], set(), matroid.ground, view, view, None, None)] if ps else []
+    while branches:
+        group, side_a, side_b, used, pool, view_a, view_b, gains_a, gains_b = branches.pop()
+        for _ in range(matroid.rank - len(used)):
+            pool = _feasible_pool(matroid, used, pool)
+            if not pool:
+                raise InternalInvariantError("split ran out of feasible elements before a base")
+            if gains_a is None:
+                gains_a = view_a.singleton_table(pool)
+            if gains_b is None:
+                gains_b = gains_a if view_b is view_a else view_b.singleton_table(pool)  # both halves empty: one table
+            u_a = _argmax_by_id(pool, gains_a)
+            u_b = _argmax_by_id(pool, gains_b)
+            gain_a, gain_b = gains_a[u_a], gains_b[u_b]
+            to_a = [p for p in group if p * gain_a >= (1.0 - p) * gain_b]
+            if len(to_a) < len(group):
+                grown_b = marginal_function(view_b, (u_b,))
+                if not to_a:  # the whole group routes to the second half
+                    side_b.append(u_b)
+                    used.add(u_b)
+                    view_b, gains_b = grown_b, None
+                    continue
+                to_b = [p for p in group if p not in to_a]
+                branches.append((to_b, side_a[:], [*side_b, u_b], used | {u_b}, pool, view_a, grown_b, gains_a, None))
+                group = to_a
             side_a.append(u_a)
             used.add(u_a)
             view_a, gains_a = marginal_function(view_a, (u_a,)), None
-        else:
-            side_b.append(u_b)
-            used.add(u_b)
-            view_b, gains_b = marginal_function(view_b, (u_b,)), None
-    return SplitResult(a=canonical(side_a), b=canonical(side_b))
+        result.update(dict.fromkeys(group, SplitResult(a=canonical(side_a), b=canonical(side_b))))
+    return {p: result[p] for p in ps}
 
 
 class _GrownCopy:
@@ -212,12 +236,18 @@ class _GrownCopy:
     ``core._contracted``, which asks nothing: each gained id lay in the base
     B of its round, and S + B is independent, so S is.  The view's ground
     is the copy's ground.
+
+    ``base`` is a pure function of the solution, so copies may share a
+    ``store`` that maps a solution to its round's ground, view, gain table
+    and base, each a snapshot: a copy whose solution is stored adopts that
+    round and asks nothing, and any other copy stores the round it asked.
+    A fork shares its copy's store.
     """
 
-    __slots__ = ("matroid", "solution", "ground", "view", "step", "gains", "kept")
+    __slots__ = ("matroid", "solution", "ground", "view", "step", "gains", "kept", "store")
 
-    def __init__(self, f: SetFunction, matroid: Matroid):
-        self.matroid, self.ground, self.view = matroid, matroid.ground, f
+    def __init__(self, f: SetFunction, matroid: Matroid, store: dict | None = None):
+        self.matroid, self.ground, self.view, self.store = matroid, matroid.ground, f, store
         self.solution: list[int] = []  # ascending
         self.step: ElementSet = ()  # the id gained since the last base, to cut and anchor by
         self.gains: dict[int, float] = {}
@@ -227,6 +257,7 @@ class _GrownCopy:
         """A twin that shares this copy's matroid, ground and view and owns copies of its lists and table."""
         twin = object.__new__(_GrownCopy)
         twin.matroid, twin.ground, twin.view, twin.step = self.matroid, self.ground, self.view, self.step
+        twin.store = self.store
         twin.solution, twin.kept = self.solution[:], self.kept[:]
         twin.gains = self.gains.copy()
         return twin
@@ -237,6 +268,12 @@ class _GrownCopy:
 
     def base(self) -> tuple[dict[int, float], list[int]]:
         """Move forward by the last gain; return the gain table and the maximum-gain base, ascending."""
+        store = self.store
+        known = None if store is None else store.get(tuple(self.solution))
+        if known is not None:
+            self.ground, self.view, gains, kept = known
+            self.gains, self.kept = gains.copy(), kept[:]  # a later base deletes from both
+            return self.gains, kept[:]
         step, last, kept, ground = self.step, self.gains, self.kept, self.ground
         if step:
             at = bisect_left(ground, step[0])
@@ -254,6 +291,8 @@ class _GrownCopy:
             residual = _contracted(self.matroid, self.solution) if step else self.matroid
             self.kept = [*max_weight_base(residual, gains)]
         self.gains = gains
+        if store is not None:
+            store[tuple(self.solution)] = ground, self.view, gains.copy(), self.kept[:]
         return gains, self.kept[:]
 
 
@@ -341,6 +380,23 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
     it.  A residue is kept as a dict in ascending id order, from which each
     given-up id is deleted.
     """
+    return _parallel_greedy(f, matroid, residue, None)
+
+
+def rp_greedy_each(f: SetFunction, matroid: Matroid, residues: Iterable[Iterable[int]]) -> list[ElementSet]:
+    """``[rp_greedy(f, matroid, residue) for residue in residues]``, asking each distinct grower round once.
+
+    The runs' copies share one ``_GrownCopy`` store: every run opens on the
+    empty solution, and copies of different residues often grow the same
+    solutions, so a round already asked for a solution is adopted, not
+    asked again.  The outputs are exactly ``rp_greedy``'s.
+    """
+    store: dict = {}
+    return [_parallel_greedy(f, matroid, residue, store) for residue in residues]
+
+
+def _parallel_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int], store: dict | None) -> ElementSet:
+    """``rp_greedy``'s run, its copies' rounds kept in and adopted from ``store`` unless it is None."""
     base = canonical(residue, matroid.n)
     if not is_base(matroid, base):
         raise ValueError("residue argument must be a base of the matroid")
@@ -355,7 +411,7 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
         if copies:
             rounds = [copy.base() for copy in copies]
         else:  # every copy starts alike: one opening column, stored for every copy
-            first = _GrownCopy(f, matroid)
+            first = _GrownCopy(f, matroid, store)
             rounds = [first.base()]
             copies = [first, *(first.fork() for _ in range(k - 1))]
         graph = WeightedBipartiteGraph(k)

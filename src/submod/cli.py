@@ -26,10 +26,12 @@ from .algorithms import (
     DEFAULT_X,
     gain_curve,
     parameters,
-    rp_greedy,
+    rp_greedy,  # split and rp_greedy stay bound here: bench/tracing.py wraps them by name
+    rp_greedy_each,
     solve,
     split,
     split_bias,
+    splits,
 )
 from .core import InternalInvariantError, is_base
 from .instances import (
@@ -156,23 +158,36 @@ def check_instance(instance: Instance) -> tuple[list[dict], list[dict]]:
         if not matroid_report.ok:
             violate("matroid-axioms", "; ".join(matroid_report.violations[:3]))
 
-    # disjoint split sweeping a p grid, plus its completion-partition witness
+    # disjoint split sweeping a p grid, plus its completion-partition witness, and the
+    # weighted-average value guarantee of the split across the bias grid: one sweep for every p,
+    # and each distinct pair of halves checked once
+    biases = [(beta, *split_bias(beta)) for beta in SPLIT_BETA_GRID]
+    halves = splits(f, matroid, (*SPLIT_P_GRID, *(p for _beta, p, _w_beta in biases)))
+    verdicts: dict = {}  # halves -> (union is a base, the witness's error or None)
     for p in SPLIT_P_GRID:
-        half = split(f, matroid, p)
+        half = halves[p]
+        if half not in verdicts:
+            error = None
+            union_is_base = is_base(matroid, set(half.a) | set(half.b))
+            try:
+                split_partition_witness(half.a, half.b, opt_base, f, matroid)
+            except Exception as exc:  # noqa: BLE001 - recorded as a violation
+                error = exc
+            verdicts[half] = union_is_base, error
+        union_is_base, error = verdicts[half]
         if set(half.a) & set(half.b):
             violate("split-disjoint", f"p={p}: halves intersect")
-        if not is_base(matroid, set(half.a) | set(half.b)):
+        if not union_is_base:
             violate("split-union-base", f"p={p}: union is not a base")
-        try:
-            split_partition_witness(half.a, half.b, opt_base, f, matroid)
-        except Exception as exc:  # noqa: BLE001 - recorded as a violation
-            violate("completion-partition", f"p={p}: {exc}")
-
-    # weighted-average value guarantee of the split across the bias grid
-    for beta in SPLIT_BETA_GRID:
-        p, w_beta = split_bias(beta)
-        half = split(f, matroid, p)
-        lhs = beta * f(half.a) + (1.0 - beta) * f(half.b)
+        if error is not None:
+            violate("completion-partition", f"p={p}: {error}")
+    half_values: dict = {}  # halves -> (f(a), f(b))
+    for beta, p, w_beta in biases:
+        half = halves[p]
+        if half not in half_values:
+            half_values[half] = f(half.a), f(half.b)
+        value_a, value_b = half_values[half]
+        lhs = beta * value_a + (1.0 - beta) * value_b
         rhs = w_beta * opt_value
         if lhs < rhs - TOLERANCE:
             violate("split-weighted-average", f"beta={beta}: {lhs} < {rhs}")
@@ -197,11 +212,16 @@ def check_instance(instance: Instance) -> tuple[list[dict], list[dict]]:
         # composite lower bound of the randomized greedy over all base pairs
         values = [f(base) for base in bases]
         members = [set(base) for base in bases]
+        unions = {}  # f(A | B) for each unordered pair of bases, asked once; f(A) on the diagonal
+        for i, (value, first_members) in enumerate(zip(values, members)):
+            unions[i, i] = value
+            for j in range(i):
+                unions[i, j] = unions[j, i] = f(first_members | members[j])
         coefficients = [(x, 1.0 + gain_curve(x), 1.0 - x) for x in (0.0, 0.25, 0.5, 0.75, 0.9, 1.0)]
         scaled = 3.0 * expected
-        for first, value, first_members in zip(bases, values, members):
-            for second, second_members in zip(bases, members):
-                gain = f(first_members | second_members) - value
+        for i, (first, value) in enumerate(zip(bases, values)):
+            for j, second in enumerate(bases):
+                gain = unions[i, j] - value
                 for x, lead, tail in coefficients:
                     rhs = lead * value + tail * gain
                     if scaled < rhs - TOLERANCE:
@@ -210,8 +230,7 @@ def check_instance(instance: Instance) -> tuple[list[dict], list[dict]]:
                             f"bases {first}/{second}, x={x}: {scaled} < {rhs}",
                         )
         # deterministic parallel greedy bounds, one run per residue base
-        for residue in bases:
-            output = rp_greedy(f, matroid, residue)
+        for residue, output in zip(bases, rp_greedy_each(f, matroid, bases)):
             value = f(output)
             if value < opt_value / 2.0:
                 violate("parallel-greedy-half", f"residue {residue}: {value} < opt/2")

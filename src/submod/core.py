@@ -91,7 +91,8 @@ class SetFunction:
         self._row: tuple | None = None  # (evaluator, marginals) of the rows this function answers
 
     def __call__(self, elements: Iterable[int]) -> float:
-        members = canonical(chain(self.anchored, elements), self.n)
+        anchored = self.anchored
+        members = canonical(chain(anchored, elements) if anchored else elements, self.n)  # a root's anchor is empty
         offset = self._bill(1)
         return self.root._evaluate(members) - offset
 

@@ -274,9 +274,15 @@ def _returning(value):
     return lambda real: lambda *args: value
 
 
-EMPTY_HALVES = ("split", _returning(SplitResult((), ())))
+def _halves(a, b):
+    """A ``splits`` plant with the real call's shape: one entry per p, each the halves (a, b)."""
+    return lambda real: lambda f, matroid, ps: dict.fromkeys(ps, SplitResult(a, b))
+
+
+EMPTY_HALVES = ("splits", _halves((), ()))
 ZERO_EXPECTATION = ("rr_greedy_exact_expectation", _returning((0.0, ExpectationTree((), (0.0,) * 3))))
-EMPTY_OUTPUT = ("rp_greedy", _returning(()))
+# one empty output per residue, as rp_greedy_each returns one output per residue
+EMPTY_OUTPUT = ("rp_greedy_each", lambda real: lambda f, matroid, residues: [() for _ in residues])
 FAILED_VALIDATION = _returning(ValidationReport(False, ("planted",)))
 
 # check name -> (the submod.cli binding to replace, plant made from the real binding),
@@ -284,7 +290,7 @@ FAILED_VALIDATION = _returning(ValidationReport(False, ("planted",)))
 PLANTS = {
     "deterministic-guarantee": ("solve", _report_with(value=0.0)),
     "split-weighted-average": EMPTY_HALVES,
-    "split-disjoint": ("split", _returning(SplitResult((0,), (0,)))),
+    "split-disjoint": ("splits", _halves((0,), (0,))),
     "split-union-base": EMPTY_HALVES,
     "expectation-probabilities": ZERO_EXPECTATION,
     "expected-value-half": ZERO_EXPECTATION,
@@ -313,6 +319,24 @@ def test_planted_fault_fires(check, monkeypatch):
     subject = next(i for i in enumerate_small_instances(4, 2) if i.label == "n4-unif2-covc")
     _, violations = cli.check_instance(subject)
     assert check in {v["check"] for v in violations}
+
+
+def test_split_plant_on_one_p_fires_for_that_p_alone(monkeypatch):
+    """check_instance reports each p's halves under that p, even where the other p values share their halves."""
+
+    def overlapping_at_quarter(real):
+        def plant(f, matroid, ps):
+            halves = real(f, matroid, ps)
+            halves[0.25] = SplitResult((0,), (0,))
+            return halves
+
+        return plant
+
+    monkeypatch.setattr(cli, "splits", overlapping_at_quarter(cli.splits))
+    subject = next(i for i in enumerate_small_instances(4, 2) if i.label == "n4-unif2-covc")
+    _, violations = cli.check_instance(subject)
+    assert [v["detail"] for v in violations if v["check"] == "split-disjoint"] == ["p=0.25: halves intersect"]
+    assert {v["detail"].split(":")[0] for v in violations} == {"p=0.25"}
 
 
 @pytest.mark.parametrize("check", ["monotone-submodular", "matroid-axioms"])

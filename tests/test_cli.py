@@ -308,6 +308,24 @@ class TestSuite:
             "b75bd894e7e64fdaeb9818e760d34f5d5888e4d5b55af394f1add12442961295",
         ]
 
+    def test_pinned_verification_cost(self, monkeypatch):
+        """check_instance's value and independence queries over the (8, 3) corpus, summed.
+
+        Read from each instance's built oracles, as the benchmark reads
+        them.  The counts are exact, so a check that asks more than it did
+        when these were pinned shows here.  Pinned when the split grids
+        became one routing tree and the residue runs one store of grower
+        rounds (from 284,012 and 173,257).
+        """
+        built = []
+        original = cli.build
+        monkeypatch.setattr(cli, "build", lambda instance: built.append(original(instance)) or built[-1])
+        for instance in cli.enumerate_small_instances(8, 3):
+            cli.check_instance(instance)
+        assert len(built) == 392
+        assert sum(f.counts.value_queries for f, _m in built) == 150_428
+        assert sum(m.counts.independence_queries for _f, m in built) == 111_371
+
     @staticmethod
     def assert_rejected(flags, message, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the default --out is relative to the working directory

@@ -33,9 +33,14 @@ from submod import (
     parameters,
     random_instance,
     rp_greedy,
+    rp_greedy_each,
     solve,
     split,
+    splits,
 )
+from submod.algorithms import split_bias
+from submod.cli import BASE_ENUM_LIMIT, SPLIT_BETA_GRID, SPLIT_P_GRID
+from submod.testkit import bases_within
 from submod.instances import GROW_MIN_N
 from submod.reference import (
     reference_greedy,
@@ -117,6 +122,51 @@ def test_seeded_solvers_equal_the_reference(source):
         assert_seeded_solvers_equal_reference(*build(instance))
 
 
+# the suite's p values, the solvers' bias, and repeats of 0, 0.5 and 1
+BATCH_PS = (*SPLIT_P_GRID, *(split_bias(beta)[0] for beta in SPLIT_BETA_GRID), P, 1.0, 0.5, 0.0)
+
+
+def assert_batches_equal_single_runs(instance):
+    """splits and rp_greedy_each return what split and rp_greedy return, one p or one residue at a time."""
+    f, m = build(instance)
+    batch = splits(f, m, BATCH_PS)
+    assert [*batch] == [*dict.fromkeys(BATCH_PS)]
+    for p in BATCH_PS:
+        assert batch[p] == split(*build(instance), p)
+    bases = bases_within(m, BASE_ENUM_LIMIT)
+    if bases is not None:
+        assert rp_greedy_each(f, m, bases) == [rp_greedy(*build(instance), residue) for residue in bases]
+    return bases is not None
+
+
+@pytest.mark.parametrize("source", ["corpus", "hard"])
+def test_batches_equal_single_runs(source):
+    enumerated = [assert_batches_equal_single_runs(instance) for instance in SOURCES[source]()]
+    assert sum(enumerated) == {"corpus": 329, "hard": 0}[source]  # every hard fixture has more than 20 bases
+
+
+def test_an_empty_batch_asks_nothing():
+    f, m = build(random_instance(2, 10, "graphic", "coverage", rank=4))
+    assert splits(f, m, ()) == {}
+    assert rp_greedy_each(f, m, ()) == []
+    assert (f.counts.value_queries, m.counts.independence_queries) == (0, 0)
+
+
+@pytest.mark.parametrize("bad", [-0.25, 1.5, float("nan")])
+def test_a_batch_with_a_bias_out_of_range_raises_before_asking(bad):
+    f, m = build(random_instance(2, 10, "graphic", "coverage", rank=4))
+    with pytest.raises(ValueError, match="p must lie in"):
+        splits(f, m, (0.5, 1.0, bad))
+    assert (f.counts.value_queries, m.counts.independence_queries) == (0, 0)
+
+
+def test_a_batch_with_a_residue_that_is_no_base_is_refused():
+    f, m = build(random_instance(1, 10, "partition", "modular", rank=3))
+    base = next(iter_bases(m))
+    with pytest.raises(ValueError, match="residue argument must be a base of the matroid"):
+        rp_greedy_each(f, m, [base, base[:2]])
+
+
 @st.composite
 def documents(draw):
     """A valid instance on at most 8 ids: every matroid kind and function kind.
@@ -163,6 +213,12 @@ def test_random_documents_equal_the_reference(instance):
     f, m = build(instance)
     assert_solve_equals_reference(f, m)
     assert_seeded_solvers_equal_reference(f, m)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(documents())
+def test_random_documents_batch_as_single_runs(instance):
+    assert_batches_equal_single_runs(instance)
 
 
 def test_the_reference_bills_nothing_and_asks_only_the_root_kernels():
