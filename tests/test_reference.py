@@ -23,6 +23,7 @@ from submod import (
     Instance,
     MatroidSpec,
     SplitResult,
+    bases_within,
     build,
     canonical,
     contract,
@@ -40,7 +41,6 @@ from submod import (
 )
 from submod.algorithms import split_bias
 from submod.cli import BASE_ENUM_LIMIT, SPLIT_BETA_GRID, SPLIT_P_GRID
-from submod.testkit import bases_within
 from submod.instances import GROW_MIN_N
 from submod.reference import (
     reference_greedy,
