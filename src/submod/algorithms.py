@@ -115,13 +115,16 @@ def _argmax_by_id(candidates: Iterable[int], gains: Mapping[int, float]) -> int:
     return max(candidates, key=lambda u: (gains[u], -u))
 
 
-def max_weight_base(matroid: Matroid, weights: Mapping[int, float] | Sequence[float]) -> ElementSet:
+def max_weight_base(
+    matroid: Matroid, weights: Mapping[int, float] | Sequence[float], answered: dict[int, bool] | None = None
+) -> ElementSet:
     """Greedy maximum-weight base: descending weight, ascending id scan.
 
+    The scan reads and fills ``answered`` (see ``Matroid.greedy_scan``).
     Raises ``InternalInvariantError`` if the scan keeps fewer than ``rank`` ids.
     """
     # ground is ascending and the sort is stable, so ties keep the smallest id first
-    chosen = matroid.greedy_scan(sorted(matroid.ground, key=weights.__getitem__, reverse=True))
+    chosen = matroid.greedy_scan(sorted(matroid.ground, key=weights.__getitem__, reverse=True), answered)
     if len(chosen) != matroid.rank:
         raise InternalInvariantError("independence oracle did not extend to a full base")
     return canonical(chosen)
@@ -237,17 +240,22 @@ class _GrownCopy:
     B of its round, and S + B is independent, so S is.  The view's ground
     is the copy's ground.
 
+    Every scan reads and fills ``answered``, the grower call's store of
+    independence answers keyed by the bitmask of the whole set the root is
+    asked about (see ``Matroid.greedy_scan``), so a scan asks no set that
+    the call has already asked.
+
     ``base`` is a pure function of the solution, so copies may share a
     ``store`` that maps a solution to its round's ground, view, gain table
     and base, each a snapshot: a copy whose solution is stored adopts that
     round and asks nothing, and any other copy stores the round it asked.
-    A fork shares its copy's store.
+    A fork shares its copy's stores.
     """
 
-    __slots__ = ("matroid", "solution", "ground", "view", "step", "gains", "kept", "store")
+    __slots__ = ("matroid", "solution", "ground", "view", "step", "gains", "kept", "answered", "store")
 
-    def __init__(self, f: SetFunction, matroid: Matroid, store: dict | None = None):
-        self.matroid, self.ground, self.view, self.store = matroid, matroid.ground, f, store
+    def __init__(self, f: SetFunction, matroid: Matroid, answered: dict[int, bool], store: dict | None = None):
+        self.matroid, self.ground, self.view, self.answered, self.store = matroid, matroid.ground, f, answered, store
         self.solution: list[int] = []  # ascending
         self.step: ElementSet = ()  # the id gained since the last base, to cut and anchor by
         self.gains: dict[int, float] = {}
@@ -257,7 +265,7 @@ class _GrownCopy:
         """A twin that shares this copy's matroid, ground and view and owns copies of its lists and table."""
         twin = object.__new__(_GrownCopy)
         twin.matroid, twin.ground, twin.view, twin.step = self.matroid, self.ground, self.view, self.step
-        twin.store = self.store
+        twin.answered, twin.store = self.answered, self.store
         twin.solution, twin.kept = self.solution[:], self.kept[:]
         twin.gains = self.gains.copy()
         return twin
@@ -289,7 +297,7 @@ class _GrownCopy:
         )
         if not reused:
             residual = _contracted(self.matroid, self.solution) if step else self.matroid
-            self.kept = [*max_weight_base(residual, gains)]
+            self.kept = [*max_weight_base(residual, gains, self.answered)]
         self.gains = gains
         if store is not None:
             store[tuple(self.solution)] = ground, self.view, gains.copy(), self.kept[:]
@@ -302,10 +310,11 @@ def rr_greedy(f: SetFunction, matroid: Matroid, rng_seed: int) -> ElementSet:
     Each iteration recomputes the maximum-marginal-weight base of the
     matroid contracted by the current solution and adds one of its elements
     uniformly at random.  Reproducible: the same seed yields the same set.
-    The solution and its bases are a ``_GrownCopy``'s.
+    The solution and its bases are a ``_GrownCopy``'s, whose scans ask no
+    set twice in the call.
     """
     rng = random.Random(rng_seed)
-    copy = _GrownCopy(f, matroid)
+    copy = _GrownCopy(f, matroid, {})
     for _ in range(matroid.rank):
         _gains, candidate_base = copy.base()
         copy.gain(candidate_base[rng.randrange(len(candidate_base))])
@@ -317,9 +326,10 @@ def _swap_asker(
 ) -> Callable[[int, int], bool]:
     """Return ``test(u, v)``: whether solution + residue - {v} + {u} is independent, asking each set once.
 
-    ``own`` is the bitmask of solution + residue, v lies in the residue and
-    u is v or lies in neither part.  ``answered`` maps the bitmask of each
-    set asked so far to its answer; a set found there is not asked again.
+    ``own`` is the bitmask of solution + residue + the matroid's anchor, v
+    lies in the residue and u is v or lies in neither part.  ``answered``
+    maps the bitmask of each set the root was asked about so far, anchor
+    included, to its answer; a set found there is not asked again.
     The exchange test is built on the first question ``answered`` misses.
     """
     swap = None
@@ -364,15 +374,17 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
     negative or infinite gain takes the loop, which drops a NaN u and lets
     ``add_edge`` refuse the others.
 
-    A call's edge tests ask the kernel about each set at most once: every
-    answer is kept, keyed by the set's bitmask, and a test finds it there
-    (see ``_swap_asker``).  So a copy's solution + residue is asked at most
-    once per call, in the opening round: its next one is the swap its
-    matched edge passed, or the same set after a self pair, both already
-    answered yes.  That one question repeats the residue check's, and is
-    kept: it is what catches a kernel that passes the residue and then
-    denies every swap.  A round whose tests all find their answers builds
-    no exchange test.
+    A call's edge tests and greedy scans ask the kernel about each set at
+    most once: every answer is kept in one store, keyed by the bitmask of
+    the whole set the root is asked about, and a test or an offer finds it
+    there (see ``_swap_asker`` and ``Matroid.greedy_scan``).  So a copy's
+    solution + residue is asked at most once per call, in the opening
+    round: its next one is the swap its matched edge passed, or the same
+    set after a self pair, both already answered yes.  That one question
+    repeats the residue check's, and the opening scan's last offer's when
+    the opening base is the residue, and is kept: it is what catches a
+    kernel that passes the residue and then denies every swap.  A round
+    whose tests all find their answers builds no exchange test.
 
     Each copy's solution and candidate bases are a ``_GrownCopy``'s.  The
     k copies start alike, so the opening round is asked once, as one column
@@ -380,7 +392,7 @@ def rp_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int]) -> Eleme
     it.  A residue is kept as a dict in ascending id order, from which each
     given-up id is deleted.
     """
-    return _parallel_greedy(f, matroid, residue, None)
+    return _parallel_greedy(f, matroid, residue, {}, None)
 
 
 def rp_greedy_each(f: SetFunction, matroid: Matroid, residues: Iterable[Iterable[int]]) -> list[ElementSet]:
@@ -389,14 +401,22 @@ def rp_greedy_each(f: SetFunction, matroid: Matroid, residues: Iterable[Iterable
     The runs' copies share one ``_GrownCopy`` store: every run opens on the
     empty solution, and copies of different residues often grow the same
     solutions, so a round already asked for a solution is adopted, not
-    asked again.  The outputs are exactly ``rp_greedy``'s.
+    asked again.  The runs also share one store of independence answers,
+    so no run asks a set another has asked, bar each run's opening own
+    question.  The outputs are exactly ``rp_greedy``'s.
     """
     store: dict = {}
-    return [_parallel_greedy(f, matroid, residue, store) for residue in residues]
+    answered: dict[int, bool] = {}
+    return [_parallel_greedy(f, matroid, residue, answered, store) for residue in residues]
 
 
-def _parallel_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int], store: dict | None) -> ElementSet:
-    """``rp_greedy``'s run, its copies' rounds kept in and adopted from ``store`` unless it is None."""
+def _parallel_greedy(
+    f: SetFunction, matroid: Matroid, residue: Iterable[int], answered: dict[int, bool], store: dict | None
+) -> ElementSet:
+    """``rp_greedy``'s run, asking each set once through ``answered``.
+
+    Its copies' rounds are kept in and adopted from ``store`` unless it is None.
+    """
     base = canonical(residue, matroid.n)
     if not is_base(matroid, base):
         raise ValueError("residue argument must be a base of the matroid")
@@ -404,16 +424,16 @@ def _parallel_greedy(f: SetFunction, matroid: Matroid, residue: Iterable[int], s
     left_of = {v: idx for idx, v in enumerate(base)}
     copies: list[_GrownCopy] = []
     residues = [dict.fromkeys(base) for _ in range(k)]  # ascending, as base is
-    owns = [sum(1 << v for v in base)] * k  # the bitmask of each copy's solution + residue
-    answered: dict[int, bool] = {}  # the bitmask of each set asked in this call, to its answer
+    owns = [sum(1 << v for v in chain(base, matroid.anchored))] * k  # each copy's solution + residue + anchor
 
     for _ in range(k):
         if copies:
             rounds = [copy.base() for copy in copies]
         else:  # every copy starts alike: one opening column, stored for every copy
-            first = _GrownCopy(f, matroid, store)
+            first = _GrownCopy(f, matroid, answered, store)
             rounds = [first.base()]
             copies = [first, *(first.fork() for _ in range(k - 1))]
+            answered.pop(owns[0], None)  # the opening own question is asked afresh (see rp_greedy)
         graph = WeightedBipartiteGraph(k)
         for j, (gains, candidates) in enumerate(rounds):
             residue = residues[j]

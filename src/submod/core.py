@@ -250,7 +250,7 @@ class Matroid:
 
         return test
 
-    def greedy_scan(self, order: Iterable[int]) -> list[int]:
+    def greedy_scan(self, order: Iterable[int], answered: dict[int, bool] | None = None) -> list[int]:
         """Keep each id of ``order`` that stays independent with the ids kept before it.
 
         The test for ``u`` is one billed query and one kernel answer for
@@ -261,13 +261,20 @@ class Matroid:
         it).  Each offer is a ``swap`` of the members as ``exchange_test``
         builds it: ``swap(u, None)`` for a fresh u, ``swap(None, None)`` for
         one that repeats a member, and u stays a member on a yes.  The swap
-        is rebuilt from the sorted members just before the first offer after
-        a keep, so a scan that reaches ``rank`` builds none after its last
-        keep.  The offers are billed together, one query each.  If an id
-        lies outside ``ground``, ``is_independent``'s error for the first
-        such id is raised before anything is billed or asked, even where the
-        scan would stop at ``rank`` before reaching it.  Returns the kept ids
-        in scan order.
+        is rebuilt from the sorted members just before the first offer the
+        kernel is asked after a keep, so a scan that reaches ``rank`` builds
+        none after its last keep.  The offers asked are billed
+        together, one query each.
+
+        ``answered``, if given, maps the bitmask of each set the root was
+        asked about, anchor included, to its answer: an offer whose set is
+        there is neither asked nor billed, and every answer asked is added.
+        So one store serves every view of one root.
+
+        If an id lies outside ``ground``, ``is_independent``'s error for the
+        first such id is raised before anything is billed or asked, even
+        where the scan would stop at ``rank`` before reaching it.  Returns
+        the kept ids in scan order.
         """
         order = tuple(order)
         ground = self._ground_set
@@ -279,22 +286,28 @@ class Matroid:
         independent = self.root._is_independent
         exchange = getattr(independent, "exchange", None)
         members = self.anchored
+        mask = sum(1 << v for v in members)  # the members' bitmask
         kept: list[int] = []
         swap = None
-        for asked, u in enumerate(order, 1):
-            if swap is None:
-                swap = _swap_of(independent, exchange, members)
-            at = bisect_left(members, u)
-            fresh = at == len(members) or members[at] != u  # u repeats a member otherwise
-            if swap(u if fresh else None, None):
+        asked = 0  # the offers the kernel answered
+        for u in order:
+            key = mask | (1 << u)
+            fresh = key != mask  # u repeats a member otherwise
+            answer = None if answered is None else answered.get(key)
+            if answer is None:
+                if swap is None:
+                    swap = _swap_of(independent, exchange, members)
+                answer = bool(swap(u if fresh else None, None))
+                asked += 1
+                if answered is not None:
+                    answered[key] = answer
+            if answer:
                 kept.append(u)
                 if len(kept) == limit:
                     break
                 if fresh:
-                    members = members[:at] + (u,) + members[at:]
-                    swap = None
-        else:
-            asked = len(order)  # every id was offered
+                    at = bisect_left(members, u)
+                    members, mask, swap = members[:at] + (u,) + members[at:], key, None
         self.counts.independence_queries += asked
         return kept
 

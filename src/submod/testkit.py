@@ -26,8 +26,9 @@ from .core import (
     canonical,
     contract,
     is_base,
+    marginal_function,
 )
-from .algorithms import marginal_table, max_weight_base
+from .algorithms import marginal_table, max_weight_base  # marginal_table stays bound here: bench/tracing.py wraps it
 from .matching import InfeasibleMatchingError, Matching, WeightedBipartiteGraph
 
 TOLERANCE = 1e-9
@@ -126,29 +127,36 @@ def rr_greedy_exact_expectation(
     A set's next draw depends only on the set, so each level maps every set
     reachable in that many draws to its total probability: each set is
     evaluated and expanded once, and the last level's sets are the leaves.
+    A set S that is expanded is evaluated as the offset of the view
+    f(. | S) whose row the expansion asks, one query for both, and the
+    walk's scans share one store of independence answers, so no scan asks
+    a set another scan asked (see ``Matroid.greedy_scan``).
     The walk also yields the exact expectation of the intermediate values
     after each iteration (``level_expectations``).  Raises
     BudgetExceededError once a level holds more than ``max_states`` sets.
     """
     level: dict[ElementSet, float] = {(): 1.0}  # reachable set -> total probability
     expectations: list[float] = []
-    for depth in range(matroid.rank + 1):
-        values = {members: f(members) for members in level}
-        expectations.append(sum(probability * values[members] for members, probability in level.items()))
-        if depth == matroid.rank:
-            break
+    answered: dict[int, bool] = {}
+    for depth in range(matroid.rank):
+        values: dict[ElementSet, float] = {}
         following: dict[ElementSet, float] = {}
         for members, probability in level.items():
             residual = contract(matroid, members)
-            gains = marginal_table(f, members, residual.ground)
-            candidates = max_weight_base(residual, gains)
+            view = marginal_function(f, members)
+            gains = view.singleton_table(residual.ground)
+            values[members] = view._bill(0) - f._bill(0)  # f(members): the row's offset, less f's own
+            candidates = max_weight_base(residual, gains, answered)
             share = probability / len(candidates)
             for u in candidates:
                 grown = canonical(members + (u,))
                 following[grown] = following.get(grown, 0.0) + share
+        expectations.append(sum(probability * values[members] for members, probability in level.items()))
         if len(following) > max_states:
             raise BudgetExceededError(f"more than {max_states} reachable sets at draw {depth + 1}")
         level = following
+    values = {members: f(members) for members in level}
+    expectations.append(sum(probability * values[members] for members, probability in level.items()))
     leaves = tuple(ExpectationLeaf(members, values[members], level[members]) for members in sorted(level))
     tree = ExpectationTree(leaves, tuple(expectations))
     return tree.expected_value, tree

@@ -402,17 +402,20 @@ class TestSplitAndGrowDeterministic:
     # and rp_greedy began to build its opening round as one column for
     # every copy and to keep every answer of a call, so that no set, a
     # copy's own set included, is asked twice; the solutions and values
-    # did not move.
+    # did not move.  The independence counts were re-pinned when the
+    # grown copies' greedy scans began to read and fill the call's store
+    # of answers that the edge tests keep, so a scan asks no set the call
+    # has asked; the solutions, values and value counts did not move.
     @pytest.mark.parametrize(
         "cell, solution, value, value_queries, independence_queries",
         [
             ((3, 12, "partition", "coverage", 3), (0, 1, 8), 6.0, 112, 42),
             ((5, 12, "graphic", "modular", 4), (0, 3, 4, 11), 31.0, 190, 50),
-            ((11, 10, "uniform", "concave_of_modular", 3), (1, 4, 5), 5.291502622129181, 74, 38),
-            ((13, 14, "partition", "weighted_coverage", 4), (0, 1, 2, 11), 44.0, 137, 61),
+            ((11, 10, "uniform", "concave_of_modular", 3), (1, 4, 5), 5.291502622129181, 74, 36),
+            ((13, 14, "partition", "weighted_coverage", 4), (0, 1, 2, 11), 44.0, 137, 60),
             ((17, 20, "uniform", "modular", 8), (0, 1, 6, 11, 12, 14, 16, 18), 64.0, 1124, 145),
-            ((19, 16, "uniform", "weighted_coverage", 5), (3, 4, 7, 8, 13), 61.0, 220, 97),
-            ((23, 14, "graphic", "concave_of_modular", 5), (3, 4, 6, 7, 12), 6.4031242374328485, 181, 77),
+            ((19, 16, "uniform", "weighted_coverage", 5), (3, 4, 7, 8, 13), 61.0, 220, 90),
+            ((23, 14, "graphic", "concave_of_modular", 5), (3, 4, 6, 7, 12), 6.4031242374328485, 181, 67),
             (
                 (29, 48, "uniform", "modular", 24),
                 (0, 3, 4, 7, 9, 10, 14, 18, 20, 21, 22, 24, 27, 28, 29, 30, 32, 33, 36, 39, 40, 44, 45, 47),
@@ -425,7 +428,7 @@ class TestSplitAndGrowDeterministic:
                 (4, 5, 8, 9, 15, 16, 17, 19, 22, 28, 29, 39),
                 23.0,
                 2924,
-                1183,
+                944,
             ),
         ],
     )
@@ -614,7 +617,10 @@ class TestRootCallLog:
     is asked through its view grown by its new id, so an exact kernel's
     rows derive from the last one), and rp_greedy began to build its
     opening round as one column for every copy and to keep every answer of
-    a call, so that it asks no set twice.  Each cell runs twice:
+    a call, so that it asks no set twice; and when the grown copies' greedy
+    scans began to share that store of answers, so that no scan of a grower
+    call asks a set the call has asked, bar the opening own question.  Each
+    cell runs twice:
     with plain wrappers, which answer every query by a kernel call, and
     with the kernels' hooks (the value kernel's ``extend`` and its rows'
     ``grow``, whose derived rows run in the cells on at least GROW_MIN_N
@@ -626,25 +632,25 @@ class TestRootCallLog:
     @pytest.mark.parametrize(
         "cell, expected",
         [
-            ((1, 20, "graphic", "modular", 6), "ab3009937b6bf0ba8835b7260679fed2442bb78b8dfdcdcf367ce02493553723"),
-            ((2, 16, "uniform", "modular", 8), "a6fd2a7b8e158d7c2e044aedce1f51aa5570d0ed1d33e89975a5027d4fed3a8b"),
-            ((3, 20, "partition", "coverage", 6), "0351fd0d4c332582965345ff2f3b9b4d71dd89c6e7530189f301c38bfd346ab0"),
+            ((1, 20, "graphic", "modular", 6), "87dbf62aa59b713e2e583b380390316e220597f9fc57908b7c6da0b115c431dd"),
+            ((2, 16, "uniform", "modular", 8), "e0d9f25fc8c644127d22c045b5b34ba5a6654aafe5423e427e9e7743d9b42117"),
+            ((3, 20, "partition", "coverage", 6), "400e9a6caa18146490c6962e05a56740fcd3d0270307e00828b334a4d19a83d6"),
             (
                 (4, 16, "graphic", "concave_of_modular", 5),
-                "23b6aca1a71f2c809e5bfb526a8053125c93e2f78cd9dc270a3c481252625594",
+                "f15d350abbf7cc585069d18ad5a65c933a8a7ddf9714dc6af9f56bdd3f569582",
             ),
             (
                 (5, 20, "partition", "weighted_coverage", 6),
-                "a880bce0bd87606064ed30e3e93dd3bad8f45595aee78d179227d89c19e37d0b",
+                "e8664512c841aa33a4b39be81e29c108761991514af0ca2d1f0fad423cac0fae",
             ),
             # the benchmark's uniform-dense and coverage-partition shapes
             (
                 (100, 48, "uniform", "modular", 24),
-                "0c8e4ae6e5844fd6249b9ebb88067a5a43fa07c811bf143c49e3b371ccfc4d68",
+                "f2d50dff378b89f74c0d39c1ceebb86385d79b4b9724a89a6db044b644886465",
             ),
             (
                 (101, 120, "partition", "coverage", 12),
-                "b7adfe2a563adab00ed7da36dc4b89f3f16831b7549329e982e090fafa7ddab6",
+                "c481d337586a76a02b068eaf52c647b072e6531c4ded07ea9b9747d7871fc4bb",
             ),
         ],
         ids=lambda value: "-".join(map(str, value)) if isinstance(value, tuple) else None,
@@ -790,29 +796,70 @@ def round_logs(monkeypatch):
     return rounds, asking
 
 
+def grower_corpus():
+    """The (8, 3) corpus, the hard fixtures and fractional-weight cells of every matroid kind."""
+    rng = random.Random(22)
+    fractions = [
+        fractional(random_instance(seed, 12, matroid_kind, function_kind, rank=5), rng)
+        for matroid_kind in MATROID_KINDS
+        for function_kind in ("weighted_coverage", "modular")
+        for seed in range(3)
+    ]
+    hard = sorted((Path(__file__).parent / "data" / "hard").glob("*.json"))
+    assert len(hard) == 3
+    return [*enumerate_small_instances(8, 3), *map(load, hard), *fractions]
+
+
+def logged_grower_calls(monkeypatch, name, algorithms_run, hooked, asking=()):
+    """Solve the grower corpus by ``algorithms_run``; return the kernel sets each call of grower ``name`` asked.
+
+    Every kernel answer, a scan's offer, an edge test or a plain call, is
+    logged as the set it is for, anchor included; the wrapper also appends
+    it to ``asking[-1]`` while an edge test runs.
+    """
+    log, calls = [], []
+    real = getattr(algorithms, name)
+
+    def recording(*args):
+        first = len(log)
+        try:
+            return real(*args)
+        finally:
+            calls.append(log[first:])
+
+    monkeypatch.setattr(algorithms, name, recording)
+
+    def record(members, _by_hook):
+        log.append(members)
+        if asking:
+            asking[-1].append(members)
+
+    for instance in grower_corpus():
+        f, m = build(instance)
+        m._is_independent = logged_independence(m._is_independent, record, hooked)
+        for algorithm in algorithms_run:
+            solve(f, m, algorithm, seed=3)
+    return calls
+
+
 class TestExchangeRound:
-    """An rp_greedy call's edge tests ask about each set once, and about a copy's own set at most once in all."""
+    """An rp_greedy call's scans and edge tests ask about each set once, bar the opening own question."""
 
     @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
     def test_no_set_is_asked_twice(self, monkeypatch, hooked):
-        """No set is asked twice across a whole call, over all its rounds and copies.
+        """No set is asked twice across a whole call, over all its rounds, copies, scans and edge tests.
 
-        A copy's own set, its solution + residue, is asked at most once per
-        call: in the opening round, whose one column serves every copy.
-        After that it is known: each copy's new own set is the swap its
-        matched edge passed, or its last one unchanged by a self pair.
+        The call first checks its residue, the copies' opening own set.  A
+        copy's own set, its solution + residue, is asked by the edge tests
+        at most once per call: in the opening round, whose one column
+        serves every copy.  After that it is known: each copy's new own set
+        is the swap its matched edge passed, or its last one unchanged by a
+        self pair.  That opening question is asked even when the opening
+        scan's last offer, the opening base, already answered it, so it is
+        the one set a call may ask twice after its residue check.
         """
-        rng = random.Random(22)
-        fractions = [
-            fractional(random_instance(seed, 12, matroid_kind, function_kind, rank=5), rng)
-            for matroid_kind in MATROID_KINDS
-            for function_kind in ("weighted_coverage", "modular")
-            for seed in range(3)
-        ]
-        hard = sorted((Path(__file__).parent / "data" / "hard").glob("*.json"))
-        assert len(hard) == 3
         rounds, asking = round_logs(monkeypatch)
-        calls = []  # (first, end) of each rp_greedy call's exchange tests in rounds
+        edge_calls = []  # (first, end) of each rp_greedy call's exchange tests in rounds
         real_rp_greedy = algorithms.rp_greedy
 
         def recording_rp_greedy(f, matroid, residue):
@@ -820,24 +867,30 @@ class TestExchangeRound:
             try:
                 return real_rp_greedy(f, matroid, residue)
             finally:
-                calls.append((first, len(rounds)))
+                edge_calls.append((first, len(rounds)))
 
         monkeypatch.setattr(algorithms, "rp_greedy", recording_rp_greedy)
-        for instance in [*enumerate_small_instances(8, 3), *map(load, hard), *fractions]:
-            f, m = build(instance)
-            m._is_independent = logged_independence(
-                m._is_independent, lambda members, _: asking and asking[-1].append(members), hooked
-            )
-            for algorithm in ("rpgreedy", "msg-det"):
-                solve(f, m, algorithm)
-        owned = 0  # calls that asked a copy's own set
-        for first, end in calls:
-            asked = [members for _own, log in rounds[first:end] for members in log]
-            assert len(set(asked)) == len(asked), rounds[first]
+        calls = logged_grower_calls(monkeypatch, "rp_greedy", ("rpgreedy", "msg-det"), hooked, asking)
+        assert len(calls) == len(edge_calls) == 3 * (392 + 3 + 18)
+        owned = repeated = 0  # calls whose edge tests asked a copy's own set, and calls that asked it twice
+        for (first, end), (residue_check, *asked) in zip(edge_calls, calls):
+            edge_asked = [members for _own, log in rounds[first:end] for members in log]
+            assert len(set(edge_asked)) == len(edge_asked), rounds[first]
             own_asks = sum(log.count(own) for own, log in rounds[first:end])
             assert own_asks <= 1, rounds[first]
             owned += own_asks
-        assert len(calls) == 3 * (392 + 3 + 18) and owned > 0
+            twice = [members for members in set(asked) if asked.count(members) > 1]
+            assert twice in ([], [residue_check]) and asked.count(residue_check) <= 2, residue_check
+            repeated += bool(twice)
+        assert owned > 0 and repeated > 0
+
+    @pytest.mark.parametrize("hooked", [False, True], ids=["plain", "hooked"])
+    def test_a_random_run_asks_no_set_twice(self, monkeypatch, hooked):
+        """rr_greedy's scans, over all its rounds, ask about each set once."""
+        calls = logged_grower_calls(monkeypatch, "rr_greedy", ("rrgreedy", "msg"), hooked)
+        assert len(calls) == 3 * (392 + 3 + 18)
+        for asked in calls:
+            assert len(set(asked)) == len(asked), asked
 
     @staticmethod
     def lie_after_the_residue_check(monkeypatch, honest_offers):
@@ -1003,9 +1056,9 @@ def checked_orders(monkeypatch):
     tally = {"bases": 0, "reused": 0, "nan": 0, "scans": 0}
     real_base, real_scan = algorithms._GrownCopy.base, algorithms.max_weight_base
 
-    def counted_scan(matroid, weights):
+    def counted_scan(*args):
         tally["scans"] += 1
-        return real_scan(matroid, weights)
+        return real_scan(*args)
 
     def checked_base(copy):
         last, scans = list(copy.gains.values()), tally["scans"]
@@ -1054,9 +1107,10 @@ class TestReusedOrder:
         # pinned from the grower that sorted every round afresh; the counts were
         # re-pinned when a grown copy reused its base on more rounds and stopped
         # checking its contractions, and again when rp_greedy built its opening
-        # round as one column and stopped asking any set twice
+        # round as one column and stopped asking any set twice, and again when
+        # its scans began to share the call's store of answers
         assert (report.solution, report.value) == ((3, 4, 5, 7, 11), 35.0)
-        assert (report.counts.value_queries, report.counts.independence_queries) == (313, 53)
+        assert (report.counts.value_queries, report.counts.independence_queries) == (313, 44)
         assert checked_orders["nan"] >= 2  # the round with the NaN and the round after it
 
 
@@ -1074,7 +1128,7 @@ class TestReusedBase:
         """
         scans = []
         real_scan = algorithms.max_weight_base
-        monkeypatch.setattr(algorithms, "max_weight_base", lambda m, gains: scans.append(1) or real_scan(m, gains))
+        monkeypatch.setattr(algorithms, "max_weight_base", lambda *args: scans.append(1) or real_scan(*args))
 
         def evaluate(members):
             if 0 not in members:
@@ -1082,7 +1136,7 @@ class TestReusedBase:
             return first[0] + sum(second[x - 1] for x in members if x)
 
         _f, m = make(4, uniform(2), modular(1, 1, 1, 1))
-        copy = algorithms._GrownCopy(SetFunction(4, evaluate), m)
+        copy = algorithms._GrownCopy(SetFunction(4, evaluate), m, {})
         _gains, opening = copy.base()
         assert 0 in opening
         copy.gain(0)
@@ -1114,9 +1168,9 @@ class TestReusedBase:
         scanned = []
         real_scan = algorithms.max_weight_base
         monkeypatch.setattr(
-            algorithms, "max_weight_base", lambda view, gains: scanned.append(view) or real_scan(view, gains)
+            algorithms, "max_weight_base", lambda view, *args: scanned.append(view) or real_scan(view, *args)
         )
-        copy = algorithms._GrownCopy(f, m)
+        copy = algorithms._GrownCopy(f, m, {})
         _gains, opening = copy.base()
         assert scanned == [m] and copy.ground is m.ground  # Matroid compares by identity
         calls, kernel, asked = [], m._is_independent, m.counts.independence_queries
@@ -1140,7 +1194,7 @@ class TestContractedViews:
             algorithms._GrownCopy.base, algorithms.max_weight_base, algorithms._contracted
         )
         scanned, built = [], []
-        monkeypatch.setattr(algorithms, "max_weight_base", lambda m, gains: scanned.append(m) or real_scan(m, gains))
+        monkeypatch.setattr(algorithms, "max_weight_base", lambda m, *args: scanned.append(m) or real_scan(m, *args))
         monkeypatch.setattr(
             algorithms, "_contracted", lambda m, away: built.append(real_contracted(m, away)) or built[-1]
         )

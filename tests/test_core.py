@@ -618,6 +618,29 @@ class TestIndependencePrimitives:
                 assert view.counts.independence_queries == plain.counts.independence_queries == len(log)
             assert_same_answers(log, plain_log, hooked)
 
+    @pytest.mark.parametrize("contractions", PRIMITIVE_VIEWS)
+    @pytest.mark.parametrize("kind", sorted(PRIMITIVE_SPECS))
+    def test_scans_sharing_a_store_ask_each_set_once(self, kind, contractions):
+        """Scans that share ``answered`` keep what plain scans keep, and the kernel answers each set once.
+
+        The store ends up mapping the bitmask of every set asked, anchor
+        included, to the kernel's answer; an offer found there is neither
+        asked nor billed.
+        """
+        kernel = primitive_root(PRIMITIVE_SPECS[kind])._is_independent
+        for hooked in (False, True):
+            (view, log), (plain, _plain_log) = primitive_twins(kind, contractions, hooked)
+            orders = [p for s in subsets(view.ground) for p in itertools.permutations(s)]
+            orders += [view.ground[:1] * 2 + view.ground, view.ground[::-1] * 2]  # repeated ids
+            answered = {}
+            for order in orders:
+                assert view.greedy_scan(order, answered) == plain_scan(plain, order), (order, hooked)
+                assert view.counts.independence_queries == len(log)
+            asked = [members for members, _ in log]
+            assert len(set(asked)) == len(asked)
+            assert len(asked) < plain.counts.independence_queries or not view.rank  # a rank-0 scan asks nothing
+            assert answered == {sum(1 << v for v in members): bool(kernel(members)) for members in asked}
+
     @pytest.mark.parametrize("kind", sorted(PRIMITIVE_SPECS))
     def test_hooks_equal_the_kernel_on_every_set(self, kind):
         """Every set core can hand a hook; ``exchange`` declines each dependent base.
